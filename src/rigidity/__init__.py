@@ -19,7 +19,6 @@ from .certify import (
     DisproofParams,
     LineSearchFailed,
     MultiplicityObstruction,
-    RationalizationFailed,
     ResidualTooLarge,
     TargetKind,
     VerificationReport,
@@ -79,7 +78,6 @@ from .sdpfeas import (
     CompressedOperators,
     SdpResult,
     SdpStatus,
-    block_diagonal_feasibility,
     compress_operators,
     expand_gram,
     orbit_laplacian,
@@ -96,7 +94,6 @@ from .spectra import (
     cluster_eigenspace,
     eig_sym,
     lambda2,
-    lambda_bounds,
     lambda_max,
     laplacian_spectrum,
     projector,
@@ -116,11 +113,9 @@ from .symmetry import (
     edge_permutation,
     generators_from_json,
     generators_to_json,
-    is_vertex_transitive,
     orbit_energy,
     permute_vector,
     symmetrize_weights,
-    symmetrized_embedding,
     verify_automorphism,
     vertex_orbits,
 )

@@ -49,10 +49,6 @@ class MultiplicityObstruction(ValueError):
     """Cone construction needs all isotypic multiplicities equal to one."""
 
 
-class RationalizationFailed(ValueError):
-    """Generator entries do not round to safe rationals."""
-
-
 class ResidualTooLarge(RuntimeError):
     """Assembled certificate violates its own defining identity."""
 

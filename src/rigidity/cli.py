@@ -19,7 +19,6 @@ from .graphcore import (
     Graph,
     MalformedGraph6,
     WeightVector,
-    laplacian,
     parse_edge_list,
     parse_graph6,
 )
@@ -27,14 +26,15 @@ from .pipeline import (
     CertificationReport,
     PipelineConfig,
     PipelineStatus,
+    acquire_group,
     emit_report,
+    run_batch,
     run_pipeline,
+    target_cluster,
 )
-from .spectra import cluster_eigenspace, eig_sym
+from .spectra import AmbiguousCluster, laplacian_spectrum
 from .symmetry import (
     CapExceeded,
-    SearchBudgetExceeded,
-    automorphism_generators,
     close_group,
     edge_orbits,
     generators_from_json,
@@ -86,19 +86,12 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _group_config(spec: str, graph: Graph) -> tuple[str, object]:
+def _group_spec(spec: str) -> tuple[str, object]:
+    """Parse --group into a group mode and its data; file: yields the path."""
     if spec == "auto":
         return "auto", None
     if spec.startswith("file:"):
-        path = spec[len("file:"):]
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise _UsageError(f"cannot read generator file {path}: {exc}") from exc
-        try:
-            return "gens", generators_from_json(graph, text)
-        except ValueError as exc:
-            raise _UsageError(f"{path}: {exc}") from exc
+        return "gens", spec[len("file:"):]
     if spec.startswith("fix:"):
         try:
             fixed = tuple(int(t) for t in spec[len("fix:"):].split(",") if t)
@@ -108,14 +101,31 @@ def _group_config(spec: str, graph: Graph) -> tuple[str, object]:
     raise _UsageError(f"bad --group value {spec!r}")
 
 
-def _config(args, graph: Graph) -> PipelineConfig:
-    mode, data = _group_config(args.group, graph)
+def _group_config(spec: str, graph: Graph) -> tuple[str, object]:
+    """--group for one graph: generators read and checked, fix: vertices in range."""
+    mode, data = _group_spec(spec)
+    if mode == "gens":
+        try:
+            text = Path(data).read_text()
+        except OSError as exc:
+            raise _UsageError(f"cannot read generator file {data}: {exc}") from exc
+        try:
+            return mode, generators_from_json(graph, text)
+        except ValueError as exc:
+            raise _UsageError(f"{data}: {exc}") from exc
+    if mode == "fix":
+        outside = [v for v in data if not 0 <= v < graph.n]
+        if outside:
+            raise _UsageError(
+                f"fixed vertex {outside[0]} is outside 0..{graph.n - 1}"
+            )
+    return mode, data
+
+
+def _config(args, group: tuple[str, object], **opts) -> PipelineConfig:
+    mode, data = group
     return PipelineConfig(
-        sdp_tol=args.tol_sdp,
-        seed=_resolve_seed(args),
-        mode=args.mode,
-        group_mode=mode,
-        group_data=data,
+        seed=_resolve_seed(args), group_mode=mode, group_data=data, **opts
     )
 
 
@@ -138,7 +148,8 @@ def _verdict_exit(reports: list[CertificationReport]) -> int:
 
 def _cmd_check(args) -> int:
     graph = _load_graph(args.graph)
-    cfg = _config(args, graph)
+    cfg = _config(args, _group_config(args.group, graph),
+                  sdp_tol=args.tol_sdp, mode=args.mode)
     reports = [
         run_pipeline(graph, t, cfg, graph_id=graph.name) for t in _targets(args.target)
     ]
@@ -153,11 +164,16 @@ def _cmd_check(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     graph = _load_graph(args.graph)
-    dec = eig_sym(laplacian(graph, WeightVector.uniform(graph)))
+    dec = laplacian_spectrum(graph, WeightVector.uniform(graph))
     for lam in dec.eigenvalues:
         print(repr(float(lam)))
-    lo = cluster_eigenspace(dec, TargetKind.LOWER.which)
-    hi = cluster_eigenspace(dec, TargetKind.UPPER.which)
+    tol = PipelineConfig().cluster_tol
+    try:
+        lo = target_cluster(dec, TargetKind.LOWER, tol)
+        hi = target_cluster(dec, TargetKind.UPPER, tol)
+    except AmbiguousCluster as exc:
+        print(f"ambiguous eigenvalue cluster: {exc}")
+        return _EXIT_INCONCLUSIVE
     print(f"lambda_2 = {float(lo.value)!r}  multiplicity {lo.basis.shape[1]}")
     print(f"lambda_max = {float(hi.value)!r}  multiplicity {hi.basis.shape[1]}")
     return _EXIT_OK
@@ -165,19 +181,10 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_orbits(args) -> int:
     graph = _load_graph(args.graph)
-    mode, data = _group_config(args.group, graph)
-    try:
-        if mode == "gens":
-            gens = data
-        elif mode == "fix":
-            gens = automorphism_generators(graph, data)
-        else:
-            gens = automorphism_generators(graph)
-    except SearchBudgetExceeded:
+    cfg = _config(args, _group_config(args.group, graph))
+    gens, flags = acquire_group(graph, cfg)
+    if flags:
         print("automorphism search budget exceeded; using trivial group")
-        from .symmetry import GroupGenerators
-
-        gens = GroupGenerators(graph, ())
     try:
         closure = close_group(gens)
         print(f"group order {closure.size}")
@@ -197,17 +204,18 @@ def _cmd_orbits(args) -> int:
 def _cmd_disprove(args) -> int:
     graph = _load_graph(args.graph)
     kind = TargetKind.LOWER if args.target == "lower" else TargetKind.UPPER
-    mode, data = _group_config(args.group, graph)
-    dec = eig_sym(laplacian(graph, WeightVector.uniform(graph)))
-    cluster = cluster_eigenspace(dec, kind.which)
-    if mode == "gens":
-        gens = data
-    elif mode == "fix":
-        gens = automorphism_generators(graph, data)
-    else:
-        gens = automorphism_generators(graph)
+    cfg = _config(args, _group_config(args.group, graph))
+    dec = laplacian_spectrum(graph, WeightVector.uniform(graph))
+    try:
+        cluster = target_cluster(dec, kind, cfg.cluster_tol)
+    except AmbiguousCluster as exc:
+        print(f"ambiguous eigenvalue cluster: {exc}")
+        return _EXIT_INCONCLUSIVE
+    gens, flags = acquire_group(graph, cfg)
+    if flags:
+        print("automorphism search budget exceeded; using trivial group")
     part = edge_orbits(graph, gens)
-    params = DisproofParams(seed=_resolve_seed(args))
+    params = DisproofParams(seed=cfg.seed)
     try:
         d = find_disproof(graph, cluster, part, kind, params)
     except LineSearchFailed as exc:
@@ -226,6 +234,11 @@ def _cmd_disprove(args) -> int:
 
 
 def _cmd_batch(args) -> int:
+    group = _group_spec(args.group)
+    if group[0] == "gens":
+        raise _UsageError("batch --group takes auto or fix:<v1,v2,...>; "
+                          "a generator file belongs to one graph")
+    cfg = _config(args, group, sdp_tol=args.tol_sdp, mode=args.mode)
     root = Path(args.dir)
     if not root.is_dir():
         raise _UsageError(f"{args.dir} is not a directory")
@@ -234,25 +247,27 @@ def _cmd_batch(args) -> int:
         if p.suffix in (".g6", ".graph6", ".txt") and p.is_file()
     )
     targets = _targets(args.target)
-    summary: dict[str, int] = {}
+    kept, graphs = [], []
     failures = 0
     for p in paths:
         try:
             graph = _load_graph(str(p))
+            _group_config(args.group, graph)  # a fix: list must fit the graph
         except _UsageError as exc:
             print(f"{p.name}: SKIPPED ({exc})")
             failures += 1
             continue
-        cfg = _config(args, graph)
-        for t in targets:
-            rep = run_pipeline(graph, t, cfg, graph_id=graph.name)
-            summary[rep.status.value] = summary.get(rep.status.value, 0) + 1
-            print(f"{p.name} {t.value}: {rep.status.value}")
-            if args.report_dir:
-                out = Path(args.report_dir)
-                out.mkdir(parents=True, exist_ok=True)
-                fname = f"{p.stem}.{t.value.lower()}.json"
-                (out / fname).write_bytes(emit_report(rep, "JSON"))
+        kept.append(p)
+        graphs.append((graph.name, graph))
+    reports, summary = run_batch(graphs, targets, cfg)
+    cases = [(p, t) for p in kept for t in targets]
+    for (p, t), rep in zip(cases, reports):
+        print(f"{p.name} {t.value}: {rep.status.value}")
+        if args.report_dir:
+            out = Path(args.report_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            fname = f"{p.stem}.{t.value.lower()}.json"
+            (out / fname).write_bytes(emit_report(rep, "JSON"))
     print("summary:")
     for k in sorted(summary):
         print(f"  {k}: {summary[k]}")
@@ -272,7 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--target", choices=target_choices, default="both"
                        if "both" in target_choices else target_choices[0])
         p.add_argument("--group", default="auto",
-                       help="auto | file:<generators.json> | fix:<v1,v2,...>")
+                       help="auto | file:<generators.json> | fix:<v1,v2,...>"
+                            " (batch: auto | fix:...)")
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (overrides RIGIDITY_SEED)")
 

@@ -413,11 +413,3 @@ def edge_energy(graph: Graph, phi) -> EdgeEnergyVector:
     vs = np.fromiter((e[1] for e in graph.edges), dtype=np.int64, count=graph.m)
     return EdgeEnergyVector((vec[us] - vec[vs]) ** 2)
 
-
-def scale_energy_identity_check(graph: Graph, phi, c: float) -> bool:
-    """Self-test hook: edge_energy(c * phi) equals c^2 * edge_energy(phi)."""
-    base = edge_energy(graph, phi).values
-    scaled = edge_energy(graph, np.asarray(phi, dtype=np.float64) * c).values
-    ref = c * c * base
-    scale = max(1.0, float(np.max(np.abs(ref))))
-    return bool(np.max(np.abs(scaled - ref)) <= 1e-12 * scale)

@@ -21,7 +21,6 @@ from .symmetry import (
     GroupClosure,
     edge_orbits,
     orbit_energy,
-    permute_vector,
 )
 
 

@@ -1,8 +1,8 @@
 """End-to-end certification pipeline and report machinery.
 
 A run walks a fixed stage graph: spectrum -> cluster -> group -> orbits ->
-(regular-bipartite shortcut | SDP feasibility) -> closure -> isotypics ->
-multiplicity tests -> cone membership (exact first) or sub-cone, with the
+(regular-bipartite shortcut | SDP feasibility) -> isotypics -> multiplicity
+tests -> cone membership (exact first) or sub-cone, with the
 disproof search on the infeasible branches. Every outcome is a structured
 report; module errors become flags, never crashes.
 """
@@ -44,12 +44,16 @@ from .isotypics import (
     multiplicity_bound_ok,
 )
 from .sdpfeas import SdpStatus, compress_operators, expand_gram, solve_feasibility
-from .spectra import AmbiguousCluster, cluster_eigenspace, eig_sym
+from .spectra import (
+    AmbiguousCluster,
+    EigenDecomposition,
+    EigenspaceCluster,
+    cluster_eigenspace,
+    laplacian_spectrum,
+)
 from .symmetry import (
     CapExceeded,
-    GroupClosure,
     GroupGenerators,
-    Permutation,
     SearchBudgetExceeded,
     automorphism_generators,
     close_group,
@@ -74,7 +78,7 @@ TRANSITIONS: dict[str, tuple[str, ...]] = {
     "orbits": ("bipartite_shortcut", "sdp"),
     "bipartite_shortcut": ("verify",),
     "sdp": (
-        "closure",
+        "isotypics",
         "disproof",
         PipelineStatus.INCONCLUSIVE_SOLVER.value,
     ),
@@ -82,7 +86,6 @@ TRANSITIONS: dict[str, tuple[str, ...]] = {
         PipelineStatus.DISPROVED.value,
         PipelineStatus.INCONCLUSIVE_SOLVER.value,
     ),
-    "closure": ("isotypics",),
     "isotypics": ("mult_bound", PipelineStatus.INCONCLUSIVE_SOLVER.value),
     "mult_bound": (
         "cone",
@@ -234,10 +237,15 @@ class _Run:
         self._t0 = time.perf_counter()
 
     def stage(self, name: str):
+        """Close the open stage and open `name`."""
+        self._close_stage()
         self.route.append(name)
+
+    def _close_stage(self):
         now = time.perf_counter()
-        self.timings[name] = now - self._t0
-        self._t0 = now
+        if self.route:
+            self.timings[self.route[-1]] = now - self._t0
+            self._t0 = now
 
     def finish(
         self,
@@ -250,6 +258,7 @@ class _Run:
         disproof: Disproof | None = None,
         verification: VerificationReport | None = None,
     ) -> CertificationReport:
+        self._close_stage()
         self.route.append(status.value)
         return CertificationReport(
             graph=self.graph,
@@ -275,22 +284,39 @@ class _Run:
         )
 
 
-def _acquire_group(graph: Graph, cfg: PipelineConfig, run: _Run) -> GroupGenerators:
+def acquire_group(
+    graph: Graph, cfg: PipelineConfig
+) -> tuple[GroupGenerators, tuple[str, ...]]:
+    """Automorphism generators as cfg.group_mode asks, plus the flags raised.
+
+    A search that runs past cfg.search_budget yields the trivial group and
+    the flag GROUP_SEARCH_BUDGET_EXCEEDED.
+    """
+    if cfg.group_mode == "gens":
+        if not isinstance(cfg.group_data, GroupGenerators):
+            raise TypeError("group_data must be GroupGenerators in 'gens' mode")
+        return cfg.group_data, ()
+    if cfg.group_mode == "trivial":
+        return GroupGenerators(graph, ()), ()
+    fixed = tuple(cfg.group_data or ()) if cfg.group_mode == "fix" else ()
     try:
-        if cfg.group_mode == "gens":
-            gens = cfg.group_data
-            if not isinstance(gens, GroupGenerators):
-                raise TypeError("group_data must be GroupGenerators in 'gens' mode")
-            return gens
-        if cfg.group_mode == "trivial":
-            return GroupGenerators(graph, ())
-        if cfg.group_mode == "fix":
-            fixed = tuple(cfg.group_data or ())
-            return automorphism_generators(graph, fixed, cfg.search_budget)
-        return automorphism_generators(graph, (), cfg.search_budget)
+        return automorphism_generators(graph, fixed, cfg.search_budget), ()
     except SearchBudgetExceeded:
-        run.flags.append("GROUP_SEARCH_BUDGET_EXCEEDED")
-        return GroupGenerators(graph, ())
+        return GroupGenerators(graph, ()), ("GROUP_SEARCH_BUDGET_EXCEEDED",)
+
+
+def target_cluster(dec: EigenDecomposition, target: TargetKind,
+                   cluster_tol: float) -> EigenspaceCluster:
+    """The target's eigenvalue cluster, retried at cluster_tol / 100.
+
+    Raises AmbiguousCluster when neither tolerance finds a clean gap.
+    """
+    for tol in (cluster_tol, cluster_tol / 100.0):
+        try:
+            return cluster_eigenspace(dec, target.which, tol)
+        except AmbiguousCluster as exc:
+            err = exc
+    raise err
 
 
 def _trivial_partition(graph: Graph):
@@ -305,20 +331,14 @@ def run_pipeline(
 ) -> CertificationReport:
     """Run the full certification flow for one graph and one target."""
     run = _Run(graph, target, cfg, graph_id or graph.name or "graph")
-    uniform = WeightVector.uniform(graph)
 
     run.stage("spectrum")
-    dec = eig_sym(laplacian(graph, uniform))
+    dec = laplacian_spectrum(graph, WeightVector.uniform(graph))
 
     run.stage("cluster")
-    cluster = None
-    for tol in (cfg.cluster_tol, cfg.cluster_tol / 100.0):
-        try:
-            cluster = cluster_eigenspace(dec, target.which, tol)
-            break
-        except AmbiguousCluster:
-            continue
-    if cluster is None:
+    try:
+        cluster = target_cluster(dec, target, cfg.cluster_tol)
+    except AmbiguousCluster:
         run.flags.append("AMBIGUOUS_CLUSTER")
         return run.finish(
             PipelineStatus.INCONCLUSIVE_SOLVER,
@@ -327,7 +347,8 @@ def run_pipeline(
     run.lam = float(cluster.value)
 
     run.stage("group")
-    gens = _acquire_group(graph, cfg, run)
+    gens, flags = acquire_group(graph, cfg)
+    run.flags.extend(flags)
     try:
         closure = close_group(gens, cfg.group_cap)
     except CapExceeded:
@@ -383,7 +404,6 @@ def run_pipeline(
             "SDP hit its iteration limit without a verdict",
         )
 
-    run.stage("closure")
     run.stage("isotypics")
     try:
         iso = isotypic_decompose(cluster, closure, cfg.seed)

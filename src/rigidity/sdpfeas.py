@@ -96,23 +96,12 @@ def _psd_clip(Z: np.ndarray) -> np.ndarray:
     return (V * lam) @ V.T
 
 
-def _block_psd_clip(block_slices: list[slice]):
-    def clip(Z: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(Z)
-        for sl in block_slices:
-            out[sl, sl] = _psd_clip(Z[sl, sl])
-        return out
-
-    return clip
-
-
 def _dykstra(
     ops: np.ndarray,
     targets: np.ndarray,
     d: int,
     tol: float,
     max_iter: int,
-    psd_project,
     z0: np.ndarray,
 ) -> SdpResult:
     """Dykstra alternating projections between the PSD cone and an affine set.
@@ -144,7 +133,7 @@ def _dykstra(
     q = np.zeros((d, d))
     dist_hist: list[float] = []
     for it in range(1, max_iter + 1):
-        y = psd_project(x + p)
+        y = _psd_clip(x + p)
         p = x + p - y
         x = affine_project(y + q)
         q = y + q - x
@@ -171,79 +160,22 @@ def _dykstra(
     return SdpResult(None, SdpStatus.ITERATION_LIMIT, last, max_iter, 0)
 
 
-def _vec_ops(ops) -> np.ndarray:
-    return np.stack([op.reshape(-1) for op in ops])
-
-
-def _init_scale(ops, targets: np.ndarray, d: int) -> np.ndarray:
-    tr = sum(float(np.trace(op)) for op in ops)
-    c = float(np.sum(targets)) / tr if tr > 0 else 1.0
-    return c * np.eye(d)
-
-
 def solve_feasibility(
     co: CompressedOperators,
     tol: float = 1e-9,
     max_iter: int = 50_000,
 ) -> SdpResult:
-    """Decide feasibility of Z >= 0 with <L~^i, Z> = target_i."""
+    """Decide feasibility of Z >= 0 with <L~^i, Z> = target_i.
+
+    The iteration starts from the multiple of the identity whose total
+    constraint value matches the total target.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    d = co.d
-    return _dykstra(
-        _vec_ops(co.ops),
-        co.targets,
-        d,
-        tol,
-        max_iter,
-        _psd_clip,
-        _init_scale(co.ops, co.targets, d),
-    )
-
-
-def block_diagonal_feasibility(
-    co: CompressedOperators,
-    decomposition,
-    tol: float = 1e-9,
-    max_iter: int = 50_000,
-) -> SdpResult:
-    """Same feasibility problem with Z block-diagonal per isotypic component.
-
-    The constraint operators commute with the group action, so their
-    off-diagonal blocks between distinct isotypics vanish and the feasible
-    set is unchanged; the projections just act blockwise.
-    """
-    comps = decomposition.components
-    U = np.column_stack([c.coords for c in comps])
-    d = co.d
-    if U.shape != (d, d):
-        raise ValueError("decomposition does not span the compressed space")
-    slices = []
-    start = 0
-    for c in comps:
-        w = c.coords.shape[1]
-        slices.append(slice(start, start + w))
-        start += w
-    rotated = []
-    for op in co.ops:
-        R = U.T @ op @ U
-        masked = np.zeros_like(R)
-        for sl in slices:
-            masked[sl, sl] = R[sl, sl]
-        rotated.append(masked)
-    res = _dykstra(
-        _vec_ops(rotated),
-        co.targets,
-        d,
-        tol,
-        max_iter,
-        _block_psd_clip(slices),
-        _init_scale(rotated, co.targets, d),
-    )
-    if res.Z is None:
-        return res
-    Z = U @ res.Z @ U.T
-    return SdpResult(Z, res.status, res.max_residual, res.iterations, res.rank_estimate)
+    tr = sum(float(np.trace(op)) for op in co.ops)
+    c = float(np.sum(co.targets)) / tr if tr > 0 else 1.0
+    ops = np.stack([op.reshape(-1) for op in co.ops])
+    return _dykstra(ops, co.targets, co.d, tol, max_iter, c * np.eye(co.d))
 
 
 def expand_gram(co: CompressedOperators, Z: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphcore import Graph, WeightVector, laplacian
+from .graphcore import Graph, laplacian
 
 CLUSTER_TOL_DEFAULT = 1e-8
 
@@ -125,19 +125,6 @@ def cluster_eigenspace(
 
 def laplacian_spectrum(graph: Graph, w) -> EigenDecomposition:
     return eig_sym(laplacian(graph, w))
-
-
-def lambda_bounds(graph: Graph, w) -> tuple[float, float]:
-    """Cheap two-sided sanity bounds: 0 <= lam2 and lam_n <= 2 max weighted degree."""
-    if isinstance(w, WeightVector):
-        arr = w.values
-    else:
-        arr = np.asarray(w, dtype=np.float64)
-    deg = np.zeros(graph.n)
-    for i, (u, v) in enumerate(graph.edges):
-        deg[u] += arr[i]
-        deg[v] += arr[i]
-    return 0.0, 2.0 * float(deg.max())
 
 
 def lambda2(graph: Graph, w) -> float:

@@ -3,8 +3,7 @@
 Automorphism generators come from an equitable-partition refinement search
 with individualization backtracking; callers with big graphs can supply
 generators externally (JSON) and skip the search. Orbits of edges and
-vertices, orbit-energy vectors, and weight/embedding symmetrization all live
-here.
+vertices, orbit-energy vectors, and weight symmetrization all live here.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphcore import DimensionMismatch, Graph, WeightVector, edge_energy, laplacian
+from .graphcore import DimensionMismatch, Graph, WeightVector, edge_energy
 
 SEARCH_BUDGET_DEFAULT = 200_000
 CLOSURE_CAP_DEFAULT = 200_000
@@ -376,10 +375,6 @@ def vertex_orbits(graph: Graph, gens: GroupGenerators) -> VertexOrbitPartition:
     return VertexOrbitPartition(orbit_of, tuple(tuple(g) for g in groups))
 
 
-def is_vertex_transitive(graph: Graph, gens: GroupGenerators) -> bool:
-    return len(vertex_orbits(graph, gens).orbits) == 1
-
-
 def orbit_energy(graph: Graph, part: EdgeOrbitPartition, phi) -> OrbitEnergyVector:
     """Per-orbit sums of (phi(u) - phi(v))^2."""
     en = edge_energy(graph, phi).values
@@ -414,39 +409,6 @@ def permute_vector(sigma: Permutation, phi) -> np.ndarray:
     out = np.empty_like(vec)
     out[list(sigma.image)] = vec
     return out
-
-
-def symmetrized_embedding(
-    P: np.ndarray,
-    closure: GroupClosure,
-    cluster=None,
-    residual_tol: float = 1e-8,
-) -> np.ndarray:
-    """Columns {sigma . phi_i} over the whole subgroup, an n x (r|Psi|) matrix.
-
-    The columns of P must lie in a single Laplacian eigenspace; this is
-    checked against `cluster.value` when a cluster is given, else against the
-    Rayleigh quotient of the first column.
-    """
-    P = np.atleast_2d(np.asarray(P, dtype=np.float64))
-    if P.shape[0] != closure.graph.n:
-        raise DimensionMismatch("embedding rows must match vertex count")
-    L = laplacian(closure.graph, WeightVector.uniform(closure.graph))
-    if cluster is not None:
-        lam = float(cluster.value)
-    else:
-        c0 = P[:, 0]
-        lam = float(c0 @ L @ c0) / float(c0 @ c0)
-    resid = np.linalg.norm(L @ P - lam * P)
-    if resid > residual_tol * max(1.0, float(np.linalg.norm(L)) * float(np.linalg.norm(P))):
-        raise ValueError(
-            f"embedding columns stray from the eigenspace (residual {resid:.3e})"
-        )
-    cols = []
-    for sigma in closure.elements:
-        for j in range(P.shape[1]):
-            cols.append(permute_vector(sigma, P[:, j]))
-    return np.column_stack(cols)
 
 
 # ---------------------------------------------------------------------------

@@ -226,3 +226,81 @@ class TestUsageErrors:
                    "--group", "file:/nonexistent.json"])
         capsys.readouterr()
         assert rc == 3
+
+
+class TestFixedVertexRange:
+    @pytest.mark.parametrize("command", [
+        ["check"], ["orbits"], ["disprove", "--target", "lower"],
+    ])
+    @pytest.mark.parametrize("spec", ["fix:99", "fix:0,-1", "fix:6"])
+    def test_vertex_outside_graph_is_usage_error(self, barbell_file, capsys,
+                                                 command, spec):
+        rc = main([command[0], str(barbell_file), *command[1:],
+                   "--group", spec])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_batch_skips_graphs_the_list_does_not_fit(self, tmp_path, capsys):
+        (tmp_path / "barbell.txt").write_text(R.format_edge_list(fx.barbell()))
+        (tmp_path / "c5.g6").write_text(R.to_graph6(fx.c5()) + "\n")
+        rc = main(["batch", str(tmp_path), "--target", "lower",
+                   "--group", "fix:5"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "c5.g6: SKIPPED" in out
+        assert "barbell.txt LOWER: DISPROVED" in out
+        assert "skipped inputs: 1" in out
+
+
+class TestSharedPipelineSteps:
+    @pytest.fixture()
+    def budget_exceeded(self, monkeypatch):
+        def exceeded(*args, **kwargs):
+            raise R.SearchBudgetExceeded("budget")
+        monkeypatch.setattr("rigidity.pipeline.automorphism_generators",
+                            exceeded)
+
+    @pytest.fixture()
+    def ambiguous(self, monkeypatch):
+        def ambiguous(*args, **kwargs):
+            raise R.AmbiguousCluster("no gap")
+        monkeypatch.setattr("rigidity.pipeline.cluster_eigenspace", ambiguous)
+
+    def test_orbits_falls_back_to_trivial_group(self, barbell_file, capsys,
+                                                budget_exceeded):
+        rc = main(["orbits", str(barbell_file)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "automorphism search budget exceeded; using trivial group" in out
+        assert "group order 1" in out
+
+    def test_disprove_searches_on_trivial_group(self, barbell_file, capsys,
+                                                budget_exceeded):
+        rc = main(["disprove", str(barbell_file), "--target", "lower"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "budget exceeded" in out
+        assert "achieved" in out
+
+    @pytest.mark.parametrize("command", [
+        ["spectrum"], ["disprove", "--target", "lower"],
+    ])
+    def test_ambiguous_cluster_is_inconclusive(self, barbell_file, capsys,
+                                               ambiguous, command):
+        rc = main([command[0], str(barbell_file), *command[1:]])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "ambiguous eigenvalue cluster" in captured.out
+        assert "Traceback" not in captured.err
+
+    def test_batch_rejects_generator_file(self, tmp_path, capsys):
+        (tmp_path / "c5.g6").write_text(R.to_graph6(fx.c5()) + "\n")
+        gens = tmp_path / "gens.json"
+        gens.write_text("[[0, 1, 2, 3, 4]]")
+        rc = main(["batch", str(tmp_path), "--group", f"file:{gens}"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err.startswith("error:")
+        assert captured.out == ""

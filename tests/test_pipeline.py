@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
 
 import rigidity as R
+import rigidity.pipeline as P
 
 import fixtures as fx
 
@@ -158,6 +160,39 @@ class TestGroupHandling:
         assert z12_exact_report.group_order == 12
         assert tuple(sorted(z12_exact_report.orbit_sizes)) == (12, 12)
 
+
+class TestStageTimings:
+    @pytest.mark.parametrize("make, target, kw", [
+        (fx.barbell, LOWER, {}),
+        (fx.petersen, LOWER, {}),
+        (fx.c4, UPPER, {}),
+        (fx.z12, UPPER, {}),
+        (fx.c5, LOWER, {"group_mode": "trivial"}),
+        (fx.c5, LOWER, {"cluster_tol": 10.0}),
+    ])
+    def test_every_stage_timed_and_sum_is_wall_time(self, make, target, kw):
+        graph, cfg = make(), R.PipelineConfig(**kw)
+        t0 = time.perf_counter()
+        rep = R.run_pipeline(graph, target, cfg)
+        wall = time.perf_counter() - t0
+        assert list(rep.timings) == list(rep.route[:-1])
+        assert abs(sum(rep.timings.values()) - wall) <= 0.010 + 0.05 * wall
+
+
+    def test_time_goes_to_the_stage_that_spent_it(self, monkeypatch):
+        def slowed(fn):
+            def slow(*args, **kwargs):
+                time.sleep(0.05)
+                return fn(*args, **kwargs)
+            return slow
+
+        for name in ("automorphism_generators", "find_disproof"):
+            monkeypatch.setattr(P, name, slowed(getattr(P, name)))
+        rep = _run(fx.barbell(), LOWER)
+        assert rep.status is R.PipelineStatus.DISPROVED
+        assert rep.timings["group"] >= 0.05
+        assert rep.timings["disproof"] >= 0.05
+        assert rep.timings["orbits"] < 0.05
 
 class TestBipartiteShortcut:
     @pytest.mark.parametrize("make", [fx.c4, fx.q3, fx.desargues])

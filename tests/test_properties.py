@@ -148,17 +148,6 @@ def test_largest_eigenvalue_gershgorin_bound(gw):
     assert dec.eigenvalues[-1] <= 2 * max_deg * (1 + 1e-12)
 
 
-@given(graphs_with_weights())
-@settings(deadline=None, max_examples=60)
-def test_lambda_bounds_bracket_spectrum(gw):
-    g, w = gw
-    lo, hi = R.lambda_bounds(g, w)
-    lam = R.laplacian_spectrum(g, w).eigenvalues
-    slack = 1e-9 * max(1.0, lam[-1])
-    assert lo <= lam[1] + slack
-    assert lam[-1] <= hi + slack
-
-
 @given(connected_graphs(max_n=7), st.data())
 @settings(deadline=None, max_examples=25)
 def test_symmetrization_is_monotone(g, data):

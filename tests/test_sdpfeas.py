@@ -128,32 +128,6 @@ class TestSolveFeasibility:
             assert (a.status in feas) == (b.status in feas), g.name
 
 
-class TestBlockDiagonal:
-    def test_tensegrity_blocks(self):
-        g = fx.tensegrity20()
-        cl = _cluster(g)
-        clo = R.close_group(R.automorphism_generators(g))
-        dec = R.isotypic_decompose(cl, clo)
-        co = R.compress_operators(cl, g, _orbit_part(g))
-        res = R.block_diagonal_feasibility(co, dec)
-        assert res.status is R.SdpStatus.FEASIBLE
-        Z = res.Z
-        assert np.linalg.eigvalsh(Z)[0] >= -1e-9
-        for op, t in zip(co.ops, co.targets):
-            assert abs(np.sum(op * Z) - t) <= 1e-8 * max(1.0, abs(t))
-
-    def test_agrees_with_full_solver(self):
-        g = fx.z12()
-        cl = _cluster(g)
-        clo = R.close_group(fx.rotation_gens(g, 12))
-        dec = R.isotypic_decompose(cl, clo)
-        part = R.edge_orbits(g, clo.generators)
-        co = R.compress_operators(cl, g, part)
-        a = R.block_diagonal_feasibility(co, dec)
-        b = R.solve_feasibility(co)
-        assert a.status is b.status is R.SdpStatus.FEASIBLE
-
-
 class TestRankEstimate:
     def test_thresholds_small_eigenvalues(self):
         Z = np.diag([2.0, 1e-12, 0.0])

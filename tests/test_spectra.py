@@ -102,14 +102,6 @@ class TestScaling:
                 lam_n = R.lambda_max(g, w)
                 assert lam_n <= 2.0 * np.max(np.diag(L)) + 1e-12
 
-    def test_lambda_bounds_bracket_spectrum(self, rng):
-        g = fx.c7()
-        w = fx.random_weights(g, rng)
-        lo, hi = R.lambda_bounds(g, w)
-        dec = R.laplacian_spectrum(g, w)
-        assert lo <= dec.eigenvalues[1] + 1e-12
-        assert dec.eigenvalues[-1] <= hi + 1e-12
-
 
 class TestCluster:
     def test_second_skips_kernel(self):

@@ -27,7 +27,6 @@ from .certify import (
     build_cone,
     exact_nonneg_solve,
     find_disproof,
-    quadratic_system_residual,
     rationalize,
     rationalize_tight,
     solve_cone_membership,
@@ -52,7 +51,6 @@ from .graphcore import (
     to_graph6,
 )
 from .isotypics import (
-    ClosureRequired,
     IsotypicComponent,
     IsotypicDecomposition,
     MultiplicityNotOne,
@@ -96,7 +94,6 @@ from .spectra import (
     lambda2,
     lambda_max,
     laplacian_spectrum,
-    projector,
 )
 from .symmetry import (
     CapExceeded,

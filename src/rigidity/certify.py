@@ -252,12 +252,12 @@ def build_cone(
         raise MultiplicityObstruction(
             f"{len(bad)} isotypic component(s) have multiplicity > 1"
         )
-    graph = dec.components[0].graph
+    graph = part.graph
     scale = np.sqrt(graph.n / 2.0)
     reps = []
     gens = []
     for k, comp in enumerate(dec.components):
-        phi = representative_vector(comp, seed + k) * scale
+        phi = representative_vector(comp, part, seed + k) * scale
         reps.append(phi)
         g = orbit_energy(graph, part, phi).values
         if np.max(g) <= 0:
@@ -273,21 +273,21 @@ def subcone_model(
 ) -> ConeModel:
     """Opportunistic sub-cone for decompositions with multiplicities > 1.
 
-    One random unit vector per component; the resulting cone is contained in
-    the full orbit-energy image, so membership still yields a certificate,
-    but failure proves nothing.
+    One random unit vector per component, projected from R^n; the resulting
+    cone is contained in the full orbit-energy image, so membership still
+    yields a certificate, but failure proves nothing.
     """
-    graph = dec.components[0].graph
+    graph = part.graph
     rng = np.random.default_rng(seed)
     scale = np.sqrt(graph.n / 2.0)
     reps = []
     gens = []
     for comp in dec.components:
         if comp.mult == 1:
-            phi = representative_vector(comp, seed)
+            phi = representative_vector(comp, part, seed)
         else:
-            x = rng.standard_normal(comp.basis.shape[1])
-            phi = comp.basis @ x
+            Bc = comp.basis
+            phi = Bc @ (Bc.T @ rng.standard_normal(graph.n))
             phi = phi / np.linalg.norm(phi)
         phi = phi * scale
         reps.append(phi)
@@ -504,24 +504,6 @@ def verify_disproof(graph: Graph, d: Disproof, kind: TargetKind,
     if kind is TargetKind.LOWER:
         return float(lam_w[1]) > float(lam_u[1]) + margin
     return float(lam_w[-1]) < float(lam_u[-1]) - margin
-
-
-def quadratic_system_residual(
-    cluster: EigenspaceCluster,
-    part: EdgeOrbitPartition,
-    x,
-) -> np.ndarray:
-    """Evaluate the orbit-isometry quadratic system at coefficient vector x.
-
-    Component i is <Bx, L^i Bx> - |O_i|. This only evaluates; solving the
-    system is out of scope, so externally found exact solutions can be
-    checked here.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    phi = cluster.basis @ x
-    graph = part.graph
-    en = _orbit_sums(part, edge_energy(graph, phi).values)
-    return en - part.size_vector
 
 
 # ---------------------------------------------------------------------------

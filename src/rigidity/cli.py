@@ -35,6 +35,7 @@ from .pipeline import (
 from .spectra import AmbiguousCluster, laplacian_spectrum
 from .symmetry import (
     CapExceeded,
+    GroupGenerators,
     close_group,
     edge_orbits,
     generators_from_json,
@@ -86,47 +87,40 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _group_spec(spec: str) -> tuple[str, object]:
-    """Parse --group into a group mode and its data; file: yields the path."""
+def _group_spec(spec: str) -> tuple[int, ...] | Path:
+    """Parse --group into the fixed vertices (auto fixes none) or a generator file."""
     if spec == "auto":
-        return "auto", None
+        return ()
     if spec.startswith("file:"):
-        return "gens", spec[len("file:"):]
+        return Path(spec[len("file:"):])
     if spec.startswith("fix:"):
         try:
-            fixed = tuple(int(t) for t in spec[len("fix:"):].split(",") if t)
+            return tuple(int(t) for t in spec[len("fix:"):].split(",") if t)
         except ValueError as exc:
             raise _UsageError(f"bad fixed vertex list in {spec!r}") from exc
-        return "fix", fixed
     raise _UsageError(f"bad --group value {spec!r}")
 
 
-def _group_config(spec: str, graph: Graph) -> tuple[str, object]:
+def _group_config(spec: str, graph: Graph) -> GroupGenerators | tuple[int, ...]:
     """--group for one graph: generators read and checked, fix: vertices in range."""
-    mode, data = _group_spec(spec)
-    if mode == "gens":
+    group = _group_spec(spec)
+    if isinstance(group, Path):
         try:
-            text = Path(data).read_text()
+            text = group.read_text()
         except OSError as exc:
-            raise _UsageError(f"cannot read generator file {data}: {exc}") from exc
+            raise _UsageError(f"cannot read generator file {group}: {exc}") from exc
         try:
-            return mode, generators_from_json(graph, text)
+            return generators_from_json(graph, text)
         except ValueError as exc:
-            raise _UsageError(f"{data}: {exc}") from exc
-    if mode == "fix":
-        outside = [v for v in data if not 0 <= v < graph.n]
-        if outside:
-            raise _UsageError(
-                f"fixed vertex {outside[0]} is outside 0..{graph.n - 1}"
-            )
-    return mode, data
+            raise _UsageError(f"{group}: {exc}") from exc
+    outside = [v for v in group if not 0 <= v < graph.n]
+    if outside:
+        raise _UsageError(f"fixed vertex {outside[0]} is outside 0..{graph.n - 1}")
+    return group
 
 
-def _config(args, group: tuple[str, object], **opts) -> PipelineConfig:
-    mode, data = group
-    return PipelineConfig(
-        seed=_resolve_seed(args), group_mode=mode, group_data=data, **opts
-    )
+def _config(args, group: GroupGenerators | tuple[int, ...], **opts) -> PipelineConfig:
+    return PipelineConfig(seed=_resolve_seed(args), group=group, **opts)
 
 
 def _targets(spec: str) -> tuple[TargetKind, ...]:
@@ -235,7 +229,7 @@ def _cmd_disprove(args) -> int:
 
 def _cmd_batch(args) -> int:
     group = _group_spec(args.group)
-    if group[0] == "gens":
+    if isinstance(group, Path):
         raise _UsageError("batch --group takes auto or fix:<v1,v2,...>; "
                           "a generator file belongs to one graph")
     cfg = _config(args, group, sdp_tol=args.tol_sdp, mode=args.mode)

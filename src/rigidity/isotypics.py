@@ -3,8 +3,9 @@
 The decomposition drives both the multiplicity-bound test (which guarantees a
 rank-1 certificate exists if the numerical problem is feasible) and the
 polyhedral-cone exact route (which needs every isotypic to have multiplicity
-one). Splitting is done by averaging random symmetric operators over the
-group, which by Schur's lemma acts as a scalar on every irreducible summand.
+one). Splitting uses the commutant of the group action, the matrices that
+commute with every generator: by Schur's lemma a random symmetric element of
+the commutant acts as a scalar on every irreducible summand.
 """
 
 from __future__ import annotations
@@ -14,22 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphcore import Graph
 from .spectra import EigenspaceCluster
-from .symmetry import (
-    EdgeOrbitPartition,
-    GroupClosure,
-    edge_orbits,
-    orbit_energy,
-)
-
-
-class ClosureRequired(TypeError):
-    """A full GroupClosure is needed (generator lists are not enough)."""
+from .symmetry import EdgeOrbitPartition, GroupGenerators, orbit_energy
 
 
 class UnstableSplit(RuntimeError):
-    """Random-averaging refinement failed to stabilize."""
+    """Random commutant refinement failed to stabilize."""
 
 
 class MultiplicityNotOne(ValueError):
@@ -51,12 +42,6 @@ class IsotypicComponent:
     irr_dim: int
     mult: int
     endo_dim: int
-    graph: Graph
-    part: EdgeOrbitPartition
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
 
 
 @dataclass(frozen=True)
@@ -66,31 +51,49 @@ class IsotypicDecomposition:
     residual: float
 
 
-def _compressed_action(cluster: EigenspaceCluster, closure: GroupClosure) -> list[np.ndarray]:
-    """R(sigma) = B^T rho(sigma) B for every group element; checks invariance."""
+def _generator_action(cluster: EigenspaceCluster, gens: GroupGenerators) -> list[np.ndarray]:
+    """R_g = B^T P_g B for every generator; checks the eigenspace is invariant."""
     B = cluster.basis
-    n, d = B.shape
+    d = B.shape[1]
     mats = []
-    for k, sigma in enumerate(closure.elements):
+    for sigma in gens.gens:
         PB = np.empty_like(B)
         PB[list(sigma.image), :] = B
         R = B.T @ PB
-        # Invariance check only on generators would do, but elements are few.
-        if k < 1 + len(closure.generators.gens):
-            resid = float(np.linalg.norm(PB - B @ R))
-            if resid > 1e-8 * max(1.0, np.sqrt(d)):
-                raise ValueError(
-                    f"eigenspace is not invariant under the group (residual {resid:.3e})"
-                )
+        resid = float(np.linalg.norm(PB - B @ R))
+        if resid > 1e-8 * max(1.0, np.sqrt(d)):
+            raise ValueError(
+                f"eigenspace is not invariant under the group (residual {resid:.3e})"
+            )
         mats.append(R)
     return mats
 
 
-def _averaged(mats: Sequence[np.ndarray], X: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(X)
+def _commutant(mats: Sequence[np.ndarray], d: int) -> np.ndarray:
+    """Orthonormal basis of the d x d matrices commuting with every R in mats.
+
+    Columns are column-stacked matrices spanning the nullspace of the Gram
+    matrix sum K^T K, K = I (x) R - R^T (x) I. Commuting with the generators
+    is commuting with the whole group, so no group element is enumerated.
+    """
+    if not mats:
+        return np.eye(d * d)  # trivial group: every matrix commutes
+    eye = np.eye(d)
+    gram = np.zeros((d * d, d * d))
     for R in mats:
-        acc += R.T @ X @ R
-    return acc / len(mats)
+        K = np.kron(eye, R) - np.kron(R.T, eye)
+        gram += K.T @ K
+    lam, V = np.linalg.eigh(gram)
+    return V[:, lam <= 1e-9 * max(1.0, float(lam[-1]))]
+
+
+def _project(N: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of X onto the commutant spanned by N.
+
+    For an orthogonal action this equals the group average of R^T X R.
+    """
+    v = N @ (N.T @ X.reshape(-1, order="F"))
+    return v.reshape(X.shape, order="F")
 
 
 def _split_by_eigenvalues(M: np.ndarray, tol: float = 1e-7) -> list[np.ndarray]:
@@ -107,30 +110,29 @@ def _split_by_eigenvalues(M: np.ndarray, tol: float = 1e-7) -> list[np.ndarray]:
 
 def isotypic_decompose(
     cluster: EigenspaceCluster,
-    closure: GroupClosure,
+    gens: GroupGenerators,
     seed: int = 0,
 ) -> IsotypicDecomposition:
     """Decompose an eigenspace into isotypic components.
 
-    Random symmetric matrices are averaged over the group; eigenspaces of the
-    averaged operator are invariant subspaces, and repeating with fresh draws
-    refines them to irreducible summands. Summands are merged into isotypics
-    when an averaged cross-map between them is nonzero, and the endomorphism
-    dimension is read off one summand per isotypic. Raises UnstableSplit when
-    refinement keeps changing, ClosureRequired when no full closure is given.
+    The commutant of the generators' action on the eigenspace is solved for
+    once. Random symmetric matrices are projected onto it; eigenspaces of the
+    projection are invariant subspaces, and repeating with fresh draws refines
+    them to irreducible summands. Summands are merged into isotypics when a
+    projected cross-map between them is nonzero, and the endomorphism
+    dimension is the commutant dimension of one summand per isotypic. Raises
+    UnstableSplit when refinement keeps changing, ValueError when the
+    eigenspace is not invariant under a generator.
     """
-    if not isinstance(closure, GroupClosure):
-        raise ClosureRequired("isotypic decomposition averages over a full GroupClosure")
     B = cluster.basis
     d = B.shape[1]
-    graph = closure.graph
-    part = edge_orbits(graph, closure.generators)
     rng = np.random.default_rng(seed)
-    mats = _compressed_action(cluster, closure)
+    mats = _generator_action(cluster, gens)
+    N = _commutant(mats, d)
 
-    def fresh_avg() -> np.ndarray:
+    def random_commutant() -> np.ndarray:
         X = rng.standard_normal((d, d))
-        return _averaged(mats, 0.5 * (X + X.T))
+        return _project(N, 0.5 * (X + X.T))
 
     # Round 0 splits, then refine until five consecutive draws change nothing.
     subspaces: list[np.ndarray] = [np.eye(d)]
@@ -139,8 +141,8 @@ def isotypic_decompose(
     while stable < 5:
         rounds += 1
         if rounds > 12:
-            raise UnstableSplit("averaging refinement did not stabilize")
-        M = fresh_avg()
+            raise UnstableSplit("commutant refinement did not stabilize")
+        M = random_commutant()
         new_subspaces: list[np.ndarray] = []
         changed = False
         for Q in subspaces:
@@ -159,7 +161,7 @@ def isotypic_decompose(
         else:
             stable += 1
 
-    # Merge isomorphic summands via averaged cross-maps (Schur's lemma).
+    # Merge isomorphic summands via projected cross-maps (Schur's lemma).
     k = len(subspaces)
     parent = list(range(k))
 
@@ -177,7 +179,7 @@ def isotypic_decompose(
             if find(a) == find(b):
                 continue
             X = rng.standard_normal((d, d))
-            H = _averaged(mats, Qb @ Qb.T @ X @ Qa @ Qa.T)
+            H = _project(N, Qb @ Qb.T @ X @ Qa @ Qa.T)
             T = Qb.T @ H @ Qa
             if np.linalg.norm(T) > 1e-6 * d:
                 parent[max(find(a), find(b))] = min(find(a), find(b))
@@ -186,12 +188,6 @@ def isotypic_decompose(
     for i in range(k):
         groups.setdefault(find(i), []).append(i)
 
-    gen_mats = []
-    for sigma in closure.generators.gens:
-        PB = np.empty_like(B)
-        PB[list(sigma.image), :] = B
-        gen_mats.append(B.T @ PB)
-
     components = []
     for members in groups.values():
         dims = {subspaces[i].shape[1] for i in members}
@@ -199,7 +195,7 @@ def isotypic_decompose(
             raise UnstableSplit("isomorphic summands of unequal dimension")
         irr_dim = dims.pop()
         Q = np.column_stack([subspaces[i] for i in members])
-        endo = _endo_dim(gen_mats, subspaces[members[0]])
+        endo = _endo_dim(mats, subspaces[members[0]])
         if endo not in (1, 2, 4):
             raise UnstableSplit(
                 f"endomorphism dimension {endo} is not 1, 2, or 4; summand is reducible"
@@ -211,8 +207,6 @@ def isotypic_decompose(
                 irr_dim=irr_dim,
                 mult=len(members),
                 endo_dim=endo,
-                graph=graph,
-                part=part,
             )
         )
 
@@ -224,25 +218,9 @@ def isotypic_decompose(
     return IsotypicDecomposition(tuple(components), cluster, residual)
 
 
-def _endo_dim(gen_mats: Sequence[np.ndarray], Q: np.ndarray) -> int:
-    """Nullity of the stacked commutation system on one summand.
-
-    Commuting with the generators is equivalent to commuting with the whole
-    group, so only generator blocks are stacked.
-    """
-    kdim = Q.shape[1]
-    if not gen_mats:
-        # Trivial group: the commutant is the full matrix algebra.
-        return kdim * kdim
-    rows = []
-    eye = np.eye(kdim)
-    for R in gen_mats:
-        Ru = Q.T @ R @ Q
-        rows.append(np.kron(eye, Ru) - np.kron(Ru.T, eye))
-    A = np.vstack(rows)
-    s = np.linalg.svd(A, compute_uv=False)
-    smax = float(s[0]) if s.size else 0.0
-    return int(np.sum(s <= 1e-8 * max(1.0, smax)))
+def _endo_dim(mats: Sequence[np.ndarray], Q: np.ndarray) -> int:
+    """Dimension of the commutant of the action restricted to one summand."""
+    return _commutant([Q.T @ R @ Q for R in mats], Q.shape[1]).shape[1]
 
 
 def multiplicity_bound_ok(dec: IsotypicDecomposition) -> bool:
@@ -260,12 +238,17 @@ def all_multiplicity_one(dec: IsotypicDecomposition) -> bool:
     return all(c.mult == 1 for c in dec.components)
 
 
-def representative_vector(component: IsotypicComponent, seed: int = 0) -> np.ndarray:
+def representative_vector(
+    component: IsotypicComponent,
+    part: EdgeOrbitPartition,
+    seed: int = 0,
+) -> np.ndarray:
     """A unit vector of a multiplicity-one component.
 
     For such components the orbit-energy vector depends only on the norm, so
     any unit representative carries the same energies; a second draw is
-    checked against the first to 1e-9 before returning.
+    checked against the first to 1e-9 before returning. Draws are projected
+    from R^n, so they do not depend on the component's internal basis.
     """
     if component.mult != 1:
         raise MultiplicityNotOne(
@@ -275,14 +258,13 @@ def representative_vector(component: IsotypicComponent, seed: int = 0) -> np.nda
     Bc = component.basis
 
     def draw() -> np.ndarray:
-        x = rng.standard_normal(Bc.shape[1])
-        v = Bc @ x
+        v = Bc @ (Bc.T @ rng.standard_normal(Bc.shape[0]))
         return v / np.linalg.norm(v)
 
     phi = draw()
     other = draw()
-    e1 = orbit_energy(component.graph, component.part, phi).values
-    e2 = orbit_energy(component.graph, component.part, other).values
+    e1 = orbit_energy(part.graph, part, phi).values
+    e2 = orbit_energy(part.graph, part, other).values
     scale = max(1.0, float(np.max(np.abs(e1))))
     if np.max(np.abs(e1 - e2)) > 1e-9 * scale:
         raise UnstableSplit(

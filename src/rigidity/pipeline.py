@@ -4,7 +4,8 @@ A run walks a fixed stage graph: spectrum -> cluster -> group -> orbits ->
 (regular-bipartite shortcut | SDP feasibility) -> isotypics -> multiplicity
 tests -> cone membership (exact first) or sub-cone, with the
 disproof search on the infeasible branches. Every outcome is a structured
-report; module errors become flags, never crashes.
+report, and module errors become flags. A config that does not fit the graph
+is a caller error and raises ValueError (see run_pipeline).
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .certify import (
 )
 from .graphcore import Graph, WeightVector, laplacian, to_graph6, parse_graph6
 from .isotypics import (
-    ClosureRequired,
     UnstableSplit,
     all_multiplicity_one,
     isotypic_decompose,
@@ -53,6 +53,7 @@ from .spectra import (
 )
 from .symmetry import (
     CapExceeded,
+    EdgeOrbitPartition,
     GroupGenerators,
     SearchBudgetExceeded,
     automorphism_generators,
@@ -111,8 +112,8 @@ class PipelineConfig:
     sdp_max_iter: int = 50_000
     verify_tol: float = 1e-8
     margin: float = 1e-7
-    group_mode: str = "auto"  # auto | fix | gens | trivial
-    group_data: object = None
+    # Vertices the automorphism search fixes (() = full group), or generators.
+    group: GroupGenerators | tuple[int, ...] = ()
     group_cap: int = 200_000
     search_budget: int = 200_000
     seed: int = 0
@@ -128,8 +129,11 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be nonnegative")
         if self.mode not in ("exact", "numeric"):
             raise ValueError("mode must be 'exact' or 'numeric'")
-        if self.group_mode not in ("auto", "fix", "gens", "trivial"):
-            raise ValueError("group_mode must be auto, fix, gens, or trivial")
+        if not isinstance(self.group, GroupGenerators) and not (
+            isinstance(self.group, tuple)
+            and all(isinstance(v, int) for v in self.group)
+        ):
+            raise ValueError("group must be GroupGenerators or a tuple of vertices")
 
 
 @dataclass
@@ -287,20 +291,19 @@ class _Run:
 def acquire_group(
     graph: Graph, cfg: PipelineConfig
 ) -> tuple[GroupGenerators, tuple[str, ...]]:
-    """Automorphism generators as cfg.group_mode asks, plus the flags raised.
+    """Automorphism generators as cfg.group asks, plus the flags raised.
 
+    Generators are used as given; a tuple is the vertex list the search fixes.
     A search that runs past cfg.search_budget yields the trivial group and
-    the flag GROUP_SEARCH_BUDGET_EXCEEDED.
+    the flag GROUP_SEARCH_BUDGET_EXCEEDED. Raises ValueError for generators
+    bound to another graph and for a fixed vertex outside 0..n-1.
     """
-    if cfg.group_mode == "gens":
-        if not isinstance(cfg.group_data, GroupGenerators):
-            raise TypeError("group_data must be GroupGenerators in 'gens' mode")
-        return cfg.group_data, ()
-    if cfg.group_mode == "trivial":
-        return GroupGenerators(graph, ()), ()
-    fixed = tuple(cfg.group_data or ()) if cfg.group_mode == "fix" else ()
+    if isinstance(cfg.group, GroupGenerators):
+        if cfg.group.graph != graph:
+            raise ValueError("group generators are bound to another graph")
+        return cfg.group, ()
     try:
-        return automorphism_generators(graph, fixed, cfg.search_budget), ()
+        return automorphism_generators(graph, cfg.group, cfg.search_budget), ()
     except SearchBudgetExceeded:
         return GroupGenerators(graph, ()), ("GROUP_SEARCH_BUDGET_EXCEEDED",)
 
@@ -329,7 +332,12 @@ def run_pipeline(
     cfg: PipelineConfig = PipelineConfig(),
     graph_id: str | None = None,
 ) -> CertificationReport:
-    """Run the full certification flow for one graph and one target."""
+    """Run the full certification flow for one graph and one target.
+
+    Every run ends in a report. A config that does not fit the graph is a
+    caller error and raises ValueError: generators in cfg.group bound to
+    another graph, or a fixed vertex outside 0..n-1.
+    """
     run = _Run(graph, target, cfg, graph_id or graph.name or "graph")
 
     run.stage("spectrum")
@@ -350,12 +358,11 @@ def run_pipeline(
     gens, flags = acquire_group(graph, cfg)
     run.flags.extend(flags)
     try:
-        closure = close_group(gens, cfg.group_cap)
+        run.group_order = close_group(gens, cfg.group_cap).size
     except CapExceeded:
         run.flags.append("GROUP_CAP_EXCEEDED")
         gens = GroupGenerators(graph, ())
-        closure = close_group(gens, cfg.group_cap)
-    run.group_order = closure.size
+        run.group_order = 1
 
     run.stage("orbits")
     part = edge_orbits(graph, gens)
@@ -406,8 +413,8 @@ def run_pipeline(
 
     run.stage("isotypics")
     try:
-        iso = isotypic_decompose(cluster, closure, cfg.seed)
-    except (UnstableSplit, ClosureRequired) as exc:
+        iso = isotypic_decompose(cluster, gens, cfg.seed)
+    except UnstableSplit as exc:
         run.flags.append("ISOTYPIC_FAILURE")
         return run.finish(PipelineStatus.INCONCLUSIVE_SOLVER, str(exc))
     run.isotypics = tuple((c.irr_dim, c.mult, c.endo_dim) for c in iso.components)
@@ -594,8 +601,6 @@ def emit_report(report: CertificationReport, format: str = "JSON") -> bytes:
 
 
 def _partition_from_orbit_of(graph: Graph, orbit_of):
-    from .symmetry import EdgeOrbitPartition
-
     orbit_of = tuple(int(x) for x in orbit_of)
     s = max(orbit_of) + 1 if orbit_of else 0
     sizes = [0] * s

@@ -133,9 +133,3 @@ def lambda2(graph: Graph, w) -> float:
 
 def lambda_max(graph: Graph, w) -> float:
     return float(laplacian_spectrum(graph, w).eigenvalues[-1])
-
-
-def projector(cluster: EigenspaceCluster) -> np.ndarray:
-    """Orthogonal projector onto the cluster's span."""
-    B = cluster.basis
-    return B @ B.T

@@ -9,7 +9,7 @@ vertices, orbit-energy vectors, and weight symmetrization all live here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -89,7 +89,6 @@ class GroupClosure:
 
     graph: Graph
     elements: tuple[Permutation, ...]
-    generators: GroupGenerators = field(compare=False)
 
     @property
     def size(self) -> int:
@@ -325,7 +324,7 @@ def close_group(gens: GroupGenerators, cap: int = CLOSURE_CAP_DEFAULT) -> GroupC
                     elements.append(h)
                     nxt.append(h)
         frontier = nxt
-    return GroupClosure(gens.graph, tuple(elements), gens)
+    return GroupClosure(gens.graph, tuple(elements))
 
 
 def edge_permutation(graph: Graph, sigma: Permutation) -> np.ndarray:
@@ -383,16 +382,16 @@ def orbit_energy(graph: Graph, part: EdgeOrbitPartition, phi) -> OrbitEnergyVect
     return OrbitEnergyVector(out)
 
 
-def symmetrize_weights(w: WeightVector, closure: GroupClosure) -> WeightVector:
+def symmetrize_weights(w: WeightVector, gens: GroupGenerators) -> WeightVector:
     """Group average (1/|Psi|) sum of tau . w; constant on each edge orbit.
 
-    Averaging over the full subgroup hits every edge of an orbit equally
+    Averaging over the generated subgroup hits every edge of an orbit equally
     often, so this equals the per-orbit mean, which is how it is computed.
     """
-    graph = closure.graph
+    graph = gens.graph
     if len(w) != graph.m:
         raise DimensionMismatch("weight vector does not match the bound graph")
-    part = edge_orbits(graph, closure.generators)
+    part = edge_orbits(graph, gens)
     vals = w.values
     means = np.zeros(part.s)
     np.add.at(means, np.asarray(part.orbit_of), vals)

@@ -34,7 +34,7 @@ def battery_reports():
 def z12_exact_report():
     """Z12 circulant under its rotation subgroup: the exact-cone showcase."""
     g = fx.z12()
-    cfg = R.PipelineConfig(group_mode="gens", group_data=fx.rotation_gens(g, 12))
+    cfg = R.PipelineConfig(group=fx.rotation_gens(g, 12))
     return R.run_pipeline(g, R.TargetKind.LOWER, cfg)
 
 

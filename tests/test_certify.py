@@ -22,9 +22,9 @@ def _auto_part(g):
 
 def _z12_cone():
     g = fx.z12()
-    clo = R.close_group(fx.rotation_gens(g, 12))
-    iso = R.isotypic_decompose(_cluster(g), clo)
-    part = R.edge_orbits(g, clo.generators)
+    gens = fx.rotation_gens(g, 12)
+    iso = R.isotypic_decompose(_cluster(g), gens)
+    part = R.edge_orbits(g, gens)
     return g, part, _cluster(g), R.build_cone(iso, part)
 
 
@@ -102,8 +102,7 @@ class TestBuildCone:
     def test_generators_nonnegative_nonzero(self):
         for make in (fx.c5, fx.petersen, fx.cn6b):
             g = make()
-            clo = R.close_group(R.automorphism_generators(g))
-            iso = R.isotypic_decompose(_cluster(g), clo)
+            iso = R.isotypic_decompose(_cluster(g), R.automorphism_generators(g))
             cone = R.build_cone(iso, _auto_part(g))
             for gv in cone.generators:
                 assert np.all(gv >= -1e-12)
@@ -111,9 +110,9 @@ class TestBuildCone:
 
     def test_multiplicity_gate(self):
         g = fx.c5()
-        clo = R.close_group(R.GroupGenerators(g, ()))
-        iso = R.isotypic_decompose(_cluster(g), clo)
-        part = R.edge_orbits(g, R.GroupGenerators(g, ()))
+        trivial = R.GroupGenerators(g, ())
+        iso = R.isotypic_decompose(_cluster(g), trivial)
+        part = R.edge_orbits(g, trivial)
         with pytest.raises(R.MultiplicityObstruction):
             R.build_cone(iso, part)
 
@@ -140,8 +139,7 @@ class TestConeMembership:
 
     def test_irrational_generators_fall_back_to_numeric(self):
         g = fx.c5()
-        clo = R.close_group(R.automorphism_generators(g))
-        iso = R.isotypic_decompose(_cluster(g), clo)
+        iso = R.isotypic_decompose(_cluster(g), R.automorphism_generators(g))
         cone = R.build_cone(iso, _auto_part(g))
         sol = R.solve_cone_membership(cone)
         assert sol.feasible and not sol.exact
@@ -271,7 +269,7 @@ class TestQuadraticSystem:
         for r in np.linspace(0.2, 3.0, 60):
             for theta in np.linspace(0, 2 * np.pi, 200, endpoint=False):
                 x = r * np.array([np.cos(theta), np.sin(theta)])
-                resid = R.quadratic_system_residual(cl, part, x)
+                resid = R.orbit_energy(g, part, cl.basis @ x).values - part.size_vector
                 best = min(best, float(np.max(np.abs(resid))))
         assert best > 0.01
 
@@ -280,7 +278,7 @@ class TestQuadraticSystem:
         cl = _cluster(g)
         part = _auto_part(g)
         x = np.array([math.sqrt(5 / cl.value), 0.0])
-        resid = R.quadratic_system_residual(cl, part, x)
+        resid = R.orbit_energy(g, part, cl.basis @ x).values - part.size_vector
         assert np.max(np.abs(resid)) <= 1e-8
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rigidity as R
+import rigidity.isotypics as I
 
 import fixtures as fx
 
@@ -11,8 +12,8 @@ def _cluster(g, which=R.Which.SECOND):
     return R.cluster_eigenspace(dec, which)
 
 
-def _full_closure(g):
-    return R.close_group(R.automorphism_generators(g))
+def _full_group(g):
+    return R.automorphism_generators(g)
 
 
 def _shapes(dec):
@@ -22,31 +23,29 @@ def _shapes(dec):
 class TestKnownDecompositions:
     def test_z12_rotation_subgroup_three_complex_planes(self):
         g = fx.z12()
-        clo = R.close_group(fx.rotation_gens(g, 12))
-        dec = R.isotypic_decompose(_cluster(g), clo)
+        dec = R.isotypic_decompose(_cluster(g), fx.rotation_gens(g, 12))
         assert _shapes(dec) == [(2, 1, 2)] * 3
 
     def test_z12_full_group_merges_characters(self):
         # the multiplier automorphism fuses two character pairs into a
         # 4-dimensional real irreducible
         g = fx.z12()
-        dec = R.isotypic_decompose(_cluster(g), _full_closure(g))
+        dec = R.isotypic_decompose(_cluster(g), _full_group(g))
         assert _shapes(dec) == [(2, 1, 1), (4, 1, 1)]
 
     def test_z21_single_complex_component(self):
         g = fx.z21()
-        clo = R.close_group(fx.rotation_gens(g, 21))
-        dec = R.isotypic_decompose(_cluster(g), clo)
+        dec = R.isotypic_decompose(_cluster(g), fx.rotation_gens(g, 21))
         assert _shapes(dec) == [(2, 1, 2)]
 
     def test_cn6b_splits_one_plus_two(self):
         g = fx.cn6b()
-        dec = R.isotypic_decompose(_cluster(g), _full_closure(g))
+        dec = R.isotypic_decompose(_cluster(g), _full_group(g))
         assert _shapes(dec) == [(1, 1, 1), (2, 1, 1)]
 
     def test_tensegrity_splits_two_plus_five(self):
         g = fx.tensegrity20()
-        dec = R.isotypic_decompose(_cluster(g), _full_closure(g))
+        dec = R.isotypic_decompose(_cluster(g), _full_group(g))
         assert _shapes(dec) == [(2, 1, 2), (5, 1, 1)]
         assert R.all_multiplicity_one(dec)
 
@@ -56,13 +55,12 @@ class TestKnownDecompositions:
         basis = np.ones((g.n, 1)) / np.sqrt(g.n)
         cl = R.EigenspaceCluster(value=0.0, basis=basis, indices=(0,),
                                  which=R.Which.SECOND)
-        dec = R.isotypic_decompose(cl, _full_closure(g))
+        dec = R.isotypic_decompose(cl, _full_group(g))
         assert _shapes(dec) == [(1, 1, 1)]
 
     def test_trivial_group_merges_everything(self):
         g = fx.c5()
-        clo = R.close_group(R.GroupGenerators(g, ()))
-        dec = R.isotypic_decompose(_cluster(g), clo)
+        dec = R.isotypic_decompose(_cluster(g), R.GroupGenerators(g, ()))
         assert _shapes(dec) == [(1, 2, 1)]
         assert not R.multiplicity_bound_ok(dec)
         assert not R.all_multiplicity_one(dec)
@@ -70,8 +68,7 @@ class TestKnownDecompositions:
     def test_product_diagonal_action_doubles_multiplicity(self):
         c5 = fx.c5()
         prod = R.cartesian_product(c5, c5)
-        clo = R.close_group(fx.diagonal_gens(c5, prod))
-        dec = R.isotypic_decompose(_cluster(prod), clo)
+        dec = R.isotypic_decompose(_cluster(prod), fx.diagonal_gens(c5, prod))
         assert (2, 2, 1) in _shapes(dec)
         assert R.multiplicity_bound_ok(dec)
         assert not R.all_multiplicity_one(dec)
@@ -80,33 +77,34 @@ class TestKnownDecompositions:
 @pytest.fixture(scope="module")
 def z12_dec():
     g = fx.z12()
-    clo = R.close_group(fx.rotation_gens(g, 12))
-    return g, clo, R.isotypic_decompose(_cluster(g), clo)
+    gens = fx.rotation_gens(g, 12)
+    return g, gens, R.isotypic_decompose(_cluster(g), gens)
 
 
 class TestStructuralInvariants:
     def test_dimensions_sum_to_eigenspace(self, z12_dec):
-        g, clo, dec = z12_dec
+        g, gens, dec = z12_dec
         total = sum(c.irr_dim * c.mult for c in dec.components)
         assert total == dec.eigenspace.basis.shape[1]
 
     def test_projector_completeness(self, z12_dec):
-        g, clo, dec = z12_dec
-        P = R.projector(dec.eigenspace)
+        g, gens, dec = z12_dec
+        B = dec.eigenspace.basis
+        P = B @ B.T
         total = sum(c.basis @ c.basis.T for c in dec.components)
         assert np.max(np.abs(total - P)) <= 1e-8
 
     def test_components_pairwise_orthogonal(self, z12_dec):
-        g, clo, dec = z12_dec
+        g, gens, dec = z12_dec
         for i, a in enumerate(dec.components):
             for b in dec.components[i + 1:]:
                 assert np.max(np.abs(a.basis.T @ b.basis)) <= 1e-8
 
     def test_components_group_invariant(self, z12_dec):
-        g, clo, dec = z12_dec
+        g, gens, dec = z12_dec
         for c in dec.components:
             B = c.basis
-            for s in clo.generators.gens:
+            for s in gens.gens:
                 rho_B = np.stack([R.permute_vector(s, B[:, j])
                                   for j in range(B.shape[1])], axis=1)
                 # rho(sigma) B must stay inside the component
@@ -115,8 +113,8 @@ class TestStructuralInvariants:
 
     def test_block_diagonalization_of_orbit_energy(self, z12_dec, rng):
         # cross terms between isotypics vanish: l_Psi(sum phi_j) = sum l_Psi(phi_j)
-        g, clo, dec = z12_dec
-        part = R.edge_orbits(g, clo.generators)
+        g, gens, dec = z12_dec
+        part = R.edge_orbits(g, gens)
         for _ in range(10):
             parts = [c.basis @ rng.standard_normal(c.basis.shape[1])
                      for c in dec.components]
@@ -126,8 +124,8 @@ class TestStructuralInvariants:
             assert np.max(np.abs(combined - summed)) <= 1e-9 * max(1, combined.max())
 
     def test_seed_independent_projectors(self, z12_dec):
-        g, clo, dec = z12_dec
-        dec2 = R.isotypic_decompose(_cluster(g), clo, seed=1)
+        g, gens, dec = z12_dec
+        dec2 = R.isotypic_decompose(_cluster(g), gens, seed=1)
         assert _shapes(dec) == _shapes(dec2)
         for a in dec.components:
             Pa = a.basis @ a.basis.T
@@ -143,10 +141,10 @@ class TestStructuralInvariants:
 class TestRepresentativeVector:
     def test_lives_in_component_and_eigenspace(self):
         g = fx.z21()
-        clo = R.close_group(fx.rotation_gens(g, 21))
-        dec = R.isotypic_decompose(_cluster(g), clo)
+        gens = fx.rotation_gens(g, 21)
+        dec = R.isotypic_decompose(_cluster(g), gens)
         c = dec.components[0]
-        phi = R.representative_vector(c)
+        phi = R.representative_vector(c, R.edge_orbits(g, gens))
         L = R.laplacian(g, R.WeightVector.uniform(g))
         lam = dec.eigenspace.value
         assert np.max(np.abs(L @ phi - lam * phi)) <= 1e-8
@@ -155,22 +153,44 @@ class TestRepresentativeVector:
 
     def test_deterministic_per_seed(self):
         g = fx.z21()
-        clo = R.close_group(fx.rotation_gens(g, 21))
-        dec = R.isotypic_decompose(_cluster(g), clo)
+        gens = fx.rotation_gens(g, 21)
+        dec = R.isotypic_decompose(_cluster(g), gens)
         c = dec.components[0]
-        assert np.array_equal(R.representative_vector(c, seed=3),
-                              R.representative_vector(c, seed=3))
+        part = R.edge_orbits(g, gens)
+        assert np.array_equal(R.representative_vector(c, part, seed=3),
+                              R.representative_vector(c, part, seed=3))
 
     def test_multiplicity_gate(self):
         g = fx.c5()
-        clo = R.close_group(R.GroupGenerators(g, ()))
-        dec = R.isotypic_decompose(_cluster(g), clo)
+        trivial = R.GroupGenerators(g, ())
+        dec = R.isotypic_decompose(_cluster(g), trivial)
         with pytest.raises(R.MultiplicityNotOne):
-            R.representative_vector(dec.components[0])
+            R.representative_vector(dec.components[0], R.edge_orbits(g, trivial))
 
 
-class TestErrors:
-    def test_closure_required(self):
-        g = fx.c5()
-        with pytest.raises(R.ClosureRequired):
-            R.isotypic_decompose(_cluster(g), R.automorphism_generators(g))
+class TestCommutant:
+    """The generator commutant against the group average it replaces."""
+
+    @pytest.mark.parametrize("make, gens_of", [
+        (fx.z12, lambda g: fx.rotation_gens(g, 12)),
+        (fx.z21, lambda g: fx.rotation_gens(g, 21)),
+        (fx.cn6b, R.automorphism_generators),
+        (fx.petersen, R.automorphism_generators),
+        (fx.c5, lambda g: R.GroupGenerators(g, ())),
+    ], ids=["z12-rotations", "z21-rotations", "cn6b", "petersen", "c5-trivial"])
+    def test_projection_equals_average_over_the_closure(self, make, gens_of, rng):
+        g = make()
+        gens = gens_of(g)
+        cl = _cluster(g)
+        B, d = cl.basis, cl.basis.shape[1]
+        N = I._commutant(I._generator_action(cl, gens), d)
+        X = rng.standard_normal((d, d))
+        elements = R.close_group(gens).elements
+        avg = np.zeros((d, d))
+        for sigma in elements:
+            PB = np.empty_like(B)
+            PB[list(sigma.image), :] = B
+            Rs = B.T @ PB
+            avg += Rs.T @ X @ Rs
+        avg /= len(elements)
+        assert np.max(np.abs(I._project(N, X) - avg)) <= 1e-10

@@ -21,12 +21,12 @@ class TestConfig:
     def test_defaults_valid(self):
         cfg = R.PipelineConfig()
         assert cfg.mode == "exact"
-        assert cfg.group_mode == "auto"
+        assert cfg.group == ()
 
     @pytest.mark.parametrize("kw", [
         {"cluster_tol": 0.0}, {"sdp_tol": -1.0}, {"verify_tol": 0.0},
-        {"margin": -1e-9}, {"group_mode": "bogus"}, {"mode": "pure-thought"},
-        {"sdp_max_iter": -1},
+        {"margin": -1e-9}, {"group": "trivial"}, {"mode": "pure-thought"},
+        {"sdp_max_iter": -1}, {"group": [0]}, {"group": (0.5,)},
     ])
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -99,12 +99,12 @@ class TestStatuses:
         assert rep.certificate is not None and not rep.certificate.exact
 
     def test_inconclusive_no_rank1(self):
-        rep = _run(fx.c5(), group_mode="trivial")
+        rep = _run(fx.c5(), group=R.GroupGenerators(fx.c5(), ()))
         assert rep.status is R.PipelineStatus.INCONCLUSIVE_NO_RANK1
         assert rep.embedding_gram is not None
 
     def test_numeric_downgrade_of_no_rank1(self):
-        rep = _run(fx.c5(), group_mode="trivial", downgrade_no_rank1=True)
+        rep = _run(fx.c5(), group=R.GroupGenerators(fx.c5(), ()), downgrade_no_rank1=True)
         assert rep.status is R.PipelineStatus.CERTIFIED_NUMERIC
         assert "NUMERIC_EMBEDDING_ONLY" in rep.flags
         assert rep.embedding_gram is not None
@@ -112,8 +112,7 @@ class TestStatuses:
     def test_inconclusive_multiplicity(self):
         c5 = fx.c5()
         prod = R.cartesian_product(c5, c5)
-        rep = _run(prod, group_mode="gens",
-                   group_data=fx.diagonal_gens(c5, prod))
+        rep = _run(prod, group=fx.diagonal_gens(c5, prod))
         assert rep.status is R.PipelineStatus.INCONCLUSIVE_MULTIPLICITY
         assert "subcone" in rep.route
 
@@ -132,12 +131,11 @@ class TestStatuses:
         seen = {battery_reports[("barbell", LOWER)].status,
                 battery_reports[("circulant(5,{1})", LOWER)].status,
                 z12_exact_report.status,
-                _run(fx.c5(), group_mode="trivial").status,
+                _run(fx.c5(), group=R.GroupGenerators(fx.c5(), ())).status,
                 _run(fx.c5(), sdp_max_iter=0).status}
         c5 = fx.c5()
         prod = R.cartesian_product(c5, c5)
-        seen.add(_run(prod, group_mode="gens",
-                      group_data=fx.diagonal_gens(c5, prod)).status)
+        seen.add(_run(prod, group=fx.diagonal_gens(c5, prod)).status)
         assert seen == set(R.PipelineStatus)
 
 
@@ -153,12 +151,48 @@ class TestGroupHandling:
         assert rep.group_order == 1
 
     def test_fix_mode_uses_stabilizer(self):
-        rep = _run(fx.c5(), group_mode="fix", group_data=(0,))
+        rep = _run(fx.c5(), group=(0,))
         assert rep.group_order == 2
+
+    def test_fixed_vertex_out_of_range_is_a_caller_error(self):
+        with pytest.raises(ValueError, match="out of range"):
+            _run(fx.c5(), group=(99,))
+
+    def test_generators_of_another_graph_are_a_caller_error(self):
+        # a C6 rotation moves the chord (0,3) of C6 + (0,3) off the edge set
+        c6 = R.circulant(6, (1,))
+        chorded = R.Graph(6, c6.edges + ((0, 3),))
+        with pytest.raises(ValueError, match="another graph"):
+            _run(chorded, group=fx.rotation_gens(c6, 6))
 
     def test_supplied_generators_used_verbatim(self, z12_exact_report):
         assert z12_exact_report.group_order == 12
         assert tuple(sorted(z12_exact_report.orbit_sizes)) == (12, 12)
+
+
+class TestGeneratingSetIndependence:
+    """Certificates depend on the group, not on the generators that name it."""
+
+    @pytest.mark.parametrize("make, gens_of", [
+        (fx.z12, lambda g: fx.rotation_gens(g, 12)),
+        (fx.z21, lambda g: fx.rotation_gens(g, 21)),
+        (fx.cn6b, R.automorphism_generators),
+    ], ids=["z12-rotations", "z21-rotations", "cn6b"])
+    def test_redundant_generators_give_the_same_certificate(self, make, gens_of):
+        g = make()
+        gens = gens_of(g)
+        # the squares add nothing to the group, only to the generator list
+        redundant = R.GroupGenerators(
+            g, tuple(s.compose(s) for s in gens.gens) + gens.gens)
+        a = _run(g, LOWER, group=gens)
+        b = _run(g, LOWER, group=redundant)
+        assert a.status is b.status
+        assert a.status in (R.PipelineStatus.CERTIFIED_EXACT,
+                            R.PipelineStatus.CERTIFIED_NUMERIC)
+        assert a.group_order == b.group_order
+        for (ca, va), (cb, vb) in zip(a.cert_vectors, b.cert_vectors, strict=True):
+            assert abs(float(ca) - float(cb)) <= 1e-10
+            assert np.max(np.abs(va - vb)) <= 1e-10
 
 
 class TestStageTimings:
@@ -167,7 +201,7 @@ class TestStageTimings:
         (fx.petersen, LOWER, {}),
         (fx.c4, UPPER, {}),
         (fx.z12, UPPER, {}),
-        (fx.c5, LOWER, {"group_mode": "trivial"}),
+        (fx.c5, LOWER, {"group": R.GroupGenerators(fx.c5(), ())}),
         (fx.c5, LOWER, {"cluster_tol": 10.0}),
     ])
     def test_every_stage_timed_and_sum_is_wall_time(self, make, target, kw):
@@ -276,7 +310,7 @@ class TestReverification:
         assert R.reverify_report(payload)
 
     def test_embedding_downgrade_reverifies(self):
-        rep = _run(fx.c5(), group_mode="trivial", downgrade_no_rank1=True)
+        rep = _run(fx.c5(), group=R.GroupGenerators(fx.c5(), ()), downgrade_no_rank1=True)
         payload = json.loads(R.emit_report(rep, "JSON"))
         assert R.reverify_report(payload)
 

@@ -111,7 +111,6 @@ from .symmetry import (
     generators_from_json,
     generators_to_json,
     orbit_energy,
-    permute_vector,
     symmetrize_weights,
     verify_automorphism,
     vertex_orbits,

@@ -309,21 +309,10 @@ def solve_cone_membership(
     """
     G = np.column_stack(cone.generators)
     target = cone.target
-    if mode is ConeMode.EXACT_RATIONAL:
-        rows = []
-        ok = True
-        for i in range(G.shape[0]):
-            row = []
-            for j in range(G.shape[1]):
-                f = rationalize_tight(G[i, j])
-                if f is None:
-                    ok = False
-                    break
-                row.append(f)
-            if not ok:
-                break
-            rows.append(row)
-        if ok:
+    exact_mode = mode is ConeMode.EXACT_RATIONAL
+    if exact_mode:
+        rows = [[rationalize_tight(x) for x in row] for row in G]
+        if all(f is not None for row in rows for f in row):
             b = [Fraction(x).limit_denominator(MAX_DENOMINATOR) for x in target]
             sol = exact_nonneg_solve(rows, b)
             if sol is None:
@@ -334,22 +323,15 @@ def solve_cone_membership(
             )
             return ConeSolution(True, tuple(sol), True, False, resid,
                                 ConeMode.EXACT_RATIONAL)
-        # fall through to numeric with the tightened acceptance
-        a, _ = nnls(G, target)
-        resid = float(np.max(np.abs(G @ a - target)))
-        tol = 1e-10 * float(np.max(np.abs(target)))
-        if resid <= tol:
-            return ConeSolution(True, tuple(float(x) for x in a), False, True,
-                                resid, ConeMode.NUMERIC)
-        return ConeSolution(False, (), False, True, resid, ConeMode.NUMERIC)
-
+    # Numeric mode, or the exact-mode fallback: it accepts only at 1e-10 and
+    # marks the solution EXACT_UNAVAILABLE.
     a, _ = nnls(G, target)
     resid = float(np.max(np.abs(G @ a - target)))
-    tol = 1e-8 * float(np.max(np.abs(target)))
-    if resid <= tol:
-        return ConeSolution(True, tuple(float(x) for x in a), False, False,
-                            resid, ConeMode.NUMERIC)
-    return ConeSolution(False, (), False, False, resid, ConeMode.NUMERIC)
+    tol = (1e-10 if exact_mode else 1e-8) * float(np.max(np.abs(target)))
+    feasible = resid <= tol
+    coeffs = tuple(float(x) for x in a) if feasible else ()
+    return ConeSolution(feasible, coeffs, False, exact_mode, resid,
+                        ConeMode.NUMERIC)
 
 
 def assemble_certificate(
@@ -434,12 +416,6 @@ def bipartite_regular_upper_certificate(graph: Graph) -> ConicCertificate | None
 # Independent verification
 # ---------------------------------------------------------------------------
 
-def _orbit_sums(part: EdgeOrbitPartition, edge_vals: np.ndarray) -> np.ndarray:
-    out = np.zeros(part.s)
-    np.add.at(out, np.asarray(part.orbit_of), edge_vals)
-    return out
-
-
 def verify_certificate(
     graph: Graph,
     part: EdgeOrbitPartition,
@@ -478,7 +454,7 @@ def verify_certificate(
         af = float(a)
         if af < -tol:
             return VerificationReport(False, 0.0, "nonnegative_coefficients", details)
-        combo += af * _orbit_sums(part, edge_energy(graph, np.asarray(phi)).values)
+        combo += af * orbit_energy(graph, part, phi).values
     target = part.size_vector
     c = float(combo @ target) / float(target @ target)
     details["c"] = c
@@ -543,8 +519,7 @@ def _cutting_plane_direction(
     sign = 1.0 if kind is TargetKind.LOWER else -1.0
 
     def orbit_vec(x: np.ndarray) -> np.ndarray:
-        phi = basis @ x
-        return _orbit_sums(part, edge_energy(graph, phi).values)
+        return orbit_energy(graph, part, basis @ x).values
 
     cuts = [orbit_vec(np.eye(d)[:, j]) for j in range(d)]
     if d > 1:
@@ -583,10 +558,6 @@ def _cutting_plane_direction(
     return y, t
 
 
-def _expand_orbit_weights(part: EdgeOrbitPartition, w_orbit: np.ndarray) -> np.ndarray:
-    return w_orbit[np.asarray(part.orbit_of)]
-
-
 def find_disproof(
     graph: Graph,
     cluster: EigenspaceCluster,
@@ -617,7 +588,7 @@ def find_disproof(
         y, t = _cutting_plane_direction(graph, part, basis, kind, params, rng)
         if t <= params.eps:
             break
-        dy = _expand_orbit_weights(part, y)
+        dy = y[part.labels]
         accepted = None
         delta = params.delta_max
         while delta >= params.delta_min:

@@ -82,6 +82,13 @@ class Graph:
         return {e: i for i, e in enumerate(self.edges)}
 
     @cached_property
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only endpoint arrays (us, vs): edge i joins us[i] < vs[i]."""
+        ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T.copy()
+        ends.setflags(write=False)
+        return ends[0], ends[1]
+
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.neighbors)
 
@@ -381,24 +388,22 @@ def _weight_values(graph: Graph, w) -> np.ndarray:
 
 
 def laplacian(graph: Graph, w) -> np.ndarray:
-    """Weighted Laplacian L(w) = D(w) - A(w)."""
+    """Weighted Laplacian L(w) = D(w) - A(w).
+
+    Bit for bit the matrix that adding the edges one by one gives: an
+    off-diagonal entry is 0.0 - w (so +0.0 for a zero weight, never -0.0),
+    and each degree sums its weights in edge order. In sorted edge order a
+    vertex is the larger end of all its edges before it is the smaller end
+    of any, so bincount over (v-ends, u-ends) adds them in that order.
+    """
     arr = _weight_values(graph, w)
-    L = np.zeros((graph.n, graph.n))
-    for i, (u, v) in enumerate(graph.edges):
-        wi = arr[i]
-        L[u, v] -= wi
-        L[v, u] -= wi
-        L[u, u] += wi
-        L[v, v] += wi
-    return L
-
-
-def edge_laplacian(graph: Graph, edge_idx: int) -> np.ndarray:
-    """Laplacian of the single-edge subgraph for edge edge_idx."""
-    u, v = graph.edges[edge_idx]
-    L = np.zeros((graph.n, graph.n))
-    L[u, u] = L[v, v] = 1.0
-    L[u, v] = L[v, u] = -1.0
+    us, vs = graph.endpoints
+    n = graph.n
+    L = np.zeros((n, n))
+    L[us, vs] = L[vs, us] = 0.0 - arr
+    L.reshape(-1)[:: n + 1] = np.bincount(
+        np.concatenate((vs, us)), np.concatenate((arr, arr)), minlength=n
+    )
     return L
 
 
@@ -409,7 +414,5 @@ def edge_energy(graph: Graph, phi) -> EdgeEnergyVector:
         raise DimensionMismatch(
             f"vertex function has shape {vec.shape}, graph has {graph.n} vertices"
         )
-    us = np.fromiter((e[0] for e in graph.edges), dtype=np.int64, count=graph.m)
-    vs = np.fromiter((e[1] for e in graph.edges), dtype=np.int64, count=graph.m)
+    us, vs = graph.endpoints
     return EdgeEnergyVector((vec[us] - vec[vs]) ** 2)
-

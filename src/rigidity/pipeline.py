@@ -110,8 +110,6 @@ class PipelineConfig:
     cluster_tol: float = 1e-8
     sdp_tol: float = 1e-9
     sdp_max_iter: int = 50_000
-    verify_tol: float = 1e-8
-    margin: float = 1e-7
     # Vertices the automorphism search fixes (() = full group), or generators.
     group: GroupGenerators | tuple[int, ...] = ()
     group_cap: int = 200_000
@@ -121,7 +119,7 @@ class PipelineConfig:
     downgrade_no_rank1: bool = False
 
     def __post_init__(self):
-        for name in ("cluster_tol", "sdp_tol", "verify_tol", "margin"):
+        for name in ("cluster_tol", "sdp_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("sdp_max_iter", "group_cap", "search_budget"):
@@ -376,9 +374,7 @@ def run_pipeline(
             run.stage("verify")
             per_edge = _trivial_partition(graph)
             vectors = [(cert.coeffs[0], cert.phi)]
-            ver = verify_certificate(
-                graph, per_edge, vectors, cert.lam, target, cfg.verify_tol
-            )
+            ver = verify_certificate(graph, per_edge, vectors, cert.lam, target)
             run.residuals["certificate_orbit"] = ver.details.get("orbit_residual", 0.0)
             if ver.ok:
                 return run.finish(
@@ -475,8 +471,7 @@ def run_pipeline(
 
 def _disproof_stage(run: _Run, cluster, part, reason: str) -> CertificationReport:
     run.stage("disproof")
-    cfg = run.cfg
-    params = DisproofParams(margin=cfg.margin, seed=cfg.seed)
+    params = DisproofParams(seed=run.cfg.seed)
     try:
         d = find_disproof(run.graph, cluster, part, run.target, params)
     except LineSearchFailed as exc:
@@ -484,7 +479,7 @@ def _disproof_stage(run: _Run, cluster, part, reason: str) -> CertificationRepor
         return run.finish(
             PipelineStatus.INCONCLUSIVE_SOLVER, f"{reason}; {exc}"
         )
-    if d is not None and verify_disproof(run.graph, d, run.target, cfg.margin):
+    if d is not None and verify_disproof(run.graph, d, run.target):
         if run.target is TargetKind.LOWER:
             run.residuals["disproof_lambda2"] = d.achieved
         else:
@@ -505,15 +500,13 @@ def _disproof_stage(run: _Run, cluster, part, reason: str) -> CertificationRepor
 def _assemble_stage(run: _Run, cone, sol, cluster) -> CertificationReport:
     run.stage("assemble")
     try:
-        cert = assemble_certificate(cone, sol, cluster, run.target, run.cfg.verify_tol)
+        cert = assemble_certificate(cone, sol, cluster, run.target)
     except (ResidualTooLarge, ValueError) as exc:
         run.flags.append("ASSEMBLY_FAILED")
         return run.finish(PipelineStatus.INCONCLUSIVE_SOLVER, str(exc))
     run.stage("verify")
     vectors = list(zip(cert.coeffs, cone.reps))
-    ver = verify_certificate(
-        run.graph, cone.part, vectors, cert.lam, run.target, run.cfg.verify_tol
-    )
+    ver = verify_certificate(run.graph, cone.part, vectors, cert.lam, run.target)
     run.residuals["certificate_orbit"] = cert.orbit_residual
     run.residuals["certificate_eigen"] = cert.eigen_residual
     if not ver.ok:
@@ -600,15 +593,6 @@ def emit_report(report: CertificationReport, format: str = "JSON") -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _partition_from_orbit_of(graph: Graph, orbit_of):
-    orbit_of = tuple(int(x) for x in orbit_of)
-    s = max(orbit_of) + 1 if orbit_of else 0
-    sizes = [0] * s
-    for o in orbit_of:
-        sizes[o] += 1
-    return EdgeOrbitPartition(graph, orbit_of, tuple(sizes))
-
-
 def report_from_json(payload: dict) -> CertificationReport:
     """Rebuild a report object from its JSON payload (timings do not persist)."""
     if payload.get("schema") != 1:
@@ -679,12 +663,18 @@ def reverify_report(payload: dict) -> bool:
     kind = TargetKind(payload["target"])
     status = payload["status"]
     if status in ("CERTIFIED_EXACT", "CERTIFIED_NUMERIC"):
+        labels = payload["orbit_of"]
+        # Exactly one nonnegative integer orbit label per edge.
+        if len(labels) != graph.m or not all(
+            isinstance(o, int) and o >= 0 for o in labels
+        ):
+            return False
+        sizes = tuple(int(k) for k in np.bincount(labels))
+        part = EdgeOrbitPartition(graph, tuple(labels), sizes)
         cert = payload.get("certificate")
         if cert is not None:
             if cert["per_edge"]:
                 part = _trivial_partition(graph)
-            else:
-                part = _partition_from_orbit_of(graph, payload["orbit_of"])
             vectors = []
             for a, vec in zip(cert["a"], cert["vectors"]):
                 coef = Fraction(a) if isinstance(a, str) else float(a)
@@ -702,16 +692,13 @@ def reverify_report(payload: dict) -> bool:
             return False
         if float(np.linalg.eigvalsh(0.5 * (Phi + Phi.T))[0]) < -1e-8:
             return False
-        part = _partition_from_orbit_of(graph, payload["orbit_of"])
-        for o in range(part.s):
-            idx = [i for i, x in enumerate(part.orbit_of) if x == o]
-            tot = 0.0
-            for i in idx:
-                u, v = graph.edges[i]
-                tot += Phi[u, u] + Phi[v, v] - 2 * Phi[u, v]
-            if abs(tot - part.sizes[o]) > 1e-6 * max(1.0, part.sizes[o]):
-                return False
-        return True
+        # Edge energies of the embedding, read off its Gram matrix.
+        us, vs = graph.endpoints
+        diag = np.diag(Phi)
+        en = diag[us] + diag[vs] - 2 * Phi[us, vs]
+        tot = np.bincount(part.labels, en, minlength=part.s)
+        target = part.size_vector
+        return bool(np.all(np.abs(tot - target) <= 1e-6 * np.maximum(1.0, target)))
     if status == "DISPROVED":
         disp = payload.get("disproof")
         if disp is None:

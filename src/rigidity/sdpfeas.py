@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphcore import Graph, edge_laplacian
+from .graphcore import Graph, laplacian
 from .spectra import EigenspaceCluster
 from .symmetry import EdgeOrbitPartition
 
@@ -33,7 +33,7 @@ class CompressedOperators:
     targets: np.ndarray
     basis: np.ndarray
     graph: Graph
-    part: EdgeOrbitPartition | None
+    part: EdgeOrbitPartition
 
     @property
     def d(self) -> int:
@@ -51,34 +51,22 @@ class SdpResult:
 
 def orbit_laplacian(graph: Graph, part: EdgeOrbitPartition, orbit_id: int) -> np.ndarray:
     """Laplacian of the subgraph formed by one edge orbit."""
-    L = np.zeros((graph.n, graph.n))
-    for i, o in enumerate(part.orbit_of):
-        if o == orbit_id:
-            L += edge_laplacian(graph, i)
-    return L
+    return laplacian(graph, part.labels == orbit_id)
 
 
 def compress_operators(
     cluster: EigenspaceCluster,
     graph: Graph,
-    part: EdgeOrbitPartition | None = None,
+    part: EdgeOrbitPartition,
 ) -> CompressedOperators:
     """Compress constraint Laplacians into the eigenspace: B^T L^i B.
 
-    With part=None one operator per edge is produced (target 1 each);
-    otherwise one per orbit (target = orbit size).
+    One operator per orbit, with the orbit size as its target; the trivial
+    partition gives one operator per edge, each with target 1.
     """
     B = cluster.basis
-    ops = []
-    if part is None:
-        for i in range(graph.m):
-            ops.append(B.T @ edge_laplacian(graph, i) @ B)
-        targets = np.ones(graph.m)
-    else:
-        for o in range(part.s):
-            ops.append(B.T @ orbit_laplacian(graph, part, o) @ B)
-        targets = part.size_vector.copy()
-    return CompressedOperators(tuple(ops), targets, B, graph, part)
+    ops = tuple(B.T @ orbit_laplacian(graph, part, o) @ B for o in range(part.s))
+    return CompressedOperators(ops, part.size_vector, B, graph, part)
 
 
 def rank_estimate(Z: np.ndarray, rel_tol: float = 1e-6) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -114,6 +115,13 @@ class EdgeOrbitPartition:
     @property
     def size_vector(self) -> np.ndarray:
         return np.asarray(self.sizes, dtype=np.float64)
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Read-only orbit_of as an index array."""
+        arr = np.asarray(self.orbit_of, dtype=np.intp)
+        arr.setflags(write=False)
+        return arr
 
     def members(self, orbit_id: int) -> tuple[int, ...]:
         return tuple(i for i, o in enumerate(self.orbit_of) if o == orbit_id)
@@ -377,9 +385,7 @@ def vertex_orbits(graph: Graph, gens: GroupGenerators) -> VertexOrbitPartition:
 def orbit_energy(graph: Graph, part: EdgeOrbitPartition, phi) -> OrbitEnergyVector:
     """Per-orbit sums of (phi(u) - phi(v))^2."""
     en = edge_energy(graph, phi).values
-    out = np.zeros(part.s)
-    np.add.at(out, np.asarray(part.orbit_of), en)
-    return OrbitEnergyVector(out)
+    return OrbitEnergyVector(np.bincount(part.labels, en, minlength=part.s))
 
 
 def symmetrize_weights(w: WeightVector, gens: GroupGenerators) -> WeightVector:
@@ -392,22 +398,8 @@ def symmetrize_weights(w: WeightVector, gens: GroupGenerators) -> WeightVector:
     if len(w) != graph.m:
         raise DimensionMismatch("weight vector does not match the bound graph")
     part = edge_orbits(graph, gens)
-    vals = w.values
-    means = np.zeros(part.s)
-    np.add.at(means, np.asarray(part.orbit_of), vals)
-    means /= part.size_vector
-    out = means[np.asarray(part.orbit_of)]
-    return WeightVector(out, normalized=w.normalized)
-
-
-def permute_vector(sigma: Permutation, phi) -> np.ndarray:
-    """(sigma . phi)(u) = phi(sigma^{-1}(u))."""
-    vec = np.asarray(phi, dtype=np.float64)
-    if vec.shape != (sigma.n,):
-        raise DimensionMismatch("vector length does not match permutation degree")
-    out = np.empty_like(vec)
-    out[list(sigma.image)] = vec
-    return out
+    means = np.bincount(part.labels, w.values, minlength=part.s) / part.size_vector
+    return WeightVector(means[part.labels], normalized=w.normalized)
 
 
 # ---------------------------------------------------------------------------

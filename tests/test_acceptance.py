@@ -216,7 +216,8 @@ def test_criterion_09_symmetry_reduced_constraint_counts():
         part = R.edge_orbits(prod, gens)
         cl = _cluster(prod)
         orbit_ops = R.compress_operators(cl, prod, part)
-        edge_ops = R.compress_operators(cl, prod, None)
+        singles = R.edge_orbits(prod, R.GroupGenerators(prod, ()))
+        edge_ops = R.compress_operators(cl, prod, singles)
         assert len(orbit_ops.ops) <= 10
         assert len(edge_ops.ops) == 250
         r_orbit = R.solve_feasibility(orbit_ops)
@@ -237,7 +238,7 @@ def test_criterion_10_property_battery(battery_reports):
                 atol = 1e-12 * max(1.0, float(np.max(base)))
                 for sigma, perm in perms:
                     moved = np.asarray(
-                        R.edge_energy(g, R.permute_vector(sigma, phi)).values)
+                        R.edge_energy(g, phi[list(sigma.inverse().image)]).values)
                     assert np.max(np.abs(moved[perm] - base)) <= atol
             # energy identity over random (phi, w) pairs
             for _ in range(100):

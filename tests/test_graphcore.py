@@ -193,6 +193,31 @@ class TestLaplacian:
             rhs = float(np.dot(w.values, R.edge_energy(g, phi).values))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
+    def test_matches_edge_loop_bit_for_bit(self, rng):
+        # Reference: accumulate each edge in edge order. Weights span six
+        # decades, so any other summation order shows in the last bits, and
+        # a third are exact zeros, whose off-diagonal entries must stay +0.0.
+        def edge_loop(g, w):
+            L = np.zeros((g.n, g.n))
+            for i, (u, v) in enumerate(g.edges):
+                L[u, v] -= w[i]
+                L[v, u] -= w[i]
+                L[u, u] += w[i]
+                L[v, v] += w[i]
+            return L
+
+        for _ in range(40):
+            n = int(rng.integers(2, 30))
+            tree = [(int(rng.integers(k)), k) for k in range(1, n)]
+            extra = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < 0.3]
+            g = R.Graph(n, set(tree) | set(extra))
+            w = rng.uniform(0.0, 1.0, g.m) * 10.0 ** rng.uniform(-3, 3, g.m)
+            w[rng.random(g.m) < 0.33] = 0.0
+            got, ref = R.laplacian(g, w), edge_loop(g, w)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
     def test_edge_energy_values(self):
         g = fx.c4()
         phi = np.array([1.0, -1.0, 1.0, -1.0])

@@ -105,8 +105,8 @@ class TestStructuralInvariants:
         for c in dec.components:
             B = c.basis
             for s in gens.gens:
-                rho_B = np.stack([R.permute_vector(s, B[:, j])
-                                  for j in range(B.shape[1])], axis=1)
+                # (sigma . phi)(u) = phi(sigma^-1(u)), column by column
+                rho_B = B[list(s.inverse().image)]
                 # rho(sigma) B must stay inside the component
                 resid = rho_B - B @ (B.T @ rho_B)
                 assert np.max(np.abs(resid)) <= 1e-8

@@ -24,9 +24,9 @@ class TestConfig:
         assert cfg.group == ()
 
     @pytest.mark.parametrize("kw", [
-        {"cluster_tol": 0.0}, {"sdp_tol": -1.0}, {"verify_tol": 0.0},
-        {"margin": -1e-9}, {"group": "trivial"}, {"mode": "pure-thought"},
-        {"sdp_max_iter": -1}, {"group": [0]}, {"group": (0.5,)},
+        {"cluster_tol": 0.0}, {"sdp_tol": -1.0}, {"group": "trivial"},
+        {"mode": "pure-thought"}, {"sdp_max_iter": -1}, {"group": [0]},
+        {"group": (0.5,)},
     ])
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -317,6 +317,21 @@ class TestReverification:
     def test_tampered_certificate_fails(self, z12_exact_report):
         payload = json.loads(R.emit_report(z12_exact_report, "JSON"))
         payload["certificate"]["a"] = ["1", "1", "0"]
+        assert not R.reverify_report(payload)
+
+    @pytest.mark.parametrize("route", ["exact", "embedding"])
+    @pytest.mark.parametrize("change", ["drop_last", "append_zero"])
+    def test_orbit_labels_must_cover_each_edge_once(self, route, change,
+                                                    z12_exact_report):
+        if route == "exact":
+            rep = z12_exact_report
+        else:
+            rep = _run(fx.c5(), group=R.GroupGenerators(fx.c5(), ()),
+                       downgrade_no_rank1=True)
+        payload = json.loads(R.emit_report(rep, "JSON"))
+        assert R.reverify_report(payload)
+        labels = payload["orbit_of"]
+        payload["orbit_of"] = labels[:-1] if change == "drop_last" else labels + [0]
         assert not R.reverify_report(payload)
 
     def test_tampered_disproof_fails(self, battery_reports):

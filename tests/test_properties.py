@@ -114,19 +114,6 @@ def test_permutation_group_laws(imgs):
     assert p.compose(e).image == p.image and e.compose(p).image == p.image
 
 
-@given(st.integers(2, 10).flatmap(lambda n: st.permutations(range(n))),
-       st.data())
-@settings(deadline=None, max_examples=60)
-def test_permute_vector_convention(img, data):
-    sigma = R.Permutation(tuple(img))
-    n = len(img)
-    phi = np.array(data.draw(
-        st.lists(st.floats(-3, 3, allow_nan=False), min_size=n, max_size=n)))
-    moved = R.permute_vector(sigma, phi)
-    for u in range(n):
-        assert moved[sigma(u)] == phi[u]
-
-
 @given(graphs_with_weights(), st.floats(0.1, 8.0, allow_nan=False))
 @settings(deadline=None, max_examples=40)
 def test_spectrum_scales_linearly(gw, c):

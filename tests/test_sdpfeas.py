@@ -16,7 +16,7 @@ def _orbit_part(g):
 
 
 def _compress(g, which=R.Which.SECOND, orbits=True):
-    part = _orbit_part(g) if orbits else None
+    part = _orbit_part(g) if orbits else R.edge_orbits(g, R.GroupGenerators(g, ()))
     return R.compress_operators(_cluster(g, which), g, part)
 
 

@@ -91,8 +91,6 @@ from .spectra import (
     Which,
     cluster_eigenspace,
     eig_sym,
-    lambda2,
-    lambda_max,
     laplacian_spectrum,
 )
 from .symmetry import (

@@ -486,18 +486,6 @@ def verify_disproof(graph: Graph, d: Disproof, kind: TargetKind,
 # Disproof search: cutting planes + line search
 # ---------------------------------------------------------------------------
 
-def _eigenspace_at(graph: Graph, w: np.ndarray, kind: TargetKind,
-                   tol: float = 1e-8) -> tuple[float, np.ndarray]:
-    dec = eig_sym(laplacian(graph, w))
-    try:
-        cl = cluster_eigenspace(dec, kind.which, tol)
-        return cl.value, cl.basis
-    except AmbiguousCluster:
-        # Fall back to the single extreme eigenvector.
-        idx = 1 if kind is TargetKind.LOWER else -1
-        return float(dec.eigenvalues[idx]), dec.eigenvectors[:, [idx]]
-
-
 def _cutting_plane_direction(
     graph: Graph,
     part: EdgeOrbitPartition,
@@ -569,14 +557,18 @@ def find_disproof(
 
     Alternates cutting-plane directions with halving line searches, staying
     inside orbit-constant weights (symmetrization cannot hurt the objective,
-    so nothing is lost). Returns None when no strict direction exists at
-    uniform weights; raises LineSearchFailed when a direction exists there
-    but no step size realizes an improvement.
+    so nothing is lost). Each weight vector tried gets one checked eigensolve:
+    a trial reads only its target eigenvalue, and the accepted trial's
+    decomposition is clustered for the next round's eigenspace basis.
+    Returns None when no strict direction exists at uniform weights; raises
+    LineSearchFailed when a direction exists there but no step size realizes
+    an improvement. A failed eigensolve raises ConvergenceFailure.
     """
     rng = np.random.default_rng(params.seed)
     m = graph.m
     uniform = np.ones(m)
-    lam_base, _ = _eigenspace_at(graph, uniform, kind)
+    idx = 1 if kind is TargetKind.LOWER else -1
+    lam_base = float(eig_sym(laplacian(graph, uniform)).eigenvalues[idx])
     better = (lambda a, b: a > b) if kind is TargetKind.LOWER else (lambda a, b: a < b)
 
     w = uniform.copy()
@@ -598,10 +590,11 @@ def find_disproof(
                 delta *= 0.5
                 continue
             cand *= m / ssum
-            lam_c, _ = _eigenspace_at(graph, cand, kind)
+            dec = eig_sym(laplacian(graph, cand))
+            lam_c = float(dec.eigenvalues[idx])
             if better(lam_c, lam_cur + (params.margin if kind is TargetKind.LOWER
                                         else -params.margin)):
-                accepted = (cand, lam_c)
+                accepted = (cand, lam_c, dec)
                 break
             delta *= 0.5
         if accepted is None:
@@ -611,10 +604,14 @@ def find_disproof(
                     f"improved the objective"
                 )
             break
-        w, lam_cur = accepted
+        w, lam_cur, dec = accepted
         if best is None or better(lam_cur, best[0]):
             best = (lam_cur, w.copy())
-        lam_cur, basis = _eigenspace_at(graph, w, kind)
+        try:
+            basis = cluster_eigenspace(dec, kind.which).basis
+        except AmbiguousCluster:
+            # Fall back to the single extreme eigenvector.
+            basis = dec.eigenvectors[:, [idx]]
 
     if best is None:
         return None

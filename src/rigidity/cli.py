@@ -32,7 +32,7 @@ from .pipeline import (
     run_pipeline,
     target_cluster,
 )
-from .spectra import AmbiguousCluster, laplacian_spectrum
+from .spectra import AmbiguousCluster, ConvergenceFailure, laplacian_spectrum
 from .symmetry import (
     CapExceeded,
     GroupGenerators,
@@ -212,10 +212,14 @@ def _cmd_disprove(args) -> int:
     params = DisproofParams(seed=cfg.seed)
     try:
         d = find_disproof(graph, cluster, part, kind, params)
+        verified = d is not None and verify_disproof(graph, d, kind)
     except LineSearchFailed as exc:
         print(f"line search failed: {exc}")
         return _EXIT_INCONCLUSIVE
-    if d is None or not verify_disproof(graph, d, kind):
+    except ConvergenceFailure as exc:
+        print(f"eigensolve failed: {exc}")
+        return _EXIT_INCONCLUSIVE
+    if not verified:
         print("no verified disproof found")
         return _EXIT_INCONCLUSIVE
     print(f"baseline {d.baseline!r}  achieved {d.achieved!r}  margin {d.margin:.6g}")

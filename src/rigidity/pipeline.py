@@ -46,6 +46,7 @@ from .isotypics import (
 from .sdpfeas import SdpStatus, compress_operators, expand_gram, solve_feasibility
 from .spectra import (
     AmbiguousCluster,
+    ConvergenceFailure,
     EigenDecomposition,
     EigenspaceCluster,
     cluster_eigenspace,
@@ -474,12 +475,18 @@ def _disproof_stage(run: _Run, cluster, part, reason: str) -> CertificationRepor
     params = DisproofParams(seed=run.cfg.seed)
     try:
         d = find_disproof(run.graph, cluster, part, run.target, params)
+        verified = d is not None and verify_disproof(run.graph, d, run.target)
     except LineSearchFailed as exc:
         run.flags.append("LINE_SEARCH_FAILED")
         return run.finish(
             PipelineStatus.INCONCLUSIVE_SOLVER, f"{reason}; {exc}"
         )
-    if d is not None and verify_disproof(run.graph, d, run.target):
+    except ConvergenceFailure as exc:
+        run.flags.append("EIGENSOLVE_FAILED")
+        return run.finish(
+            PipelineStatus.INCONCLUSIVE_SOLVER, f"{reason}; eigensolve failed: {exc}"
+        )
+    if verified:
         if run.target is TargetKind.LOWER:
             run.residuals["disproof_lambda2"] = d.achieved
         else:
@@ -657,15 +664,34 @@ def report_from_json(payload: dict) -> CertificationReport:
     )
 
 
+def _finite_array(values, shape: tuple[int, ...]) -> np.ndarray | None:
+    """values as a float array of the given shape, or None if it is not one."""
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if arr.shape != shape or not np.all(np.isfinite(arr)):
+        return None
+    return arr
+
+
 def reverify_report(payload: dict) -> bool:
-    """Re-check a loaded report's embedded certificate or disproof."""
+    """Re-check a loaded report's embedded certificate or disproof.
+
+    Numbers that do not fit the graph are rejected before anything is built:
+    certificate vectors that are not n finite numbers, coefficients that are
+    not finite or not one per vector, a Gram matrix that is not n x n and
+    finite, an eigenvalue that is not a finite number, and disproof weights
+    that are not m finite nonnegative numbers.
+    """
     graph = parse_graph6(payload["graph6"])
+    n, m = graph.n, graph.m
     kind = TargetKind(payload["target"])
     status = payload["status"]
     if status in ("CERTIFIED_EXACT", "CERTIFIED_NUMERIC"):
         labels = payload["orbit_of"]
         # Exactly one nonnegative integer orbit label per edge.
-        if len(labels) != graph.m or not all(
+        if len(labels) != m or not all(
             isinstance(o, int) and o >= 0 for o in labels
         ):
             return False
@@ -675,19 +701,25 @@ def reverify_report(payload: dict) -> bool:
         if cert is not None:
             if cert["per_edge"]:
                 part = _trivial_partition(graph)
-            vectors = []
-            for a, vec in zip(cert["a"], cert["vectors"]):
-                coef = Fraction(a) if isinstance(a, str) else float(a)
-                vectors.append((coef, np.asarray(vec, dtype=np.float64)))
-            return verify_certificate(
-                graph, part, vectors, cert["lambda"], kind
-            ).ok
-        emb = payload.get("embedding_gram")
-        if emb is None:
+            try:
+                coeffs = [Fraction(a) if isinstance(a, str) else float(a)
+                          for a in cert["a"]]
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                return False
+            phis = [_finite_array(v, (n,)) for v in cert["vectors"]]
+            lam = _finite_array(cert["lambda"], ())
+            if _finite_array(coeffs, (len(phis),)) is None or lam is None or any(
+                phi is None for phi in phis
+            ):
+                return False
+            vectors = list(zip(coeffs, phis))
+            return verify_certificate(graph, part, vectors, float(lam), kind).ok
+        Phi = _finite_array(payload.get("embedding_gram"), (n, n))
+        lam = _finite_array(payload["lambda"], ())
+        if Phi is None or lam is None:
             return False
-        Phi = np.asarray(emb, dtype=np.float64)
+        lam = float(lam)
         L = laplacian(graph, WeightVector.uniform(graph))
-        lam = payload["lambda"]
         if np.linalg.norm(L @ Phi - lam * Phi) > 1e-6 * max(1.0, lam):
             return False
         if float(np.linalg.eigvalsh(0.5 * (Phi + Phi.T))[0]) < -1e-8:
@@ -703,11 +735,11 @@ def reverify_report(payload: dict) -> bool:
         disp = payload.get("disproof")
         if disp is None:
             return False
-        d = Disproof(
-            WeightVector(np.asarray(disp["w"], dtype=np.float64), normalized=True),
-            disp["achieved"],
-            disp["baseline"],
-            disp["margin"],
-        )
+        w = _finite_array(disp["w"], (m,))
+        if w is None or np.any(w < 0):
+            return False
+        # verify_disproof, not the WeightVector, judges the total weight.
+        d = Disproof(WeightVector(w), disp["achieved"], disp["baseline"],
+                     disp["margin"])
         return verify_disproof(graph, d, kind)
     return True

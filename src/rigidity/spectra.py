@@ -125,11 +125,3 @@ def cluster_eigenspace(
 
 def laplacian_spectrum(graph: Graph, w) -> EigenDecomposition:
     return eig_sym(laplacian(graph, w))
-
-
-def lambda2(graph: Graph, w) -> float:
-    return float(laplacian_spectrum(graph, w).eigenvalues[1])
-
-
-def lambda_max(graph: Graph, w) -> float:
-    return float(laplacian_spectrum(graph, w).eigenvalues[-1])

@@ -41,3 +41,21 @@ def z12_exact_report():
 @pytest.fixture(scope="session")
 def tensegrity_report():
     return _run(fx.tensegrity20(), R.TargetKind.LOWER)
+
+
+@pytest.fixture()
+def eigensolve_fails_after_first_call(monkeypatch):
+    """rigidity.certify.eig_sym solves once, then raises ConvergenceFailure."""
+    import rigidity.certify as C
+
+    real = C.eig_sym
+    calls = 0
+
+    def eig_sym(A):
+        nonlocal calls
+        calls += 1
+        if calls > 1:
+            raise R.ConvergenceFailure("eigensolve failure injected by the test")
+        return real(A)
+
+    monkeypatch.setattr(C, "eig_sym", eig_sym)

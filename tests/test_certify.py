@@ -7,6 +7,7 @@ import pytest
 import scipy.optimize
 
 import rigidity as R
+from rigidity import certify
 
 import fixtures as fx
 
@@ -197,7 +198,7 @@ class TestBipartiteShortcut:
     def test_upper_eigenvalue_is_two_d(self):
         g = fx.desargues()
         w = R.WeightVector.uniform(g)
-        assert abs(R.lambda_max(g, w) - 6.0) <= 1e-10
+        assert abs(R.laplacian_spectrum(g, w).eigenvalues[-1] - 6.0) <= 1e-10
 
     def test_rejects_non_bipartite(self):
         assert R.bipartite_regular_upper_certificate(fx.k4()) is None
@@ -358,6 +359,48 @@ class TestDisproof:
         assert abs(d.w.values.sum() - g.m) <= 1e-9 * g.m
 
 
+def _gnp(n, p, seed):
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, 1)
+    while True:
+        keep = rng.random(iu.size) < p
+        try:
+            return R.Graph(n, tuple(zip(iu[keep].tolist(), ju[keep].tolist())))
+        except R.DisconnectedGraph:
+            continue
+
+
+class TestDisproofWork:
+    """One eigensolve per weight vector; only accepted steps are clustered."""
+
+    @pytest.mark.parametrize("case", ["barbell-lower", "gnp30-upper"])
+    def test_each_weight_vector_solved_once(self, case, monkeypatch):
+        if case == "barbell-lower":
+            g, kind = fx.barbell(), R.TargetKind.LOWER
+        else:
+            g, kind = _gnp(30, 0.2, seed=0), R.TargetKind.UPPER
+        cluster = _cluster(g, kind.which)
+        solved, clustered = [], 0
+        laplacian, cluster_eigenspace = certify.laplacian, certify.cluster_eigenspace
+
+        def spy_laplacian(graph, w):
+            solved.append(np.asarray(w, dtype=np.float64).tobytes())
+            return laplacian(graph, w)
+
+        def spy_cluster(*args, **kwargs):
+            nonlocal clustered
+            clustered += 1
+            return cluster_eigenspace(*args, **kwargs)
+
+        monkeypatch.setattr(certify, "laplacian", spy_laplacian)
+        monkeypatch.setattr(certify, "cluster_eigenspace", spy_cluster)
+        d = R.find_disproof(g, cluster, _auto_part(g), kind)
+        assert d is not None
+        repeats = len(solved) - len(set(solved))
+        assert repeats == 0
+        assert 1 <= clustered <= R.DisproofParams().max_rounds
+
+
 class TestMonteCarloShadow:
     def test_certified_bounds_hold_under_sampling(self, rng):
         # spot check; the acceptance suite runs the full 1000-sample version
@@ -365,12 +408,11 @@ class TestMonteCarloShadow:
                            (fx.z12, R.TargetKind.UPPER)):
             g = make()
             w0 = R.WeightVector.uniform(g)
-            base = (R.lambda2 if kind is R.TargetKind.LOWER
-                    else R.lambda_max)(g, w0)
+            idx = 1 if kind is R.TargetKind.LOWER else -1
+            base = R.laplacian_spectrum(g, w0).eigenvalues[idx]
             for _ in range(200):
                 w = fx.random_weights(g, rng)
-                val = (R.lambda2 if kind is R.TargetKind.LOWER
-                       else R.lambda_max)(g, w)
+                val = R.laplacian_spectrum(g, w).eigenvalues[idx]
                 if kind is R.TargetKind.LOWER:
                     assert val <= base + 1e-6
                 else:

@@ -161,8 +161,8 @@ class TestDisprove:
         g = fx.barbell()
         assert len(w) == g.m
         assert abs(w.sum() - g.m) <= 1e-9
-        assert R.lambda2(g, R.WeightVector(w)) > (
-            R.lambda2(g, R.WeightVector.uniform(g)))
+        assert R.laplacian_spectrum(g, R.WeightVector(w)).eigenvalues[1] > (
+            R.laplacian_spectrum(g, R.WeightVector.uniform(g)).eigenvalues[1])
 
     def test_no_witness_exit_two(self, tmp_path, capsys):
         p = tmp_path / "c5.g6"
@@ -170,6 +170,13 @@ class TestDisprove:
         rc = main(["disprove", str(p), "--target", "lower"])
         capsys.readouterr()
         assert rc == 2
+
+    def test_failed_eigensolve_exit_two(self, barbell_file, capsys,
+                                        eigensolve_fails_after_first_call):
+        rc = main(["disprove", str(barbell_file), "--target", "lower"])
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert "eigensolve failed" in out
 
 
 class TestBatch:

@@ -126,6 +126,14 @@ class TestStatuses:
         assert rep.status is R.PipelineStatus.INCONCLUSIVE_SOLVER
         assert "AMBIGUOUS_CLUSTER" in rep.flags
 
+    def test_failed_eigensolve_in_disproof_search(
+            self, eigensolve_fails_after_first_call):
+        rep = _run(fx.barbell())
+        assert rep.status is R.PipelineStatus.INCONCLUSIVE_SOLVER
+        assert rep.route[-2:] == ("disproof", "INCONCLUSIVE_SOLVER")
+        assert "EIGENSOLVE_FAILED" in rep.flags
+        assert R.route_is_valid(rep.route)
+
     def test_all_six_statuses_constructible(self, battery_reports,
                                             z12_exact_report):
         seen = {battery_reports[("barbell", LOWER)].status,
@@ -333,6 +341,57 @@ class TestReverification:
         labels = payload["orbit_of"]
         payload["orbit_of"] = labels[:-1] if change == "drop_last" else labels + [0]
         assert not R.reverify_report(payload)
+
+    @pytest.mark.parametrize("change", [
+        "gram_last_row_cut", "gram_last_column_cut", "gram_lambda_null",
+        "vector_entry_dropped", "vector_nan", "coefficient_nan",
+        "certificate_lambda_null", "extra_coefficient",
+        "disproof_mass_off", "disproof_w_short", "disproof_w_nan",
+        "disproof_w_negative", "disproof_w_not_numbers",
+    ])
+    def test_malformed_payload_is_rejected(self, change, battery_reports,
+                                           z12_exact_report):
+        kind = change.split("_")[0]
+        if kind == "gram":
+            rep = _run(fx.c5(), group=R.GroupGenerators(fx.c5(), ()),
+                       downgrade_no_rank1=True)
+        elif kind == "disproof":
+            rep = battery_reports[("barbell", LOWER)]
+        elif change == "extra_coefficient":
+            rep = z12_exact_report
+        else:
+            rep = battery_reports[("circulant(5,{1})", LOWER)]
+        payload = json.loads(R.emit_report(rep, "JSON"))
+        assert R.reverify_report(payload)
+        gram, cert, disp = (payload["embedding_gram"], payload["certificate"],
+                            payload["disproof"])
+        if change == "gram_last_row_cut":
+            payload["embedding_gram"] = gram[:-1]
+        elif change == "gram_last_column_cut":
+            payload["embedding_gram"] = [row[:-1] for row in gram]
+        elif change == "gram_lambda_null":
+            payload["lambda"] = None
+        elif change == "vector_entry_dropped":
+            cert["vectors"][0] = cert["vectors"][0][:-1]
+        elif change == "vector_nan":
+            cert["vectors"][0][0] = float("nan")
+        elif change == "coefficient_nan":
+            cert["a"][0] = float("nan")
+        elif change == "certificate_lambda_null":
+            cert["lambda"] = None
+        elif change == "extra_coefficient":
+            cert["a"].append("1")
+        elif change == "disproof_mass_off":
+            disp["w"][0] += 1.0
+        elif change == "disproof_w_short":
+            disp["w"] = disp["w"][:-1]
+        elif change == "disproof_w_nan":
+            disp["w"][1] = float("nan")
+        elif change == "disproof_w_negative":
+            disp["w"][1], disp["w"][2] = -1.0, disp["w"][2] + disp["w"][1] + 1.0
+        else:
+            disp["w"] = ["heavy"] * len(disp["w"])
+        assert R.reverify_report(payload) is False
 
     def test_tampered_disproof_fails(self, battery_reports):
         payload = json.loads(R.emit_report(

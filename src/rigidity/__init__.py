@@ -16,7 +16,6 @@ from .certify import (
     ConeSolution,
     ConicCertificate,
     Disproof,
-    DisproofParams,
     LineSearchFailed,
     MultiplicityObstruction,
     ResidualTooLarge,
@@ -37,7 +36,6 @@ from .certify import (
 from .graphcore import (
     DimensionMismatch,
     DisconnectedGraph,
-    EdgeEnergyVector,
     Graph,
     MalformedGraph6,
     WeightVector,
@@ -98,7 +96,6 @@ from .symmetry import (
     EdgeOrbitPartition,
     GroupClosure,
     GroupGenerators,
-    OrbitEnergyVector,
     Permutation,
     SearchBudgetExceeded,
     VertexOrbitPartition,

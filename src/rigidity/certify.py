@@ -116,15 +116,17 @@ class VerificationReport:
     details: dict = field(compare=False, default_factory=dict)
 
 
-@dataclass(frozen=True)
-class DisproofParams:
-    eps: float = 1e-8
-    margin: float = 1e-7
-    max_cuts: int = 100
-    max_rounds: int = 60
-    delta_max: float = 0.5
-    delta_min: float = 1e-6
-    seed: int = 0
+# Tolerances and budgets of the method. A disproof step is accepted only when
+# it beats the current eigenvalue by MARGIN, and verify_disproof asks the same
+# MARGIN over the uniform spectrum, so every witness found also verifies.
+VERIFY_TOL = 1e-8  # certificate re-check, relative to the spectrum's scale
+ASSEMBLY_TOL = 1e-8  # assembled orbit energies against the orbit sizes
+EPS = 1e-8  # cutting-plane guarantee at or below which no direction exists
+MARGIN = 1e-7
+MAX_CUTS = 100
+MAX_ROUNDS = 60
+DELTA_MAX = 0.5  # line-search step range, halved from DELTA_MAX to DELTA_MIN
+DELTA_MIN = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +261,7 @@ def build_cone(
     for k, comp in enumerate(dec.components):
         phi = representative_vector(comp, part, seed + k) * scale
         reps.append(phi)
-        g = orbit_energy(graph, part, phi).values
+        g = orbit_energy(graph, part, phi)
         if np.max(g) <= 0:
             raise ValueError("zero orbit-energy generator; eigenvector is constant")
         gens.append(g)
@@ -291,7 +293,7 @@ def subcone_model(
             phi = phi / np.linalg.norm(phi)
         phi = phi * scale
         reps.append(phi)
-        gens.append(orbit_energy(graph, part, phi).values)
+        gens.append(orbit_energy(graph, part, phi))
     return ConeModel(tuple(gens), tuple(reps), part.size_vector.copy(), graph, part)
 
 
@@ -339,7 +341,6 @@ def assemble_certificate(
     solution: ConeSolution,
     cluster: EigenspaceCluster,
     kind: TargetKind,
-    rel_tol: float = 1e-8,
 ) -> ConicCertificate:
     """Combine representatives into phi = sum sqrt(a_j) phi_j.
 
@@ -354,11 +355,11 @@ def assemble_certificate(
             raise ValueError("negative cone coefficient")
         if af > 0:
             phi = phi + np.sqrt(af) * rep
-    en = orbit_energy(cone.graph, cone.part, phi).values
+    en = orbit_energy(cone.graph, cone.part, phi)
     target = cone.target
     orbit_residual = float(np.max(np.abs(en - target)))
     scale = float(np.max(np.abs(target)))
-    if orbit_residual > rel_tol * max(1.0, scale):
+    if orbit_residual > ASSEMBLY_TOL * max(1.0, scale):
         raise ResidualTooLarge(
             f"assembled orbit energies miss the target by {orbit_residual:.3e}"
         )
@@ -393,7 +394,7 @@ def bipartite_regular_upper_certificate(graph: Graph) -> ConicCertificate | None
         return None
     deg = graph.degrees[0]
     lam = float(2 * deg)
-    en = edge_energy(graph, phi).values
+    en = edge_energy(graph, phi)
     if not np.all(en == 4.0):
         return None
     L = laplacian(graph, WeightVector.uniform(graph))
@@ -422,7 +423,6 @@ def verify_certificate(
     vectors: Sequence[tuple[float, np.ndarray]],
     lam: float,
     kind: TargetKind,
-    tol: float = 1e-8,
 ) -> VerificationReport:
     """Re-check a certificate from scratch, using nothing downstream.
 
@@ -441,20 +441,20 @@ def verify_certificate(
         phi = np.asarray(phi, dtype=np.float64)
         r = float(np.linalg.norm(L @ phi - lam * phi))
         details[f"eigen_residual_{j}"] = r
-        if r > tol * scale * max(1.0, float(np.linalg.norm(phi))):
+        if r > VERIFY_TOL * scale * max(1.0, float(np.linalg.norm(phi))):
             return VerificationReport(False, 0.0, "eigenvector", details)
 
     ref = float(lam_all[1]) if kind is TargetKind.LOWER else float(lam_all[-1])
     details["lambda_reference"] = ref
-    if abs(lam - ref) > tol * scale:
+    if abs(lam - ref) > VERIFY_TOL * scale:
         return VerificationReport(False, 0.0, "eigenvalue_position", details)
 
     combo = np.zeros(part.s)
     for a, phi in vectors:
         af = float(a)
-        if af < -tol:
+        if af < -VERIFY_TOL:
             return VerificationReport(False, 0.0, "nonnegative_coefficients", details)
-        combo += af * orbit_energy(graph, part, phi).values
+        combo += af * orbit_energy(graph, part, phi)
     target = part.size_vector
     c = float(combo @ target) / float(target @ target)
     details["c"] = c
@@ -462,13 +462,12 @@ def verify_certificate(
     details["orbit_residual"] = resid
     if c <= 0:
         return VerificationReport(False, c, "positive_scale", details)
-    if resid > tol * max(1.0, abs(c) * float(np.max(target))):
+    if resid > VERIFY_TOL * max(1.0, abs(c) * float(np.max(target))):
         return VerificationReport(False, c, "orbit_identity", details)
     return VerificationReport(True, c, None, details)
 
 
-def verify_disproof(graph: Graph, d: Disproof, kind: TargetKind,
-                    margin: float = 1e-7) -> bool:
+def verify_disproof(graph: Graph, d: Disproof, kind: TargetKind) -> bool:
     """Recompute spectra from scratch and check the strict improvement."""
     w = d.w.values
     if np.any(w < 0):
@@ -478,8 +477,8 @@ def verify_disproof(graph: Graph, d: Disproof, kind: TargetKind,
     lam_w = eig_sym(laplacian(graph, w)).eigenvalues
     lam_u = eig_sym(laplacian(graph, WeightVector.uniform(graph))).eigenvalues
     if kind is TargetKind.LOWER:
-        return float(lam_w[1]) > float(lam_u[1]) + margin
-    return float(lam_w[-1]) < float(lam_u[-1]) - margin
+        return float(lam_w[1]) > float(lam_u[1]) + MARGIN
+    return float(lam_w[-1]) < float(lam_u[-1]) - MARGIN
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +490,6 @@ def _cutting_plane_direction(
     part: EdgeOrbitPartition,
     basis: np.ndarray,
     kind: TargetKind,
-    params: DisproofParams,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, float]:
     """Best perturbation direction y in orbit space and its guarantee t.
@@ -507,7 +505,7 @@ def _cutting_plane_direction(
     sign = 1.0 if kind is TargetKind.LOWER else -1.0
 
     def orbit_vec(x: np.ndarray) -> np.ndarray:
-        return orbit_energy(graph, part, basis @ x).values
+        return orbit_energy(graph, part, basis @ x)
 
     cuts = [orbit_vec(np.eye(d)[:, j]) for j in range(d)]
     if d > 1:
@@ -517,7 +515,7 @@ def _cutting_plane_direction(
 
     y = np.zeros(s)
     t = 0.0
-    for _ in range(params.max_cuts):
+    for _ in range(MAX_CUTS):
         A_ub = np.column_stack([-sign * np.stack(cuts), np.ones(len(cuts))])
         res = linprog(
             c=np.concatenate([np.zeros(s), [-1.0]]),
@@ -532,7 +530,7 @@ def _cutting_plane_direction(
             return np.zeros(s), 0.0
         y = res.x[:s]
         t = float(res.x[s])
-        if t <= params.eps:
+        if t <= EPS:
             return y, t
         M = sum(float(y[o]) * ops[o] for o in range(s))
         lam, V = np.linalg.eigh(M)
@@ -551,7 +549,7 @@ def find_disproof(
     cluster: EigenspaceCluster,
     part: EdgeOrbitPartition,
     kind: TargetKind,
-    params: DisproofParams = DisproofParams(),
+    seed: int = 0,
 ) -> Disproof | None:
     """Search for witness weights violating rigidity of the given target.
 
@@ -564,7 +562,7 @@ def find_disproof(
     LineSearchFailed when a direction exists there but no step size realizes
     an improvement. A failed eigensolve raises ConvergenceFailure.
     """
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     m = graph.m
     uniform = np.ones(m)
     idx = 1 if kind is TargetKind.LOWER else -1
@@ -576,14 +574,14 @@ def find_disproof(
     basis = cluster.basis
     best: tuple[float, np.ndarray] | None = None
 
-    for round_no in range(params.max_rounds):
-        y, t = _cutting_plane_direction(graph, part, basis, kind, params, rng)
-        if t <= params.eps:
+    for round_no in range(MAX_ROUNDS):
+        y, t = _cutting_plane_direction(graph, part, basis, kind, rng)
+        if t <= EPS:
             break
         dy = y[part.labels]
         accepted = None
-        delta = params.delta_max
-        while delta >= params.delta_min:
+        delta = DELTA_MAX
+        while delta >= DELTA_MIN:
             cand = np.clip(w + delta * dy, 0.0, None)
             ssum = float(cand.sum())
             if ssum <= 0:
@@ -592,8 +590,8 @@ def find_disproof(
             cand *= m / ssum
             dec = eig_sym(laplacian(graph, cand))
             lam_c = float(dec.eigenvalues[idx])
-            if better(lam_c, lam_cur + (params.margin if kind is TargetKind.LOWER
-                                        else -params.margin)):
+            if better(lam_c, lam_cur + (MARGIN if kind is TargetKind.LOWER
+                                        else -MARGIN)):
                 accepted = (cand, lam_c, dec)
                 break
             delta *= 0.5
@@ -617,7 +615,7 @@ def find_disproof(
         return None
     achieved, w_best = best
     margin = achieved - lam_base if kind is TargetKind.LOWER else lam_base - achieved
-    if margin <= params.margin:
+    if margin <= MARGIN:
         return None
     wv = WeightVector(w_best * (m / float(w_best.sum())), normalized=True)
     return Disproof(wv, achieved, lam_base, margin)

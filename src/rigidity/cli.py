@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .certify import DisproofParams, LineSearchFailed, TargetKind, find_disproof, verify_disproof
+from .certify import LineSearchFailed, TargetKind, find_disproof, verify_disproof
 from .graphcore import (
     DisconnectedGraph,
     format_edge_list,
@@ -32,6 +32,7 @@ from .pipeline import (
     run_pipeline,
     target_cluster,
 )
+from .sdpfeas import SDP_TOL
 from .spectra import AmbiguousCluster, ConvergenceFailure, laplacian_spectrum
 from .symmetry import (
     CapExceeded,
@@ -120,7 +121,10 @@ def _group_config(spec: str, graph: Graph) -> GroupGenerators | tuple[int, ...]:
 
 
 def _config(args, group: GroupGenerators | tuple[int, ...], **opts) -> PipelineConfig:
-    return PipelineConfig(seed=_resolve_seed(args), group=group, **opts)
+    try:
+        return PipelineConfig(seed=_resolve_seed(args), group=group, **opts)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _targets(spec: str) -> tuple[TargetKind, ...]:
@@ -161,10 +165,9 @@ def _cmd_spectrum(args) -> int:
     dec = laplacian_spectrum(graph, WeightVector.uniform(graph))
     for lam in dec.eigenvalues:
         print(repr(float(lam)))
-    tol = PipelineConfig().cluster_tol
     try:
-        lo = target_cluster(dec, TargetKind.LOWER, tol)
-        hi = target_cluster(dec, TargetKind.UPPER, tol)
+        lo = target_cluster(dec, TargetKind.LOWER)
+        hi = target_cluster(dec, TargetKind.UPPER)
     except AmbiguousCluster as exc:
         print(f"ambiguous eigenvalue cluster: {exc}")
         return _EXIT_INCONCLUSIVE
@@ -201,7 +204,7 @@ def _cmd_disprove(args) -> int:
     cfg = _config(args, _group_config(args.group, graph))
     dec = laplacian_spectrum(graph, WeightVector.uniform(graph))
     try:
-        cluster = target_cluster(dec, kind, cfg.cluster_tol)
+        cluster = target_cluster(dec, kind)
     except AmbiguousCluster as exc:
         print(f"ambiguous eigenvalue cluster: {exc}")
         return _EXIT_INCONCLUSIVE
@@ -209,9 +212,8 @@ def _cmd_disprove(args) -> int:
     if flags:
         print("automorphism search budget exceeded; using trivial group")
     part = edge_orbits(graph, gens)
-    params = DisproofParams(seed=cfg.seed)
     try:
-        d = find_disproof(graph, cluster, part, kind, params)
+        d = find_disproof(graph, cluster, part, kind, cfg.seed)
         verified = d is not None and verify_disproof(graph, d, kind)
     except LineSearchFailed as exc:
         print(f"line search failed: {exc}")
@@ -294,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     common(p)
     p.add_argument("--mode", choices=("exact", "numeric"), default="exact")
-    p.add_argument("--tol-sdp", type=float, default=1e-9)
+    p.add_argument("--tol-sdp", type=float, default=SDP_TOL)
     p.add_argument("--report", help="write JSON report(s) to this file")
     p.add_argument("--json", action="store_true", help="print JSON to stdout")
     p.set_defaults(func=_cmd_check)
@@ -318,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("dir")
     common(p)
     p.add_argument("--mode", choices=("exact", "numeric"), default="exact")
-    p.add_argument("--tol-sdp", type=float, default=1e-9)
+    p.add_argument("--tol-sdp", type=float, default=SDP_TOL)
     p.add_argument("--report-dir", help="write one JSON per graph/target here")
     p.set_defaults(func=_cmd_batch)
 

@@ -172,23 +172,6 @@ class WeightVector:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class EdgeEnergyVector:
-    """Per-edge squared differences of a vertex function."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64).copy()
-        if arr.ndim != 1:
-            raise DimensionMismatch("energies must be a flat vector")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
 # ---------------------------------------------------------------------------
 # graph6 (McKay encoding): N(n) header, then the upper triangle x_{ij} (i<j)
 # in column order j=1..n-1, i=0..j-1, packed big-endian 6 bits per byte,
@@ -407,7 +390,7 @@ def laplacian(graph: Graph, w) -> np.ndarray:
     return L
 
 
-def edge_energy(graph: Graph, phi) -> EdgeEnergyVector:
+def edge_energy(graph: Graph, phi) -> np.ndarray:
     """Edge-energy vector: value (phi(u) - phi(v))^2 at each edge (u, v)."""
     vec = np.asarray(phi, dtype=np.float64)
     if vec.shape != (graph.n,):
@@ -415,4 +398,4 @@ def edge_energy(graph: Graph, phi) -> EdgeEnergyVector:
             f"vertex function has shape {vec.shape}, graph has {graph.n} vertices"
         )
     us, vs = graph.endpoints
-    return EdgeEnergyVector((vec[us] - vec[vs]) ** 2)
+    return (vec[us] - vec[vs]) ** 2

@@ -22,7 +22,6 @@ from .certify import (
     ConeMode,
     ConicCertificate,
     Disproof,
-    DisproofParams,
     LineSearchFailed,
     ResidualTooLarge,
     TargetKind,
@@ -43,8 +42,9 @@ from .isotypics import (
     isotypic_decompose,
     multiplicity_bound_ok,
 )
-from .sdpfeas import SdpStatus, compress_operators, expand_gram, solve_feasibility
+from .sdpfeas import SDP_TOL, SdpStatus, compress_operators, expand_gram, solve_feasibility
 from .spectra import (
+    CLUSTER_TOL,
     AmbiguousCluster,
     ConvergenceFailure,
     EigenDecomposition,
@@ -108,24 +108,18 @@ TRANSITIONS: dict[str, tuple[str, ...]] = {
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    cluster_tol: float = 1e-8
-    sdp_tol: float = 1e-9
-    sdp_max_iter: int = 50_000
+    """What a caller chooses; every tolerance and budget is a module constant."""
+
+    sdp_tol: float = SDP_TOL
     # Vertices the automorphism search fixes (() = full group), or generators.
     group: GroupGenerators | tuple[int, ...] = ()
-    group_cap: int = 200_000
-    search_budget: int = 200_000
     seed: int = 0
     mode: str = "exact"  # exact | numeric
     downgrade_no_rank1: bool = False
 
     def __post_init__(self):
-        for name in ("cluster_tol", "sdp_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("sdp_max_iter", "group_cap", "search_budget"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        if not (np.isfinite(self.sdp_tol) and self.sdp_tol > 0):
+            raise ValueError(f"sdp_tol must be finite and positive, got {self.sdp_tol!r}")
         if self.mode not in ("exact", "numeric"):
             raise ValueError("mode must be 'exact' or 'numeric'")
         if not isinstance(self.group, GroupGenerators) and not (
@@ -293,8 +287,8 @@ def acquire_group(
     """Automorphism generators as cfg.group asks, plus the flags raised.
 
     Generators are used as given; a tuple is the vertex list the search fixes.
-    A search that runs past cfg.search_budget yields the trivial group and
-    the flag GROUP_SEARCH_BUDGET_EXCEEDED. Raises ValueError for generators
+    A search that runs past its node budget yields the trivial group and the
+    flag GROUP_SEARCH_BUDGET_EXCEEDED. Raises ValueError for generators
     bound to another graph and for a fixed vertex outside 0..n-1.
     """
     if isinstance(cfg.group, GroupGenerators):
@@ -302,18 +296,17 @@ def acquire_group(
             raise ValueError("group generators are bound to another graph")
         return cfg.group, ()
     try:
-        return automorphism_generators(graph, cfg.group, cfg.search_budget), ()
+        return automorphism_generators(graph, cfg.group), ()
     except SearchBudgetExceeded:
         return GroupGenerators(graph, ()), ("GROUP_SEARCH_BUDGET_EXCEEDED",)
 
 
-def target_cluster(dec: EigenDecomposition, target: TargetKind,
-                   cluster_tol: float) -> EigenspaceCluster:
-    """The target's eigenvalue cluster, retried at cluster_tol / 100.
+def target_cluster(dec: EigenDecomposition, target: TargetKind) -> EigenspaceCluster:
+    """The target's eigenvalue cluster, retried at CLUSTER_TOL / 100.
 
     Raises AmbiguousCluster when neither tolerance finds a clean gap.
     """
-    for tol in (cluster_tol, cluster_tol / 100.0):
+    for tol in (CLUSTER_TOL, CLUSTER_TOL / 100.0):
         try:
             return cluster_eigenspace(dec, target.which, tol)
         except AmbiguousCluster as exc:
@@ -344,7 +337,7 @@ def run_pipeline(
 
     run.stage("cluster")
     try:
-        cluster = target_cluster(dec, target, cfg.cluster_tol)
+        cluster = target_cluster(dec, target)
     except AmbiguousCluster:
         run.flags.append("AMBIGUOUS_CLUSTER")
         return run.finish(
@@ -357,7 +350,7 @@ def run_pipeline(
     gens, flags = acquire_group(graph, cfg)
     run.flags.extend(flags)
     try:
-        run.group_order = close_group(gens, cfg.group_cap).size
+        run.group_order = close_group(gens).size
     except CapExceeded:
         run.flags.append("GROUP_CAP_EXCEEDED")
         gens = GroupGenerators(graph, ())
@@ -395,7 +388,7 @@ def run_pipeline(
 
     run.stage("sdp")
     co = compress_operators(cluster, graph, part)
-    sdp = solve_feasibility(co, cfg.sdp_tol, cfg.sdp_max_iter)
+    sdp = solve_feasibility(co, cfg.sdp_tol)
     run.residuals["sdp"] = sdp.max_residual
     run.residuals["sdp_iterations"] = float(sdp.iterations)
 
@@ -435,27 +428,11 @@ def run_pipeline(
             embedding_gram=gram,
         )
 
-    if all_multiplicity_one(iso):
-        run.stage("cone")
-        cone = build_cone(iso, part, cfg.seed)
-        mode = ConeMode.EXACT_RATIONAL if cfg.mode == "exact" else ConeMode.NUMERIC
-        sol = solve_cone_membership(cone, mode)
-        run.residuals["cone"] = sol.residual if np.isfinite(sol.residual) else -1.0
-        if sol.exact_unavailable:
-            run.flags.append("EXACT_UNAVAILABLE")
-        if not sol.feasible:
-            if sol.exact:
-                run.flags.append("EXACT_CONE_INFEASIBLE")
-                msg = ("orbit-size vector provably outside the certificate cone; "
-                       "target is not conformally rigid")
-            else:
-                run.flags.append("NUMERIC_CONE_INFEASIBLE")
-                msg = "certificate cone membership failed numerically"
-            return _disproof_stage(run, cluster, part, msg)
-        return _assemble_stage(run, cone, sol, cluster)
-
-    run.stage("subcone")
-    cone = subcone_model(iso, part, cfg.seed)
+    # Multiplicity one everywhere: the full cone, whose miss is a verdict.
+    # Otherwise a sub-cone, whose miss proves nothing.
+    full = all_multiplicity_one(iso)
+    run.stage("cone" if full else "subcone")
+    cone = (build_cone if full else subcone_model)(iso, part, cfg.seed)
     mode = ConeMode.EXACT_RATIONAL if cfg.mode == "exact" else ConeMode.NUMERIC
     sol = solve_cone_membership(cone, mode)
     run.residuals["cone"] = sol.residual if np.isfinite(sol.residual) else -1.0
@@ -463,18 +440,26 @@ def run_pipeline(
         run.flags.append("EXACT_UNAVAILABLE")
     if sol.feasible:
         return _assemble_stage(run, cone, sol, cluster)
-    return run.finish(
-        PipelineStatus.INCONCLUSIVE_MULTIPLICITY,
-        "multiplicities above one and the representative sub-cone missed the "
-        "target; exact route unavailable",
-    )
+    if not full:
+        return run.finish(
+            PipelineStatus.INCONCLUSIVE_MULTIPLICITY,
+            "multiplicities above one and the representative sub-cone missed the "
+            "target; exact route unavailable",
+        )
+    if sol.exact:
+        run.flags.append("EXACT_CONE_INFEASIBLE")
+        msg = ("orbit-size vector provably outside the certificate cone; "
+               "target is not conformally rigid")
+    else:
+        run.flags.append("NUMERIC_CONE_INFEASIBLE")
+        msg = "certificate cone membership failed numerically"
+    return _disproof_stage(run, cluster, part, msg)
 
 
 def _disproof_stage(run: _Run, cluster, part, reason: str) -> CertificationReport:
     run.stage("disproof")
-    params = DisproofParams(seed=run.cfg.seed)
     try:
-        d = find_disproof(run.graph, cluster, part, run.target, params)
+        d = find_disproof(run.graph, cluster, part, run.target, run.cfg.seed)
         verified = d is not None and verify_disproof(run.graph, d, run.target)
     except LineSearchFailed as exc:
         run.flags.append("LINE_SEARCH_FAILED")
@@ -682,8 +667,17 @@ def reverify_report(payload: dict) -> bool:
     certificate vectors that are not n finite numbers, coefficients that are
     not finite or not one per vector, a Gram matrix that is not n x n and
     finite, an eigenvalue that is not a finite number, and disproof weights
-    that are not m finite nonnegative numbers.
+    that are not m finite nonnegative numbers. A payload that is not a report
+    (a missing key, a value of the wrong type, a bad graph6 string, an unknown
+    target) is rejected too: this returns False and never raises.
     """
+    try:
+        return _reverify(payload)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+        return False
+
+
+def _reverify(payload: dict) -> bool:
     graph = parse_graph6(payload["graph6"])
     n, m = graph.n, graph.m
     kind = TargetKind(payload["target"])

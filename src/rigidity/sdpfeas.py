@@ -18,6 +18,10 @@ from .graphcore import Graph, laplacian
 from .spectra import EigenspaceCluster
 from .symmetry import EdgeOrbitPartition
 
+SDP_TOL = 1e-9
+SDP_MAX_ITER = 50_000
+RANK_REL_TOL = 1e-6
+
 
 class SdpStatus(Enum):
     FEASIBLE = "FEASIBLE"
@@ -69,13 +73,13 @@ def compress_operators(
     return CompressedOperators(ops, part.size_vector, B, graph, part)
 
 
-def rank_estimate(Z: np.ndarray, rel_tol: float = 1e-6) -> int:
-    """Number of eigenvalues above rel_tol times the largest one."""
+def rank_estimate(Z: np.ndarray) -> int:
+    """Number of eigenvalues above RANK_REL_TOL times the largest one."""
     lam = np.linalg.eigvalsh(0.5 * (Z + Z.T))
     top = float(lam[-1])
     if top <= 0:
         return 0
-    return int(np.sum(lam > rel_tol * top))
+    return int(np.sum(lam > RANK_REL_TOL * top))
 
 
 def _psd_clip(Z: np.ndarray) -> np.ndarray:
@@ -150,8 +154,8 @@ def _dykstra(
 
 def solve_feasibility(
     co: CompressedOperators,
-    tol: float = 1e-9,
-    max_iter: int = 50_000,
+    tol: float = SDP_TOL,
+    max_iter: int = SDP_MAX_ITER,
 ) -> SdpResult:
     """Decide feasibility of Z >= 0 with <L~^i, Z> = target_i.
 

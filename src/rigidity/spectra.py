@@ -14,7 +14,7 @@ import numpy as np
 
 from .graphcore import Graph, laplacian
 
-CLUSTER_TOL_DEFAULT = 1e-8
+CLUSTER_TOL = 1e-8
 
 
 class NotSymmetric(ValueError):
@@ -89,7 +89,7 @@ def eig_sym(A: np.ndarray) -> EigenDecomposition:
 def cluster_eigenspace(
     dec: EigenDecomposition,
     which: Which,
-    tol: float = CLUSTER_TOL_DEFAULT,
+    tol: float = CLUSTER_TOL,
 ) -> EigenspaceCluster:
     """Collect the eigenvalue cluster at the second-smallest or largest eigenvalue.
 

@@ -133,21 +133,6 @@ class VertexOrbitPartition:
     orbits: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class OrbitEnergyVector:
-    """Per-orbit sums of edge energy for one vertex function."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
 def verify_automorphism(graph: Graph, sigma: Permutation) -> bool:
     """True iff sigma maps the edge set onto itself."""
     if sigma.n != graph.n:
@@ -382,10 +367,9 @@ def vertex_orbits(graph: Graph, gens: GroupGenerators) -> VertexOrbitPartition:
     return VertexOrbitPartition(orbit_of, tuple(tuple(g) for g in groups))
 
 
-def orbit_energy(graph: Graph, part: EdgeOrbitPartition, phi) -> OrbitEnergyVector:
+def orbit_energy(graph: Graph, part: EdgeOrbitPartition, phi) -> np.ndarray:
     """Per-orbit sums of (phi(u) - phi(v))^2."""
-    en = edge_energy(graph, phi).values
-    return OrbitEnergyVector(np.bincount(part.labels, en, minlength=part.s))
+    return np.bincount(part.labels, edge_energy(graph, phi), minlength=part.s)
 
 
 def symmetrize_weights(w: WeightVector, gens: GroupGenerators) -> WeightVector:

@@ -191,7 +191,7 @@ class TestBipartiteShortcut:
         d = g.degrees[0]
         assert cert.lam == 2.0 * d
         # the alternating vector hits energy 4 on every edge, exactly
-        en = R.edge_energy(g, cert.phi).values
+        en = R.edge_energy(g, cert.phi)
         assert np.array_equal(en, 4.0 * np.ones(g.m))
         assert cert.coeffs == (Fraction(1, 4),)
 
@@ -270,7 +270,7 @@ class TestQuadraticSystem:
         for r in np.linspace(0.2, 3.0, 60):
             for theta in np.linspace(0, 2 * np.pi, 200, endpoint=False):
                 x = r * np.array([np.cos(theta), np.sin(theta)])
-                resid = R.orbit_energy(g, part, cl.basis @ x).values - part.size_vector
+                resid = R.orbit_energy(g, part, cl.basis @ x) - part.size_vector
                 best = min(best, float(np.max(np.abs(resid))))
         assert best > 0.01
 
@@ -279,7 +279,7 @@ class TestQuadraticSystem:
         cl = _cluster(g)
         part = _auto_part(g)
         x = np.array([math.sqrt(5 / cl.value), 0.0])
-        resid = R.orbit_energy(g, part, cl.basis @ x).values - part.size_vector
+        resid = R.orbit_energy(g, part, cl.basis @ x) - part.size_vector
         assert np.max(np.abs(resid)) <= 1e-8
 
 
@@ -303,7 +303,7 @@ class TestRayleighCompression:
             x /= np.linalg.norm(x)
             phi = cl.basis @ x
             best = min(best, float(np.dot(
-                y, R.orbit_energy(g, part, phi).values)))
+                y, R.orbit_energy(g, part, phi))))
         assert abs(lam_min - best) <= 1e-6
 
 
@@ -330,14 +330,12 @@ class TestDisproof:
             assert R.find_disproof(g, _cluster(g), _auto_part(g),
                                    R.TargetKind.LOWER) is None
 
-    def test_line_search_failure(self):
+    def test_line_search_failure(self, monkeypatch):
         g = fx.barbell()
-        params = R.DisproofParams(eps=1e-8, margin=1e-7, max_cuts=100,
-                                  max_rounds=60, delta_max=1e-10,
-                                  delta_min=1e-11, seed=0)
+        monkeypatch.setattr(certify, "DELTA_MAX", 1e-10)
+        monkeypatch.setattr(certify, "DELTA_MIN", 1e-11)
         with pytest.raises(R.LineSearchFailed):
-            R.find_disproof(g, _cluster(g), _auto_part(g),
-                            R.TargetKind.LOWER, params)
+            R.find_disproof(g, _cluster(g), _auto_part(g), R.TargetKind.LOWER)
 
     def test_verify_disproof_rejects_bad_weights(self):
         g = fx.barbell()
@@ -398,7 +396,7 @@ class TestDisproofWork:
         assert d is not None
         repeats = len(solved) - len(set(solved))
         assert repeats == 0
-        assert 1 <= clustered <= R.DisproofParams().max_rounds
+        assert 1 <= clustered <= certify.MAX_ROUNDS
 
 
 class TestMonteCarloShadow:

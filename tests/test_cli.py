@@ -234,6 +234,18 @@ class TestUsageErrors:
         capsys.readouterr()
         assert rc == 3
 
+    @pytest.mark.parametrize("command", ["check", "batch"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_bad_sdp_tolerance(self, tmp_path, capsys, command, tol):
+        graph = tmp_path / "c5.g6"
+        graph.write_text(R.to_graph6(fx.c5()) + "\n")
+        rc = main([command, str(graph if command == "check" else tmp_path),
+                   "--tol-sdp", tol])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err.startswith("error:") and "sdp_tol" in captured.err
+        assert captured.out == ""
+
 
 class TestFixedVertexRange:
     @pytest.mark.parametrize("command", [

@@ -118,8 +118,8 @@ class TestStructuralInvariants:
         for _ in range(10):
             parts = [c.basis @ rng.standard_normal(c.basis.shape[1])
                      for c in dec.components]
-            combined = R.orbit_energy(g, part, np.sum(parts, axis=0)).values
-            summed = np.sum([R.orbit_energy(g, part, p).values for p in parts],
+            combined = R.orbit_energy(g, part, np.sum(parts, axis=0))
+            summed = np.sum([R.orbit_energy(g, part, p) for p in parts],
                             axis=0)
             assert np.max(np.abs(combined - summed)) <= 1e-9 * max(1, combined.max())
 

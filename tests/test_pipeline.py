@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import time
 
@@ -17,6 +18,17 @@ def _run(graph, target=LOWER, **kw):
     return R.run_pipeline(graph, target, R.PipelineConfig(**kw))
 
 
+def _run_with(monkeypatch, name, value, graph, target=LOWER):
+    """Run with rigidity.pipeline's `name` replaced by `value`."""
+    with monkeypatch.context() as mp:
+        mp.setattr(P, name, value)
+        return _run(graph, target)
+
+
+# The SDP stops before its first iteration: status ITERATION_LIMIT.
+_SDP_NO_ITERATIONS = functools.partial(R.solve_feasibility, max_iter=0)
+
+
 class TestConfig:
     def test_defaults_valid(self):
         cfg = R.PipelineConfig()
@@ -24,8 +36,8 @@ class TestConfig:
         assert cfg.group == ()
 
     @pytest.mark.parametrize("kw", [
-        {"cluster_tol": 0.0}, {"sdp_tol": -1.0}, {"group": "trivial"},
-        {"mode": "pure-thought"}, {"sdp_max_iter": -1}, {"group": [0]},
+        {"sdp_tol": float("nan")}, {"sdp_tol": -1.0}, {"group": "trivial"},
+        {"mode": "pure-thought"}, {"sdp_tol": float("inf")}, {"group": [0]},
         {"group": (0.5,)},
     ])
     def test_bad_values_rejected(self, kw):
@@ -116,13 +128,14 @@ class TestStatuses:
         assert rep.status is R.PipelineStatus.INCONCLUSIVE_MULTIPLICITY
         assert "subcone" in rep.route
 
-    def test_inconclusive_solver_iteration_limit(self):
-        rep = _run(fx.c5(), sdp_max_iter=0)
+    def test_inconclusive_solver_iteration_limit(self, monkeypatch):
+        rep = _run_with(monkeypatch, "solve_feasibility", _SDP_NO_ITERATIONS,
+                        fx.c5())
         assert rep.status is R.PipelineStatus.INCONCLUSIVE_SOLVER
         assert "SDP_ITERATION_LIMIT" in rep.flags
 
-    def test_inconclusive_solver_ambiguous_cluster(self):
-        rep = _run(fx.c5(), cluster_tol=10.0)
+    def test_inconclusive_solver_ambiguous_cluster(self, monkeypatch):
+        rep = _run_with(monkeypatch, "CLUSTER_TOL", 10.0, fx.c5())
         assert rep.status is R.PipelineStatus.INCONCLUSIVE_SOLVER
         assert "AMBIGUOUS_CLUSTER" in rep.flags
 
@@ -135,12 +148,13 @@ class TestStatuses:
         assert R.route_is_valid(rep.route)
 
     def test_all_six_statuses_constructible(self, battery_reports,
-                                            z12_exact_report):
+                                            z12_exact_report, monkeypatch):
         seen = {battery_reports[("barbell", LOWER)].status,
                 battery_reports[("circulant(5,{1})", LOWER)].status,
                 z12_exact_report.status,
                 _run(fx.c5(), group=R.GroupGenerators(fx.c5(), ())).status,
-                _run(fx.c5(), sdp_max_iter=0).status}
+                _run_with(monkeypatch, "solve_feasibility",
+                          _SDP_NO_ITERATIONS, fx.c5()).status}
         c5 = fx.c5()
         prod = R.cartesian_product(c5, c5)
         seen.add(_run(prod, group=fx.diagonal_gens(c5, prod)).status)
@@ -148,13 +162,16 @@ class TestStatuses:
 
 
 class TestGroupHandling:
-    def test_cap_exceeded_falls_back_to_trivial(self):
-        rep = _run(fx.petersen(), group_cap=5)
+    def test_cap_exceeded_falls_back_to_trivial(self, monkeypatch):
+        rep = _run_with(monkeypatch, "close_group",
+                        functools.partial(R.close_group, cap=5), fx.petersen())
         assert "GROUP_CAP_EXCEEDED" in rep.flags
         assert rep.group_order == 1
 
-    def test_budget_exceeded_falls_back_to_trivial(self):
-        rep = _run(fx.petersen(), search_budget=1)
+    def test_budget_exceeded_falls_back_to_trivial(self, monkeypatch):
+        rep = _run_with(monkeypatch, "automorphism_generators",
+                        functools.partial(R.automorphism_generators, budget=1),
+                        fx.petersen())
         assert "GROUP_SEARCH_BUDGET_EXCEEDED" in rep.flags
         assert rep.group_order == 1
 
@@ -210,10 +227,14 @@ class TestStageTimings:
         (fx.c4, UPPER, {}),
         (fx.z12, UPPER, {}),
         (fx.c5, LOWER, {"group": R.GroupGenerators(fx.c5(), ())}),
-        (fx.c5, LOWER, {"cluster_tol": 10.0}),
+        (fx.c5, LOWER, {"CLUSTER_TOL": 10.0}),  # a rigidity.pipeline constant
     ])
-    def test_every_stage_timed_and_sum_is_wall_time(self, make, target, kw):
-        graph, cfg = make(), R.PipelineConfig(**kw)
+    def test_every_stage_timed_and_sum_is_wall_time(self, make, target, kw,
+                                                    monkeypatch):
+        for name in filter(str.isupper, kw):
+            monkeypatch.setattr(P, name, kw[name])
+        config = {k: v for k, v in kw.items() if not k.isupper()}
+        graph, cfg = make(), R.PipelineConfig(**config)
         t0 = time.perf_counter()
         rep = R.run_pipeline(graph, target, cfg)
         wall = time.perf_counter() - t0
@@ -348,6 +369,8 @@ class TestReverification:
         "certificate_lambda_null", "extra_coefficient",
         "disproof_mass_off", "disproof_w_short", "disproof_w_nan",
         "disproof_w_negative", "disproof_w_not_numbers",
+        "disproof_w_missing", "disproof_not_a_mapping", "graph6_malformed",
+        "graph6_null", "target_unknown", "status_missing",
     ])
     def test_malformed_payload_is_rejected(self, change, battery_reports,
                                            z12_exact_report):
@@ -355,7 +378,7 @@ class TestReverification:
         if kind == "gram":
             rep = _run(fx.c5(), group=R.GroupGenerators(fx.c5(), ()),
                        downgrade_no_rank1=True)
-        elif kind == "disproof":
+        elif kind in ("disproof", "graph6", "target", "status"):
             rep = battery_reports[("barbell", LOWER)]
         elif change == "extra_coefficient":
             rep = z12_exact_report
@@ -389,8 +412,20 @@ class TestReverification:
             disp["w"][1] = float("nan")
         elif change == "disproof_w_negative":
             disp["w"][1], disp["w"][2] = -1.0, disp["w"][2] + disp["w"][1] + 1.0
-        else:
+        elif change == "disproof_w_not_numbers":
             disp["w"] = ["heavy"] * len(disp["w"])
+        elif change == "disproof_w_missing":
+            del disp["w"]
+        elif change == "disproof_not_a_mapping":
+            payload["disproof"] = [1]
+        elif change == "graph6_malformed":
+            payload["graph6"] = "!!"
+        elif change == "graph6_null":
+            payload["graph6"] = None
+        elif change == "target_unknown":
+            payload["target"] = "MIDDLE"
+        else:
+            del payload["status"]
         assert R.reverify_report(payload) is False
 
     def test_tampered_disproof_fails(self, battery_reports):

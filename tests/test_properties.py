@@ -49,7 +49,7 @@ def test_energy_identity(gwp):
     g, w, phi = gwp
     L = R.laplacian(g, w)
     lhs = float(phi @ L @ phi)
-    rhs = float(np.array(w.values) @ R.edge_energy(g, phi).values)
+    rhs = float(np.array(w.values) @ R.edge_energy(g, phi))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -185,8 +185,8 @@ def test_orbit_partition_and_energy_totals(g, data):
         assume(False)
     part = R.edge_orbits(g, gens)
     assert sum(part.sizes) == len(g.edges)
-    per_edge = R.edge_energy(g, phi).values
-    per_orbit = R.orbit_energy(g, part, phi).values
+    per_edge = R.edge_energy(g, phi)
+    per_orbit = R.orbit_energy(g, part, phi)
     assert np.all(np.asarray(per_orbit) >= 0)
     total = float(np.sum(per_edge))
     assert abs(float(np.sum(per_orbit)) - total) <= 1e-12 * max(1.0, total)
@@ -195,7 +195,7 @@ def test_orbit_partition_and_energy_totals(g, data):
 @given(connected_graphs(), st.data())
 @settings(deadline=None, max_examples=60)
 def test_edge_energy_zero_iff_constant(g, data):
-    const = R.edge_energy(g, np.full(g.n, 0.7)).values
+    const = R.edge_energy(g, np.full(g.n, 0.7))
     assert np.all(np.asarray(const) == 0)
     phi = np.array(data.draw(
         st.lists(st.floats(-2, 2, allow_nan=False), min_size=g.n, max_size=g.n)))
@@ -203,4 +203,4 @@ def test_edge_energy_zero_iff_constant(g, data):
     assume(spread > 1e-3)
     # Some edge along a min-to-max path carries at least spread/(n-1).
     floor = (spread / (g.n - 1)) ** 2
-    assert float(np.max(R.edge_energy(g, phi).values)) >= 0.9 * floor
+    assert float(np.max(R.edge_energy(g, phi))) >= 0.9 * floor

@@ -498,10 +498,15 @@ def _cutting_plane_direction(
     (reversed sign for UPPER), <y, O> = 0, |y|_inf <= 1, generating the
     worst-case phi by an eigenvector oracle on the compressed perturbation
     operator sum_i y_i L~^i.
+
+    For a one-column basis b (a simple eigenvalue) the unit eigenspace
+    vectors are +-b, and both have the orbit energies of the first cut. That
+    cut is then the whole constraint set, so one LP is exact and no operator
+    or oracle is built. Its t is the guarantee y achieves on the cut, since
+    the solver's own t may exceed it by the solver's feasibility tolerance.
     """
     s = part.s
     d = basis.shape[1]
-    ops = [basis.T @ orbit_laplacian(graph, part, o) @ basis for o in range(s)]
     sign = 1.0 if kind is TargetKind.LOWER else -1.0
 
     def orbit_vec(x: np.ndarray) -> np.ndarray:
@@ -509,6 +514,7 @@ def _cutting_plane_direction(
 
     cuts = [orbit_vec(np.eye(d)[:, j]) for j in range(d)]
     if d > 1:
+        ops = [basis.T @ orbit_laplacian(graph, part, o) @ basis for o in range(s)]
         for _ in range(2):
             x = rng.standard_normal(d)
             cuts.append(orbit_vec(x / np.linalg.norm(x)))
@@ -529,6 +535,8 @@ def _cutting_plane_direction(
         if not res.success:
             return np.zeros(s), 0.0
         y = res.x[:s]
+        if d == 1:
+            return y, sign * float(cuts[0] @ y)
         t = float(res.x[s])
         if t <= EPS:
             return y, t

@@ -74,7 +74,7 @@ class PipelineStatus(Enum):
 
 # Stage graph of the pipeline; every report route must be a path here.
 TRANSITIONS: dict[str, tuple[str, ...]] = {
-    "spectrum": ("cluster",),
+    "spectrum": ("cluster", PipelineStatus.INCONCLUSIVE_SOLVER.value),
     "cluster": ("group", PipelineStatus.INCONCLUSIVE_SOLVER.value),
     "group": ("orbits",),
     "orbits": ("bipartite_shortcut", "sdp"),
@@ -120,6 +120,8 @@ class PipelineConfig:
     def __post_init__(self):
         if not (np.isfinite(self.sdp_tol) and self.sdp_tol > 0):
             raise ValueError(f"sdp_tol must be finite and positive, got {self.sdp_tol!r}")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.mode not in ("exact", "numeric"):
             raise ValueError("mode must be 'exact' or 'numeric'")
         if not isinstance(self.group, GroupGenerators) and not (
@@ -333,7 +335,10 @@ def run_pipeline(
     run = _Run(graph, target, cfg, graph_id or graph.name or "graph")
 
     run.stage("spectrum")
-    dec = laplacian_spectrum(graph, WeightVector.uniform(graph))
+    try:
+        dec = laplacian_spectrum(graph, WeightVector.uniform(graph))
+    except ConvergenceFailure as exc:
+        return _eigensolve_failed(run, "uniform spectrum", exc)
 
     run.stage("cluster")
     try:
@@ -368,7 +373,10 @@ def run_pipeline(
             run.stage("verify")
             per_edge = _trivial_partition(graph)
             vectors = [(cert.coeffs[0], cert.phi)]
-            ver = verify_certificate(graph, per_edge, vectors, cert.lam, target)
+            try:
+                ver = verify_certificate(graph, per_edge, vectors, cert.lam, target)
+            except ConvergenceFailure as exc:
+                return _eigensolve_failed(run, "certificate check", exc)
             run.residuals["certificate_orbit"] = ver.details.get("orbit_residual", 0.0)
             if ver.ok:
                 return run.finish(
@@ -456,6 +464,15 @@ def run_pipeline(
     return _disproof_stage(run, cluster, part, msg)
 
 
+def _eigensolve_failed(
+    run: _Run, reason: str, exc: ConvergenceFailure
+) -> CertificationReport:
+    run.flags.append("EIGENSOLVE_FAILED")
+    return run.finish(
+        PipelineStatus.INCONCLUSIVE_SOLVER, f"{reason}; eigensolve failed: {exc}"
+    )
+
+
 def _disproof_stage(run: _Run, cluster, part, reason: str) -> CertificationReport:
     run.stage("disproof")
     try:
@@ -467,10 +484,7 @@ def _disproof_stage(run: _Run, cluster, part, reason: str) -> CertificationRepor
             PipelineStatus.INCONCLUSIVE_SOLVER, f"{reason}; {exc}"
         )
     except ConvergenceFailure as exc:
-        run.flags.append("EIGENSOLVE_FAILED")
-        return run.finish(
-            PipelineStatus.INCONCLUSIVE_SOLVER, f"{reason}; eigensolve failed: {exc}"
-        )
+        return _eigensolve_failed(run, reason, exc)
     if verified:
         if run.target is TargetKind.LOWER:
             run.residuals["disproof_lambda2"] = d.achieved
@@ -498,7 +512,10 @@ def _assemble_stage(run: _Run, cone, sol, cluster) -> CertificationReport:
         return run.finish(PipelineStatus.INCONCLUSIVE_SOLVER, str(exc))
     run.stage("verify")
     vectors = list(zip(cert.coeffs, cone.reps))
-    ver = verify_certificate(run.graph, cone.part, vectors, cert.lam, run.target)
+    try:
+        ver = verify_certificate(run.graph, cone.part, vectors, cert.lam, run.target)
+    except ConvergenceFailure as exc:
+        return _eigensolve_failed(run, "certificate check", exc)
     run.residuals["certificate_orbit"] = cert.orbit_residual
     run.residuals["certificate_eigen"] = cert.eigen_residual
     if not ver.ok:

@@ -368,15 +368,36 @@ def _gnp(n, p, seed):
             continue
 
 
+def _disproof_case(case):
+    if case == "barbell-lower":
+        return fx.barbell(), R.TargetKind.LOWER
+    if case == "p4-upper":
+        return R.parse_graph6("Ck"), R.TargetKind.UPPER
+    return _gnp(30, 0.2, seed=0), R.TargetKind.UPPER
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap certify.<name> so that each call appends to the returned list."""
+    calls, real = [], getattr(certify, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(certify, name, spy)
+    return calls
+
+
 class TestDisproofWork:
-    """One eigensolve per weight vector; only accepted steps are clustered."""
+    """One eigensolve per weight vector; only accepted steps are clustered.
+
+    A direction on a one-dimensional eigenspace is one LP and nothing else;
+    a higher-dimensional one keeps its operators and eigenvector oracle.
+    """
 
     @pytest.mark.parametrize("case", ["barbell-lower", "gnp30-upper"])
     def test_each_weight_vector_solved_once(self, case, monkeypatch):
-        if case == "barbell-lower":
-            g, kind = fx.barbell(), R.TargetKind.LOWER
-        else:
-            g, kind = _gnp(30, 0.2, seed=0), R.TargetKind.UPPER
+        g, kind = _disproof_case(case)
         cluster = _cluster(g, kind.which)
         solved, clustered = [], 0
         laplacian, cluster_eigenspace = certify.laplacian, certify.cluster_eigenspace
@@ -397,6 +418,59 @@ class TestDisproofWork:
         repeats = len(solved) - len(set(solved))
         assert repeats == 0
         assert 1 <= clustered <= certify.MAX_ROUNDS
+
+    @pytest.mark.parametrize("case", ["barbell-lower", "gnp30-upper"])
+    def test_simple_eigenvalue_direction_is_one_lp(self, case, monkeypatch):
+        g, kind = _disproof_case(case)
+        directions = _count_calls(monkeypatch, "_cutting_plane_direction")
+        lps = _count_calls(monkeypatch, "linprog")
+        operators = _count_calls(monkeypatch, "orbit_laplacian")
+        assert R.find_disproof(g, _cluster(g, kind.which), _auto_part(g),
+                               kind) is not None
+        assert all(basis.shape[1] == 1 for _, _, basis, _, _ in directions)
+        assert operators == []
+        assert len(lps) == len(directions) >= 1
+
+    @pytest.mark.parametrize("kind", [R.TargetKind.LOWER, R.TargetKind.UPPER],
+                             ids=["lower", "upper"])
+    def test_simple_eigenvalue_guarantee_is_achieved_by_y(self, kind,
+                                                          monkeypatch):
+        # The solver's t may exceed the guarantee y achieves by its
+        # feasibility tolerance; the one cut is exact, so nothing is re-solved.
+        g = fx.barbell()
+        part = _auto_part(g)
+        basis = _cluster(g, kind.which).basis
+        assert basis.shape[1] == 1
+        sign = 1.0 if kind is R.TargetKind.LOWER else -1.0
+        cut = R.orbit_energy(g, part, basis[:, 0])
+        real, calls = certify.linprog, []
+
+        def linprog(*args, **kwargs):
+            res = real(*args, **kwargs)
+            x = res.x.copy()
+            x[-1] = sign * float(cut @ x[:-1]) + 1e-8
+            calls.append(x)
+            return scipy.optimize.OptimizeResult(x=x, success=True)
+
+        monkeypatch.setattr(certify, "linprog", linprog)
+        y, t = certify._cutting_plane_direction(
+            g, part, basis, kind, np.random.default_rng(0))
+        assert len(calls) == 1
+        assert t == sign * float(cut @ y)
+        assert certify.EPS < t < calls[0][-1]
+
+    def test_degenerate_eigenvalue_keeps_the_oracle(self, monkeypatch):
+        # P4's largest eigenvalue becomes double along the search: that
+        # direction takes a cut from the oracle and a second LP.
+        g, kind = _disproof_case("p4-upper")
+        directions = _count_calls(monkeypatch, "_cutting_plane_direction")
+        lps = _count_calls(monkeypatch, "linprog")
+        operators = _count_calls(monkeypatch, "orbit_laplacian")
+        assert R.find_disproof(g, _cluster(g, kind.which), _auto_part(g),
+                               kind) is not None
+        assert any(basis.shape[1] > 1 for _, _, basis, _, _ in directions)
+        assert operators
+        assert len(lps) > len(directions)
 
 
 class TestMonteCarloShadow:

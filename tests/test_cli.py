@@ -246,6 +246,20 @@ class TestUsageErrors:
         assert captured.err.startswith("error:") and "sdp_tol" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command,env", [
+        (["check", "--seed", "-1"], {}),
+        (["disprove", "--target", "lower"], {"RIGIDITY_SEED": "-3"}),
+    ], ids=["check-flag", "disprove-env"])
+    def test_negative_seed(self, barbell_file, capsys, monkeypatch, command,
+                           env):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        rc = main([command[0], str(barbell_file), *command[1:]])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err.startswith("error:") and "seed" in captured.err
+        assert captured.out == ""
+
 
 class TestFixedVertexRange:
     @pytest.mark.parametrize("command", [

@@ -29,6 +29,10 @@ def _run_with(monkeypatch, name, value, graph, target=LOWER):
 _SDP_NO_ITERATIONS = functools.partial(R.solve_feasibility, max_iter=0)
 
 
+def _eigensolve_fails(*args):
+    raise R.ConvergenceFailure("eigensolve failure injected by the test")
+
+
 class TestConfig:
     def test_defaults_valid(self):
         cfg = R.PipelineConfig()
@@ -38,7 +42,7 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [
         {"sdp_tol": float("nan")}, {"sdp_tol": -1.0}, {"group": "trivial"},
         {"mode": "pure-thought"}, {"sdp_tol": float("inf")}, {"group": [0]},
-        {"group": (0.5,)},
+        {"group": (0.5,)}, {"seed": -1},
     ])
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -144,6 +148,26 @@ class TestStatuses:
         rep = _run(fx.barbell())
         assert rep.status is R.PipelineStatus.INCONCLUSIVE_SOLVER
         assert rep.route[-2:] == ("disproof", "INCONCLUSIVE_SOLVER")
+        assert "EIGENSOLVE_FAILED" in rep.flags
+        assert R.route_is_valid(rep.route)
+
+    def test_failed_eigensolve_in_spectrum(self, monkeypatch):
+        rep = _run_with(monkeypatch, "laplacian_spectrum", _eigensolve_fails,
+                        fx.c5())
+        assert rep.status is R.PipelineStatus.INCONCLUSIVE_SOLVER
+        assert rep.route == ("spectrum", "INCONCLUSIVE_SOLVER")
+        assert "EIGENSOLVE_FAILED" in rep.flags
+        assert R.route_is_valid(rep.route)
+
+    # c5 LOWER reaches verify through the cone, c4 UPPER through the
+    # regular-bipartite shortcut.
+    @pytest.mark.parametrize("make,target", [(fx.c5, LOWER), (fx.c4, UPPER)],
+                             ids=["cone", "bipartite_shortcut"])
+    def test_failed_eigensolve_in_verify(self, monkeypatch, make, target):
+        rep = _run_with(monkeypatch, "verify_certificate", _eigensolve_fails,
+                        make(), target)
+        assert rep.status is R.PipelineStatus.INCONCLUSIVE_SOLVER
+        assert rep.route[-2:] == ("verify", "INCONCLUSIVE_SOLVER")
         assert "EIGENSOLVE_FAILED" in rep.flags
         assert R.route_is_valid(rep.route)
 

@@ -64,7 +64,6 @@ from .pipeline import (
     PipelineConfig,
     PipelineStatus,
     emit_report,
-    report_from_json,
     reverify_report,
     route_is_valid,
     run_batch,

@@ -80,7 +80,6 @@ class ConeSolution:
     exact: bool
     exact_unavailable: bool
     residual: float
-    mode_used: ConeMode
 
 
 @dataclass(frozen=True)
@@ -90,10 +89,8 @@ class ConicCertificate:
     coeffs: tuple
     phi: np.ndarray
     lam: float
-    target_kind: TargetKind
     eigen_residual: float
     orbit_residual: float
-    nonneg_slack: float
     exact: bool
     flags: tuple[str, ...] = ()
 
@@ -318,13 +315,11 @@ def solve_cone_membership(
             b = [Fraction(x).limit_denominator(MAX_DENOMINATOR) for x in target]
             sol = exact_nonneg_solve(rows, b)
             if sol is None:
-                return ConeSolution(False, (), True, False, float("inf"),
-                                    ConeMode.EXACT_RATIONAL)
+                return ConeSolution(False, (), True, False, float("inf"))
             resid = float(
                 np.max(np.abs(G @ np.array([float(a) for a in sol]) - target))
             )
-            return ConeSolution(True, tuple(sol), True, False, resid,
-                                ConeMode.EXACT_RATIONAL)
+            return ConeSolution(True, tuple(sol), True, False, resid)
     # Numeric mode, or the exact-mode fallback: it accepts only at 1e-10 and
     # marks the solution EXACT_UNAVAILABLE.
     a, _ = nnls(G, target)
@@ -332,15 +327,13 @@ def solve_cone_membership(
     tol = (1e-10 if exact_mode else 1e-8) * float(np.max(np.abs(target)))
     feasible = resid <= tol
     coeffs = tuple(float(x) for x in a) if feasible else ()
-    return ConeSolution(feasible, coeffs, False, exact_mode, resid,
-                        ConeMode.NUMERIC)
+    return ConeSolution(feasible, coeffs, False, exact_mode, resid)
 
 
 def assemble_certificate(
     cone: ConeModel,
     solution: ConeSolution,
     cluster: EigenspaceCluster,
-    kind: TargetKind,
 ) -> ConicCertificate:
     """Combine representatives into phi = sum sqrt(a_j) phi_j.
 
@@ -365,16 +358,13 @@ def assemble_certificate(
         )
     L = laplacian(cone.graph, WeightVector.uniform(cone.graph))
     eigen_residual = float(np.linalg.norm(L @ phi - cluster.value * phi))
-    nonneg_slack = float(min((float(a) for a in coeffs), default=0.0))
     flags = ("EXACT_UNAVAILABLE",) if solution.exact_unavailable else ()
     return ConicCertificate(
         coeffs=tuple(coeffs),
         phi=phi,
         lam=float(cluster.value),
-        target_kind=kind,
         eigen_residual=eigen_residual,
         orbit_residual=orbit_residual,
-        nonneg_slack=nonneg_slack,
         exact=solution.exact,
         flags=flags,
     )
@@ -404,10 +394,8 @@ def bipartite_regular_upper_certificate(graph: Graph) -> ConicCertificate | None
         coeffs=(Fraction(1, 4),),
         phi=phi,
         lam=lam,
-        target_kind=TargetKind.UPPER,
         eigen_residual=eigen_residual,
         orbit_residual=0.0,
-        nonneg_slack=0.25,
         exact=True,
         flags=("REGULAR_BIPARTITE",),
     )

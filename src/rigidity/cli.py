@@ -218,9 +218,6 @@ def _cmd_disprove(args) -> int:
     except LineSearchFailed as exc:
         print(f"line search failed: {exc}")
         return _EXIT_INCONCLUSIVE
-    except ConvergenceFailure as exc:
-        print(f"eigensolve failed: {exc}")
-        return _EXIT_INCONCLUSIVE
     if not verified:
         print("no verified disproof found")
         return _EXIT_INCONCLUSIVE
@@ -338,6 +335,9 @@ def main(argv: list[str] | None = None) -> int:
     except (MalformedGraph6, DisconnectedGraph) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
+    except ConvergenceFailure as exc:
+        print(f"eigensolve failed: {exc}")
+        return _EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from .certify import (
     LineSearchFailed,
     ResidualTooLarge,
     TargetKind,
-    VerificationReport,
     assemble_certificate,
     bipartite_regular_upper_certificate,
     build_cone,
@@ -35,7 +34,7 @@ from .certify import (
     verify_certificate,
     verify_disproof,
 )
-from .graphcore import Graph, WeightVector, laplacian, to_graph6, parse_graph6
+from .graphcore import Graph, WeightVector, to_graph6, parse_graph6
 from .isotypics import (
     UnstableSplit,
     all_multiplicity_one,
@@ -89,14 +88,13 @@ TRANSITIONS: dict[str, tuple[str, ...]] = {
         PipelineStatus.INCONCLUSIVE_SOLVER.value,
     ),
     "isotypics": ("mult_bound", PipelineStatus.INCONCLUSIVE_SOLVER.value),
-    "mult_bound": (
-        "cone",
-        "subcone",
-        PipelineStatus.INCONCLUSIVE_NO_RANK1.value,
-        PipelineStatus.CERTIFIED_NUMERIC.value,
+    "mult_bound": ("cone", "subcone", PipelineStatus.INCONCLUSIVE_NO_RANK1.value),
+    "cone": ("assemble", "disproof", PipelineStatus.INCONCLUSIVE_SOLVER.value),
+    "subcone": (
+        "assemble",
+        PipelineStatus.INCONCLUSIVE_MULTIPLICITY.value,
+        PipelineStatus.INCONCLUSIVE_SOLVER.value,
     ),
-    "cone": ("assemble", "disproof"),
-    "subcone": ("assemble", PipelineStatus.INCONCLUSIVE_MULTIPLICITY.value),
     "assemble": ("verify", PipelineStatus.INCONCLUSIVE_SOLVER.value),
     "verify": (
         PipelineStatus.CERTIFIED_EXACT.value,
@@ -115,7 +113,6 @@ class PipelineConfig:
     group: GroupGenerators | tuple[int, ...] = ()
     seed: int = 0
     mode: str = "exact"  # exact | numeric
-    downgrade_no_rank1: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.sdp_tol) and self.sdp_tol > 0):
@@ -148,7 +145,6 @@ class CertificationReport:
     cert_per_edge: bool
     embedding_gram: np.ndarray | None
     disproof: Disproof | None
-    verification: VerificationReport | None
     residuals: dict
     flags: tuple[str, ...]
     message: str
@@ -255,7 +251,6 @@ class _Run:
         cert_per_edge: bool = False,
         embedding_gram: np.ndarray | None = None,
         disproof: Disproof | None = None,
-        verification: VerificationReport | None = None,
     ) -> CertificationReport:
         self._close_stage()
         self.route.append(status.value)
@@ -275,7 +270,6 @@ class _Run:
             cert_per_edge=cert_per_edge,
             embedding_gram=embedding_gram,
             disproof=disproof,
-            verification=verification,
             residuals=self.residuals,
             flags=tuple(self.flags),
             message=message,
@@ -385,13 +379,11 @@ def run_pipeline(
                     certificate=cert,
                     cert_vectors=vectors,
                     cert_per_edge=True,
-                    verification=ver,
                 )
             run.flags.append("VERIFY_FAILED")
             return run.finish(
                 PipelineStatus.INCONCLUSIVE_SOLVER,
                 f"shortcut certificate failed verification at {ver.failing_clause}",
-                verification=ver,
             )
 
     run.stage("sdp")
@@ -421,26 +413,22 @@ def run_pipeline(
         run.flags.append("QUATERNIONIC_COMPONENT_UNTESTED")
 
     run.stage("mult_bound")
-    gram = expand_gram(co, sdp.Z) if sdp.Z is not None else None
     if not multiplicity_bound_ok(iso):
-        if cfg.downgrade_no_rank1 and gram is not None:
-            run.flags.append("NUMERIC_EMBEDDING_ONLY")
-            return run.finish(
-                PipelineStatus.CERTIFIED_NUMERIC,
-                "feasible embedding found; rank-1 certificate not guaranteed",
-                embedding_gram=gram,
-            )
         return run.finish(
             PipelineStatus.INCONCLUSIVE_NO_RANK1,
             "multiplicity bound fails: no single-eigenvector certificate guaranteed",
-            embedding_gram=gram,
+            embedding_gram=None if sdp.Z is None else expand_gram(co, sdp.Z),
         )
 
     # Multiplicity one everywhere: the full cone, whose miss is a verdict.
     # Otherwise a sub-cone, whose miss proves nothing.
     full = all_multiplicity_one(iso)
     run.stage("cone" if full else "subcone")
-    cone = (build_cone if full else subcone_model)(iso, part, cfg.seed)
+    try:
+        cone = (build_cone if full else subcone_model)(iso, part, cfg.seed)
+    except UnstableSplit as exc:
+        run.flags.append("ISOTYPIC_FAILURE")
+        return run.finish(PipelineStatus.INCONCLUSIVE_SOLVER, str(exc))
     mode = ConeMode.EXACT_RATIONAL if cfg.mode == "exact" else ConeMode.NUMERIC
     sol = solve_cone_membership(cone, mode)
     run.residuals["cone"] = sol.residual if np.isfinite(sol.residual) else -1.0
@@ -506,7 +494,7 @@ def _disproof_stage(run: _Run, cluster, part, reason: str) -> CertificationRepor
 def _assemble_stage(run: _Run, cone, sol, cluster) -> CertificationReport:
     run.stage("assemble")
     try:
-        cert = assemble_certificate(cone, sol, cluster, run.target)
+        cert = assemble_certificate(cone, sol, cluster)
     except (ResidualTooLarge, ValueError) as exc:
         run.flags.append("ASSEMBLY_FAILED")
         return run.finish(PipelineStatus.INCONCLUSIVE_SOLVER, str(exc))
@@ -523,7 +511,6 @@ def _assemble_stage(run: _Run, cone, sol, cluster) -> CertificationReport:
         return run.finish(
             PipelineStatus.INCONCLUSIVE_SOLVER,
             f"assembled certificate failed verification at {ver.failing_clause}",
-            verification=ver,
         )
     status = (
         PipelineStatus.CERTIFIED_EXACT if cert.exact
@@ -534,7 +521,6 @@ def _assemble_stage(run: _Run, cone, sol, cluster) -> CertificationReport:
         "single-eigenvector certificate verified",
         certificate=cert,
         cert_vectors=vectors,
-        verification=ver,
     )
 
 
@@ -602,70 +588,6 @@ def emit_report(report: CertificationReport, format: str = "JSON") -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def report_from_json(payload: dict) -> CertificationReport:
-    """Rebuild a report object from its JSON payload (timings do not persist)."""
-    if payload.get("schema") != 1:
-        raise ValueError(f"unsupported report schema {payload.get('schema')!r}")
-    graph = parse_graph6(payload["graph6"])
-    graph = Graph(graph.n, graph.edges, name=payload["graph_id"])
-    cert = payload.get("certificate")
-    certificate = None
-    cert_vectors = None
-    cert_per_edge = False
-    if cert is not None:
-        coeffs = tuple(
-            Fraction(a) if isinstance(a, str) else float(a) for a in cert["a"]
-        )
-        vecs = [np.asarray(v, dtype=np.float64) for v in cert["vectors"]]
-        cert_vectors = tuple(zip(coeffs, vecs))
-        cert_per_edge = bool(cert["per_edge"])
-        phi = sum(
-            np.sqrt(max(float(a), 0.0)) * v for a, v in cert_vectors
-        )
-        certificate = ConicCertificate(
-            coeffs=coeffs,
-            phi=np.asarray(phi, dtype=np.float64),
-            lam=float(cert["lambda"]),
-            target_kind=TargetKind(payload["target"]),
-            eigen_residual=float(cert["eigen_residual"]),
-            orbit_residual=float(cert["orbit_residual"]),
-            nonneg_slack=0.0,
-            exact=bool(cert["exact"]),
-            flags=tuple(cert["flags"]),
-        )
-    disp = payload.get("disproof")
-    disproof = None
-    if disp is not None:
-        disproof = Disproof(
-            WeightVector(np.asarray(disp["w"], dtype=np.float64), normalized=True),
-            float(disp["achieved"]),
-            float(disp["baseline"]),
-            float(disp["margin"]),
-        )
-    emb = payload.get("embedding_gram")
-    return CertificationReport(
-        graph=graph,
-        graph_id=payload["graph_id"],
-        target=TargetKind(payload["target"]),
-        route=tuple(payload["route"]),
-        status=PipelineStatus(payload["status"]),
-        group_order=int(payload["group_order"]),
-        orbit_of=tuple(int(x) for x in payload["orbit_of"]),
-        orbit_sizes=tuple(int(x) for x in payload["orbit_sizes"]),
-        isotypics=tuple(tuple(int(x) for x in t) for t in payload["isotypics"]),
-        lam=None if payload["lambda"] is None else float(payload["lambda"]),
-        certificate=certificate,
-        cert_vectors=cert_vectors,
-        cert_per_edge=cert_per_edge,
-        embedding_gram=None if emb is None else np.asarray(emb, dtype=np.float64),
-        disproof=disproof,
-        verification=None,
-        residuals=dict(payload["residuals"]),
-        flags=tuple(payload["flags"]),
-        message=payload["message"],
-    )
-
-
 def _finite_array(values, shape: tuple[int, ...]) -> np.ndarray | None:
     """values as a float array of the given shape, or None if it is not one."""
     try:
@@ -678,19 +600,25 @@ def _finite_array(values, shape: tuple[int, ...]) -> np.ndarray | None:
 
 
 def reverify_report(payload: dict) -> bool:
-    """Re-check a loaded report's embedded certificate or disproof.
+    """Re-check a loaded report against its graph6 string.
+
+    Every report must agree with itself: n and m match the graph, the route
+    is a path through TRANSITIONS, and it ends in the status. A certified
+    report must then carry a certificate that verify_certificate accepts, and
+    a disproved one witness weights that verify_disproof accepts.
 
     Numbers that do not fit the graph are rejected before anything is built:
     certificate vectors that are not n finite numbers, coefficients that are
-    not finite or not one per vector, a Gram matrix that is not n x n and
-    finite, an eigenvalue that is not a finite number, and disproof weights
-    that are not m finite nonnegative numbers. A payload that is not a report
-    (a missing key, a value of the wrong type, a bad graph6 string, an unknown
-    target) is rejected too: this returns False and never raises.
+    not finite or not one per vector, an eigenvalue that is not a finite
+    number, and disproof weights that are not m finite nonnegative numbers.
+    A payload that is not a report (a missing key, a value of the wrong type,
+    a bad graph6 string, an unknown target) is rejected too, and so is one
+    whose check fails to converge: this returns False and never raises.
     """
     try:
         return _reverify(payload)
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError,
+            ConvergenceFailure):
         return False
 
 
@@ -699,6 +627,11 @@ def _reverify(payload: dict) -> bool:
     n, m = graph.n, graph.m
     kind = TargetKind(payload["target"])
     status = payload["status"]
+    route = tuple(payload["route"])
+    if (payload["n"], payload["m"]) != (n, m) or not (
+        route_is_valid(route) and route[-1] == status
+    ):
+        return False
     if status in ("CERTIFIED_EXACT", "CERTIFIED_NUMERIC"):
         labels = payload["orbit_of"]
         # Exactly one nonnegative integer orbit label per edge.
@@ -706,42 +639,27 @@ def _reverify(payload: dict) -> bool:
             isinstance(o, int) and o >= 0 for o in labels
         ):
             return False
-        sizes = tuple(int(k) for k in np.bincount(labels))
-        part = EdgeOrbitPartition(graph, tuple(labels), sizes)
         cert = payload.get("certificate")
-        if cert is not None:
-            if cert["per_edge"]:
-                part = _trivial_partition(graph)
-            try:
-                coeffs = [Fraction(a) if isinstance(a, str) else float(a)
-                          for a in cert["a"]]
-            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-                return False
-            phis = [_finite_array(v, (n,)) for v in cert["vectors"]]
-            lam = _finite_array(cert["lambda"], ())
-            if _finite_array(coeffs, (len(phis),)) is None or lam is None or any(
-                phi is None for phi in phis
-            ):
-                return False
-            vectors = list(zip(coeffs, phis))
-            return verify_certificate(graph, part, vectors, float(lam), kind).ok
-        Phi = _finite_array(payload.get("embedding_gram"), (n, n))
-        lam = _finite_array(payload["lambda"], ())
-        if Phi is None or lam is None:
+        if cert is None:
             return False
-        lam = float(lam)
-        L = laplacian(graph, WeightVector.uniform(graph))
-        if np.linalg.norm(L @ Phi - lam * Phi) > 1e-6 * max(1.0, lam):
+        if cert["per_edge"]:
+            part = _trivial_partition(graph)
+        else:
+            sizes = tuple(int(k) for k in np.bincount(labels))
+            part = EdgeOrbitPartition(graph, tuple(labels), sizes)
+        try:
+            coeffs = [Fraction(a) if isinstance(a, str) else float(a)
+                      for a in cert["a"]]
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             return False
-        if float(np.linalg.eigvalsh(0.5 * (Phi + Phi.T))[0]) < -1e-8:
+        phis = [_finite_array(v, (n,)) for v in cert["vectors"]]
+        lam = _finite_array(cert["lambda"], ())
+        if _finite_array(coeffs, (len(phis),)) is None or lam is None or any(
+            phi is None for phi in phis
+        ):
             return False
-        # Edge energies of the embedding, read off its Gram matrix.
-        us, vs = graph.endpoints
-        diag = np.diag(Phi)
-        en = diag[us] + diag[vs] - 2 * Phi[us, vs]
-        tot = np.bincount(part.labels, en, minlength=part.s)
-        target = part.size_vector
-        return bool(np.all(np.abs(tot - target) <= 1e-6 * np.maximum(1.0, target)))
+        vectors = list(zip(coeffs, phis))
+        return verify_certificate(graph, part, vectors, float(lam), kind).ok
     if status == "DISPROVED":
         disp = payload.get("disproof")
         if disp is None:

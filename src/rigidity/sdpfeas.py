@@ -36,8 +36,6 @@ class CompressedOperators:
     ops: tuple[np.ndarray, ...]
     targets: np.ndarray
     basis: np.ndarray
-    graph: Graph
-    part: EdgeOrbitPartition
 
     @property
     def d(self) -> int:
@@ -70,7 +68,7 @@ def compress_operators(
     """
     B = cluster.basis
     ops = tuple(B.T @ orbit_laplacian(graph, part, o) @ B for o in range(part.s))
-    return CompressedOperators(ops, part.size_vector, B, graph, part)
+    return CompressedOperators(ops, part.size_vector, B)
 
 
 def rank_estimate(Z: np.ndarray) -> int:

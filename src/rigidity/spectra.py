@@ -55,10 +55,6 @@ class EigenspaceCluster:
     indices: tuple[int, ...]
     which: Which
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
 
 def eig_sym(A: np.ndarray) -> EigenDecomposition:
     """Full symmetric eigendecomposition with a residual guarantee.

@@ -328,6 +328,20 @@ class TestSharedPipelineSteps:
         assert "ambiguous eigenvalue cluster" in captured.out
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", [
+        ["spectrum"], ["disprove", "--target", "lower"],
+    ])
+    def test_failed_uniform_eigensolve_is_inconclusive(self, barbell_file, capsys,
+                                                       monkeypatch, command):
+        def fails(*args):
+            raise R.ConvergenceFailure("eigensolve failure injected by the test")
+        monkeypatch.setattr("rigidity.cli.laplacian_spectrum", fails)
+        rc = main([command[0], str(barbell_file), *command[1:]])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "eigensolve failed" in captured.out
+        assert "Traceback" not in captured.err
+
     def test_batch_rejects_generator_file(self, tmp_path, capsys):
         (tmp_path / "c5.g6").write_text(R.to_graph6(fx.c5()) + "\n")
         gens = tmp_path / "gens.json"

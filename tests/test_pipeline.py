@@ -29,6 +29,13 @@ def _run_with(monkeypatch, name, value, graph, target=LOWER):
 _SDP_NO_ITERATIONS = functools.partial(R.solve_feasibility, max_iter=0)
 
 
+def _c5_square_diagonal():
+    """C5 x C5 and the config that restricts it to its diagonal C5."""
+    c5 = fx.c5()
+    prod = R.cartesian_product(c5, c5)
+    return prod, {"group": fx.diagonal_gens(c5, prod)}
+
+
 def _eigensolve_fails(*args):
     raise R.ConvergenceFailure("eigensolve failure injected by the test")
 
@@ -119,12 +126,6 @@ class TestStatuses:
         assert rep.status is R.PipelineStatus.INCONCLUSIVE_NO_RANK1
         assert rep.embedding_gram is not None
 
-    def test_numeric_downgrade_of_no_rank1(self):
-        rep = _run(fx.c5(), group=R.GroupGenerators(fx.c5(), ()), downgrade_no_rank1=True)
-        assert rep.status is R.PipelineStatus.CERTIFIED_NUMERIC
-        assert "NUMERIC_EMBEDDING_ONLY" in rep.flags
-        assert rep.embedding_gram is not None
-
     def test_inconclusive_multiplicity(self):
         c5 = fx.c5()
         prod = R.cartesian_product(c5, c5)
@@ -137,6 +138,24 @@ class TestStatuses:
                         fx.c5())
         assert rep.status is R.PipelineStatus.INCONCLUSIVE_SOLVER
         assert "SDP_ITERATION_LIMIT" in rep.flags
+
+    # c5 builds the full cone; c5 x c5 under its diagonal C5 a sub-cone.
+    @pytest.mark.parametrize("name,case", [
+        ("build_cone", lambda: (fx.c5(), {})),
+        ("subcone_model", _c5_square_diagonal),
+    ], ids=["cone", "subcone"])
+    def test_unstable_split_in_cone_stage(self, monkeypatch, name, case):
+        def unstable(*args):
+            raise R.UnstableSplit("unstable split injected by the test")
+
+        graph, kw = case()
+        monkeypatch.setattr(P, name, unstable)
+        rep = _run(graph, **kw)
+        assert rep.status is R.PipelineStatus.INCONCLUSIVE_SOLVER
+        assert rep.route[-1] == "INCONCLUSIVE_SOLVER"
+        assert rep.route[-2] in ("cone", "subcone")
+        assert "ISOTYPIC_FAILURE" in rep.flags
+        assert R.route_is_valid(rep.route)
 
     def test_inconclusive_solver_ambiguous_cluster(self, monkeypatch):
         rep = _run_with(monkeypatch, "CLUSTER_TOL", 10.0, fx.c5())
@@ -326,27 +345,6 @@ class TestReportSerialization:
         assert len(w) == 7
         assert abs(sum(w) - 7.0) <= 1e-9
 
-    def test_roundtrip_reconstructs_report(self, battery_reports):
-        for key in (("barbell", LOWER), ("petersen", LOWER),
-                    ("circulant(5,{1})", UPPER)):
-            rep = battery_reports[key]
-            payload = json.loads(R.emit_report(rep, "JSON"))
-            back = R.report_from_json(payload)
-            assert back.to_json_dict() == rep.to_json_dict()
-
-    def test_roundtrip_exact_certificate(self, z12_exact_report):
-        payload = json.loads(R.emit_report(z12_exact_report, "JSON"))
-        back = R.report_from_json(payload)
-        assert back.certificate.exact
-        assert back.to_json_dict() == z12_exact_report.to_json_dict()
-
-    def test_wrong_schema_rejected(self, battery_reports):
-        payload = json.loads(R.emit_report(
-            battery_reports[("petersen", LOWER)], "JSON"))
-        payload["schema"] = 99
-        with pytest.raises(ValueError):
-            R.report_from_json(payload)
-
 
 class TestReverification:
     def test_certified_reports_reverify(self, battery_reports,
@@ -362,25 +360,42 @@ class TestReverification:
             battery_reports[("f3", UPPER)], "JSON"))
         assert R.reverify_report(payload)
 
-    def test_embedding_downgrade_reverifies(self):
-        rep = _run(fx.c5(), group=R.GroupGenerators(fx.c5(), ()), downgrade_no_rank1=True)
+    def test_gram_matrix_is_no_certificate(self):
+        rep = _run(fx.c5(), group=R.GroupGenerators(fx.c5(), ()))
         payload = json.loads(R.emit_report(rep, "JSON"))
+        assert payload["embedding_gram"] is not None
         assert R.reverify_report(payload)
+        payload["status"] = "CERTIFIED_NUMERIC"
+        assert not R.reverify_report(payload)
+        # a route that may end in that status does not stand in for a certificate
+        payload["route"][-1:] = ["cone", "assemble", "verify", "CERTIFIED_NUMERIC"]
+        assert R.route_is_valid(tuple(payload["route"]))
+        assert not R.reverify_report(payload)
+
+    @pytest.mark.parametrize("name,key", [
+        ("verify_certificate", ("petersen", LOWER)),
+        ("verify_disproof", ("barbell", LOWER)),
+    ], ids=["certificate", "disproof"])
+    def test_failed_eigensolve_is_rejected(self, monkeypatch, battery_reports,
+                                           name, key):
+        payload = json.loads(R.emit_report(battery_reports[key], "JSON"))
+        monkeypatch.setattr(P, name, _eigensolve_fails)
+        assert R.reverify_report(payload) is False
 
     def test_tampered_certificate_fails(self, z12_exact_report):
         payload = json.loads(R.emit_report(z12_exact_report, "JSON"))
         payload["certificate"]["a"] = ["1", "1", "0"]
         assert not R.reverify_report(payload)
 
-    @pytest.mark.parametrize("route", ["exact", "embedding"])
+    @pytest.mark.parametrize("route", ["exact", "numeric"])
     @pytest.mark.parametrize("change", ["drop_last", "append_zero"])
     def test_orbit_labels_must_cover_each_edge_once(self, route, change,
+                                                    battery_reports,
                                                     z12_exact_report):
         if route == "exact":
             rep = z12_exact_report
         else:
-            rep = _run(fx.c5(), group=R.GroupGenerators(fx.c5(), ()),
-                       downgrade_no_rank1=True)
+            rep = battery_reports[("circulant(5,{1})", LOWER)]
         payload = json.loads(R.emit_report(rep, "JSON"))
         assert R.reverify_report(payload)
         labels = payload["orbit_of"]
@@ -388,7 +403,7 @@ class TestReverification:
         assert not R.reverify_report(payload)
 
     @pytest.mark.parametrize("change", [
-        "gram_last_row_cut", "gram_last_column_cut", "gram_lambda_null",
+        "report_m_wrong", "report_route_skips_stage", "report_status_off_route",
         "vector_entry_dropped", "vector_nan", "coefficient_nan",
         "certificate_lambda_null", "extra_coefficient",
         "disproof_mass_off", "disproof_w_short", "disproof_w_nan",
@@ -399,9 +414,8 @@ class TestReverification:
     def test_malformed_payload_is_rejected(self, change, battery_reports,
                                            z12_exact_report):
         kind = change.split("_")[0]
-        if kind == "gram":
-            rep = _run(fx.c5(), group=R.GroupGenerators(fx.c5(), ()),
-                       downgrade_no_rank1=True)
+        if kind == "report":  # INCONCLUSIVE_NO_RANK1
+            rep = _run(fx.c5(), group=R.GroupGenerators(fx.c5(), ()))
         elif kind in ("disproof", "graph6", "target", "status"):
             rep = battery_reports[("barbell", LOWER)]
         elif change == "extra_coefficient":
@@ -410,14 +424,13 @@ class TestReverification:
             rep = battery_reports[("circulant(5,{1})", LOWER)]
         payload = json.loads(R.emit_report(rep, "JSON"))
         assert R.reverify_report(payload)
-        gram, cert, disp = (payload["embedding_gram"], payload["certificate"],
-                            payload["disproof"])
-        if change == "gram_last_row_cut":
-            payload["embedding_gram"] = gram[:-1]
-        elif change == "gram_last_column_cut":
-            payload["embedding_gram"] = [row[:-1] for row in gram]
-        elif change == "gram_lambda_null":
-            payload["lambda"] = None
+        cert, disp = payload["certificate"], payload["disproof"]
+        if change == "report_m_wrong":
+            payload["m"] += 1
+        elif change == "report_route_skips_stage":
+            payload["route"].remove("isotypics")
+        elif change == "report_status_off_route":
+            payload["status"] = "INCONCLUSIVE_MULTIPLICITY"
         elif change == "vector_entry_dropped":
             cert["vectors"][0] = cert["vectors"][0][:-1]
         elif change == "vector_nan":

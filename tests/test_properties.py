@@ -1,5 +1,7 @@
 """Randomized invariant checks over generated connected graphs."""
 
+import json
+
 import networkx as nx
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
@@ -204,3 +206,14 @@ def test_edge_energy_zero_iff_constant(g, data):
     # Some edge along a min-to-max path carries at least spread/(n-1).
     floor = (spread / (g.n - 1)) ** 2
     assert float(np.max(R.edge_energy(g, phi))) >= 0.9 * floor
+
+
+# max_n stays at 6: shrinking heads for stars, and the star on 8 vertices has
+# a group of order 5,040 that the group step lists element by element.
+@given(connected_graphs(max_n=6))
+@settings(deadline=None, max_examples=40)
+def test_pipeline_ends_in_a_report_that_reverifies(g):
+    for target in (R.TargetKind.LOWER, R.TargetKind.UPPER):
+        rep = R.run_pipeline(g, target)
+        assert R.route_is_valid(rep.route), rep.route
+        assert R.reverify_report(json.loads(R.emit_report(rep, "JSON"))), rep.route

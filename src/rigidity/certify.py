@@ -124,6 +124,7 @@ MAX_CUTS = 100
 MAX_ROUNDS = 60
 DELTA_MAX = 0.5  # line-search step range, halved from DELTA_MAX to DELTA_MIN
 DELTA_MIN = 1e-6
+RITZ_DIM = 8  # eigenvectors of the current weights that bound a line-search trial
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +541,32 @@ def _cutting_plane_direction(
     return y, t
 
 
+def _interlacing_rejects(
+    graph: Graph, D: np.ndarray, w: np.ndarray, thr: float, kind: TargetKind
+) -> bool:
+    """True when Cauchy interlacing proves that L(w) misses the threshold.
+
+    D = Q[us] - Q[vs] for orthonormal columns Q, so H = D^T diag(w) D equals
+    Q^T L(w) Q, and interlacing (Horn & Johnson, Matrix Analysis, Thm 4.3.28)
+    gives lambda_2(L) <= lambda_2(H) and lambda_max(L) >= lambda_max(H). The
+    trial is rejected when lambda_2(H) < thr - slack (LOWER) or lambda_max(H)
+    > thr + slack (UPPER). slack = 1e-9 max(1, ||L(w)||_F) is 10x the
+    eigenvalue error that eig_sym's residual check admits (Weyl), so eig_sym
+    would reject the trial too. A failed p x p eigensolve rejects nothing.
+    """
+    try:
+        mu = np.linalg.eigvalsh(D.T @ (w[:, None] * D))
+    except np.linalg.LinAlgError:
+        return False
+    us, vs = graph.endpoints
+    deg = np.bincount(np.concatenate((us, vs)), np.concatenate((w, w)),
+                      minlength=graph.n)
+    slack = 1e-9 * max(1.0, float(np.sqrt(deg @ deg + 2.0 * (w @ w))))
+    if kind is TargetKind.LOWER:
+        return float(mu[1]) < thr - slack
+    return float(mu[-1]) > thr + slack
+
+
 def find_disproof(
     graph: Graph,
     cluster: EigenspaceCluster,
@@ -551,19 +578,31 @@ def find_disproof(
 
     Alternates cutting-plane directions with halving line searches, staying
     inside orbit-constant weights (symmetrization cannot hurt the objective,
-    so nothing is lost). Each weight vector tried gets one checked eigensolve:
-    a trial reads only its target eigenvalue, and the accepted trial's
-    decomposition is clustered for the next round's eigenspace basis.
+    so nothing is lost). A trial must beat the current eigenvalue by MARGIN.
+    Cauchy interlacing on the RITZ_DIM eigenvectors of the current weights
+    nearest the target (the uniform ones, then the accepted trial's) bounds
+    each trial first, and a trial it proves rejected gets no Laplacian and
+    no eigensolve. That is exact: the bound's slack is 10x the eigenvalue
+    error eig_sym admits, so it skips only trials that eig_sym would reject
+    too, and the search takes the steps of one that solves every trial.
+    Every other trial gets one checked eigensolve: a rejected one reads only
+    its target eigenvalue, and the accepted one's decomposition is clustered
+    for the next round's eigenspace basis.
     Returns None when no strict direction exists at uniform weights; raises
     LineSearchFailed when a direction exists there but no step size realizes
-    an improvement. A failed eigensolve raises ConvergenceFailure.
+    an improvement. A failed eigensolve raises ConvergenceFailure, or
+    LinAlgError from the eigenvector oracle of a degenerate eigenvalue.
     """
     rng = np.random.default_rng(seed)
     m = graph.m
+    us, vs = graph.endpoints
     uniform = np.ones(m)
-    idx = 1 if kind is TargetKind.LOWER else -1
-    lam_base = float(eig_sym(laplacian(graph, uniform)).eigenvalues[idx])
-    better = (lambda a, b: a > b) if kind is TargetKind.LOWER else (lambda a, b: a < b)
+    lower = kind is TargetKind.LOWER
+    idx = 1 if lower else -1
+    ritz = slice(None, RITZ_DIM) if lower else slice(-RITZ_DIM, None)
+    dec = eig_sym(laplacian(graph, uniform))
+    lam_base = float(dec.eigenvalues[idx])
+    better = (lambda a, b: a > b) if lower else (lambda a, b: a < b)
 
     w = uniform.copy()
     lam_cur = lam_base
@@ -575,6 +614,9 @@ def find_disproof(
         if t <= EPS:
             break
         dy = y[part.labels]
+        Q = dec.eigenvectors[:, ritz]
+        D = Q[us] - Q[vs]
+        thr = lam_cur + MARGIN if lower else lam_cur - MARGIN
         accepted = None
         delta = DELTA_MAX
         while delta >= DELTA_MIN:
@@ -584,11 +626,13 @@ def find_disproof(
                 delta *= 0.5
                 continue
             cand *= m / ssum
-            dec = eig_sym(laplacian(graph, cand))
-            lam_c = float(dec.eigenvalues[idx])
-            if better(lam_c, lam_cur + (MARGIN if kind is TargetKind.LOWER
-                                        else -MARGIN)):
-                accepted = (cand, lam_c, dec)
+            if _interlacing_rejects(graph, D, cand, thr, kind):
+                delta *= 0.5
+                continue
+            trial = eig_sym(laplacian(graph, cand))
+            lam_c = float(trial.eigenvalues[idx])
+            if better(lam_c, thr):
+                accepted = (cand, lam_c, trial)
                 break
             delta *= 0.5
         if accepted is None:
@@ -610,7 +654,7 @@ def find_disproof(
     if best is None:
         return None
     achieved, w_best = best
-    margin = achieved - lam_base if kind is TargetKind.LOWER else lam_base - achieved
+    margin = achieved - lam_base if lower else lam_base - achieved
     if margin <= MARGIN:
         return None
     wv = WeightVector(w_best * (m / float(w_best.sum())), normalized=True)

@@ -388,7 +388,10 @@ def run_pipeline(
 
     run.stage("sdp")
     co = compress_operators(cluster, graph, part)
-    sdp = solve_feasibility(co, cfg.sdp_tol)
+    try:
+        sdp = solve_feasibility(co, cfg.sdp_tol)
+    except np.linalg.LinAlgError as exc:
+        return _eigensolve_failed(run, "SDP feasibility", exc)
     run.residuals["sdp"] = sdp.max_residual
     run.residuals["sdp_iterations"] = float(sdp.iterations)
 
@@ -407,6 +410,8 @@ def run_pipeline(
     except UnstableSplit as exc:
         run.flags.append("ISOTYPIC_FAILURE")
         return run.finish(PipelineStatus.INCONCLUSIVE_SOLVER, str(exc))
+    except np.linalg.LinAlgError as exc:
+        return _eigensolve_failed(run, "isotypic decomposition", exc)
     run.isotypics = tuple((c.irr_dim, c.mult, c.endo_dim) for c in iso.components)
     run.residuals["isotypic"] = iso.residual
     if any(c.endo_dim == 4 for c in iso.components):
@@ -453,7 +458,7 @@ def run_pipeline(
 
 
 def _eigensolve_failed(
-    run: _Run, reason: str, exc: ConvergenceFailure
+    run: _Run, reason: str, exc: ConvergenceFailure | np.linalg.LinAlgError
 ) -> CertificationReport:
     run.flags.append("EIGENSOLVE_FAILED")
     return run.finish(
@@ -471,7 +476,7 @@ def _disproof_stage(run: _Run, cluster, part, reason: str) -> CertificationRepor
         return run.finish(
             PipelineStatus.INCONCLUSIVE_SOLVER, f"{reason}; {exc}"
         )
-    except ConvergenceFailure as exc:
+    except (ConvergenceFailure, np.linalg.LinAlgError) as exc:
         return _eigensolve_failed(run, reason, exc)
     if verified:
         if run.target is TargetKind.LOWER:
@@ -603,9 +608,12 @@ def reverify_report(payload: dict) -> bool:
     """Re-check a loaded report against its graph6 string.
 
     Every report must agree with itself: n and m match the graph, the route
-    is a path through TRANSITIONS, and it ends in the status. A certified
-    report must then carry a certificate that verify_certificate accepts, and
-    a disproved one witness weights that verify_disproof accepts.
+    is a path through TRANSITIONS, and it ends in the status. Past the orbits
+    stage, orbit_of holds one label per edge, orbit_sizes counts them, and
+    group_order is a positive multiple of every orbit size; before it, they
+    are empty and 0. A certified report must then carry a certificate that
+    verify_certificate accepts, and a disproved one witness weights that
+    verify_disproof accepts.
 
     Numbers that do not fit the graph are rejected before anything is built:
     certificate vectors that are not n finite numbers, coefficients that are
@@ -632,21 +640,32 @@ def _reverify(payload: dict) -> bool:
         route_is_valid(route) and route[-1] == status
     ):
         return False
+    labels, sizes = payload["orbit_of"], payload["orbit_sizes"]
+    order = payload["group_order"]
+    if "orbits" not in route:
+        # The run stopped before it had a group or orbits.
+        fits = (labels, sizes, order) == ([], [], 0)
+    else:
+        # Exactly one nonnegative integer orbit label per edge, sizes that
+        # count them, and an order that each orbit size divides
+        # (orbit-stabilizer).
+        fits = (
+            len(labels) == m
+            and all(isinstance(o, int) and o >= 0 for o in labels)
+            and sizes == np.bincount(labels).tolist()
+            and isinstance(order, int) and order > 0
+            and all(k > 0 and order % k == 0 for k in sizes)
+        )
+    if not fits:
+        return False
     if status in ("CERTIFIED_EXACT", "CERTIFIED_NUMERIC"):
-        labels = payload["orbit_of"]
-        # Exactly one nonnegative integer orbit label per edge.
-        if len(labels) != m or not all(
-            isinstance(o, int) and o >= 0 for o in labels
-        ):
-            return False
         cert = payload.get("certificate")
         if cert is None:
             return False
         if cert["per_edge"]:
             part = _trivial_partition(graph)
         else:
-            sizes = tuple(int(k) for k in np.bincount(labels))
-            part = EdgeOrbitPartition(graph, tuple(labels), sizes)
+            part = EdgeOrbitPartition(graph, tuple(labels), tuple(sizes))
         try:
             coeffs = [Fraction(a) if isinstance(a, str) else float(a)
                       for a in cert["a"]]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 import rigidity as R
 from rigidity import certify
@@ -372,7 +373,8 @@ def _disproof_case(case):
         return fx.barbell(), R.TargetKind.LOWER
     if case == "p4-upper":
         return R.parse_graph6("Ck"), R.TargetKind.UPPER
-    return _gnp(30, 0.2, seed=0), R.TargetKind.UPPER
+    kind = R.TargetKind.LOWER if case == "gnp30-lower" else R.TargetKind.UPPER
+    return _gnp(30, 0.2, seed=0), kind
 
 
 def _count_calls(monkeypatch, name):
@@ -388,7 +390,7 @@ def _count_calls(monkeypatch, name):
 
 
 class TestDisproofWork:
-    """One eigensolve per weight vector; only accepted steps are clustered.
+    """At most one eigensolve per weight vector; only accepted steps are clustered.
 
     A direction on a one-dimensional eigenspace is one LP and nothing else;
     a higher-dimensional one keeps its operators and eigenvector oracle.
@@ -470,6 +472,67 @@ class TestDisproofWork:
         assert any(basis.shape[1] > 1 for _, _, basis, _, _ in directions)
         assert operators
         assert len(lps) > len(directions)
+
+    @pytest.mark.parametrize("case", ["barbell-lower", "p4-upper",
+                                      "gnp30-lower", "gnp30-upper"])
+    def test_interlacing_skip_changes_no_step(self, case, monkeypatch):
+        # The reference loop solves every trial with eig_sym.
+        g, kind = _disproof_case(case)
+        cluster, part = _cluster(g, kind.which), _auto_part(g)
+        d = R.find_disproof(g, cluster, part, kind)
+        monkeypatch.setattr(certify, "_interlacing_rejects", lambda *args: False)
+        ref = R.find_disproof(g, cluster, part, kind)
+        assert d is not None and ref is not None
+        assert d.w.values.tobytes() == ref.w.values.tobytes()
+        assert (d.achieved, d.baseline, d.margin) == (
+            ref.achieved, ref.baseline, ref.margin)
+
+    @pytest.mark.parametrize("case", ["gnp30-lower", "gnp30-upper"])
+    def test_rejected_trials_skip_the_eigensolve(self, case, monkeypatch):
+        g, kind = _disproof_case(case)
+        trials = _count_calls(monkeypatch, "_interlacing_rejects")
+        solves = _count_calls(monkeypatch, "eig_sym")
+        assert R.find_disproof(g, _cluster(g, kind.which), _auto_part(g),
+                               kind) is not None
+        # One solve at uniform weights, then one per trial not skipped.
+        assert 1 <= len(solves) < len(trials)
+
+
+@st.composite
+def _interlacing_case(draw):
+    n = draw(st.integers(2, 8))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges.update(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    g = R.Graph(n, tuple(sorted(edges)))
+    weights = st.lists(st.floats(-1.0, 3.0), min_size=g.m, max_size=g.m)
+    w = np.clip(draw(weights), 0.0, None)  # some weights clipped to 0
+    other = np.array(draw(weights)) + 1.5  # Q comes from other weights
+    p = draw(st.integers(2, n + 2))  # p >= n included
+    return g, w, other, p
+
+
+class TestInterlacingBound:
+    @given(_interlacing_case())
+    @settings(deadline=None, max_examples=80)
+    def test_ritz_values_bound_the_spectrum(self, case):
+        g, w, other, p = case
+        lam = R.eig_sym(R.laplacian(g, w)).eigenvalues
+        V = R.eig_sym(R.laplacian(g, other)).eigenvectors
+        scale = max(1.0, float(np.linalg.norm(R.laplacian(g, w))))
+        us, vs = g.endpoints
+        for kind, Q in ((R.TargetKind.LOWER, V[:, :p]),
+                        (R.TargetKind.UPPER, V[:, -p:])):
+            D = Q[us] - Q[vs]
+            mu = np.linalg.eigvalsh(D.T @ (w[:, None] * D))
+            if kind is R.TargetKind.LOWER:
+                assert mu[1] >= lam[1] - 1e-12 * scale
+                target = lam[1]
+            else:
+                assert mu[-1] <= lam[-1] + 1e-12 * scale
+                target = lam[-1]
+            # A trial whose eigenvalue meets the threshold is never skipped.
+            assert not certify._interlacing_rejects(g, D, w, target, kind)
 
 
 class TestMonteCarloShadow:

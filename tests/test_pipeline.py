@@ -8,6 +8,7 @@ import pytest
 
 import rigidity as R
 import rigidity.pipeline as P
+from rigidity import isotypics, sdpfeas
 
 import fixtures as fx
 
@@ -38,6 +39,10 @@ def _c5_square_diagonal():
 
 def _eigensolve_fails(*args):
     raise R.ConvergenceFailure("eigensolve failure injected by the test")
+
+
+def _lapack_fails(*args):
+    raise np.linalg.LinAlgError("LAPACK failure injected by the test")
 
 
 class TestConfig:
@@ -187,6 +192,39 @@ class TestStatuses:
                         make(), target)
         assert rep.status is R.PipelineStatus.INCONCLUSIVE_SOLVER
         assert rep.route[-2:] == ("verify", "INCONCLUSIVE_SOLVER")
+        assert "EIGENSOLVE_FAILED" in rep.flags
+        assert R.route_is_valid(rep.route)
+
+    # Petersen LOWER runs the SDP and the isotypic decomposition.
+    @pytest.mark.parametrize("module,name,stage", [
+        (sdpfeas, "_psd_clip", "sdp"),
+        (sdpfeas, "rank_estimate", "sdp"),
+        (isotypics, "_commutant", "isotypics"),
+        (isotypics, "_split_by_eigenvalues", "isotypics"),
+    ], ids=["psd_clip", "rank_estimate", "commutant", "split"])
+    def test_lapack_failure_is_inconclusive(self, monkeypatch, module, name,
+                                            stage):
+        monkeypatch.setattr(module, name, _lapack_fails)
+        rep = _run(fx.petersen())
+        assert rep.status is R.PipelineStatus.INCONCLUSIVE_SOLVER
+        assert rep.route[-2:] == (stage, "INCONCLUSIVE_SOLVER")
+        assert "EIGENSOLVE_FAILED" in rep.flags
+        assert R.route_is_valid(rep.route)
+
+    def test_lapack_failure_in_disproof_oracle(self, monkeypatch):
+        # P4's largest eigenvalue turns double along the search; only the
+        # oracle of that direction solves a 2 x 2 matrix with eigh.
+        real = np.linalg.eigh
+
+        def eigh(M, *args, **kwargs):
+            if np.shape(M) == (2, 2):
+                _lapack_fails()
+            return real(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        rep = _run(R.parse_graph6("Ck"), UPPER)
+        assert rep.status is R.PipelineStatus.INCONCLUSIVE_SOLVER
+        assert rep.route[-2:] == ("disproof", "INCONCLUSIVE_SOLVER")
         assert "EIGENSOLVE_FAILED" in rep.flags
         assert R.route_is_valid(rep.route)
 
@@ -463,6 +501,35 @@ class TestReverification:
             payload["target"] = "MIDDLE"
         else:
             del payload["status"]
+        assert R.reverify_report(payload) is False
+
+    @pytest.mark.parametrize("change", [
+        {"group_order": 999, "orbit_sizes": [1, 2]},
+        {"orbit_sizes": [1, 14]},
+        {"orbit_sizes": [15, 0]},
+        {"group_order": 999},
+        {"group_order": 0},
+        {"group_order": 120.5},
+    ], ids=["order_and_sizes", "sizes_miscounted", "size_zero",
+            "order_not_a_multiple", "order_zero", "order_not_an_integer"])
+    def test_group_order_and_orbit_sizes_must_fit_the_orbits(
+            self, change, battery_reports):
+        payload = json.loads(R.emit_report(
+            battery_reports[("petersen", LOWER)], "JSON"))
+        assert (payload["group_order"], payload["orbit_sizes"]) == (120, [15])
+        assert R.reverify_report(payload)
+        payload.update(change)
+        assert R.reverify_report(payload) is False
+
+    @pytest.mark.parametrize("change", [
+        {"group_order": 1}, {"orbit_sizes": [5]}, {"orbit_of": [0] * 5},
+    ], ids=["order", "sizes", "labels"])
+    def test_run_stopped_before_orbits_claims_none(self, monkeypatch, change):
+        rep = _run_with(monkeypatch, "CLUSTER_TOL", 10.0, fx.c5())
+        payload = json.loads(R.emit_report(rep, "JSON"))
+        assert payload["route"] == ["spectrum", "cluster", "INCONCLUSIVE_SOLVER"]
+        assert R.reverify_report(payload)
+        payload.update(change)
         assert R.reverify_report(payload) is False
 
     def test_tampered_disproof_fails(self, battery_reports):

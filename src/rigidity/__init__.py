@@ -22,7 +22,6 @@ from .certify import (
     TargetKind,
     VerificationReport,
     assemble_certificate,
-    bipartite_regular_upper_certificate,
     build_cone,
     exact_nonneg_solve,
     find_disproof,
@@ -66,7 +65,6 @@ from .pipeline import (
     emit_report,
     reverify_report,
     route_is_valid,
-    run_batch,
     run_pipeline,
 )
 from .sdpfeas import (
@@ -76,7 +74,6 @@ from .sdpfeas import (
     compress_operators,
     expand_gram,
     orbit_laplacian,
-    rank_estimate,
     solve_feasibility,
 )
 from .spectra import (
@@ -103,9 +100,7 @@ from .symmetry import (
     edge_orbits,
     edge_permutation,
     generators_from_json,
-    generators_to_json,
     orbit_energy,
-    symmetrize_weights,
     verify_automorphism,
     vertex_orbits,
 )

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linprog, nnls
 
-from .graphcore import Graph, WeightVector, edge_energy, laplacian
+from .graphcore import Graph, WeightVector, laplacian
 from .isotypics import IsotypicDecomposition, representative_vector
 from .sdpfeas import orbit_laplacian
 from .spectra import (
@@ -368,37 +368,6 @@ def assemble_certificate(
         orbit_residual=orbit_residual,
         exact=solution.exact,
         flags=flags,
-    )
-
-
-def bipartite_regular_upper_certificate(graph: Graph) -> ConicCertificate | None:
-    """Shortcut for regular bipartite graphs: the alternating +/-1 vector.
-
-    It is a (2 deg)-eigenvector whose edge energies are all exactly 4, which
-    is a per-edge certificate that uniform weights minimize the largest
-    eigenvalue. Returns None when the graph is not regular bipartite.
-    """
-    if not graph.is_regular():
-        return None
-    phi = graph.bipartition()
-    if phi is None:
-        return None
-    deg = graph.degrees[0]
-    lam = float(2 * deg)
-    en = edge_energy(graph, phi)
-    if not np.all(en == 4.0):
-        return None
-    L = laplacian(graph, WeightVector.uniform(graph))
-    eigen_residual = float(np.linalg.norm(L @ phi - lam * phi))
-    # Per-edge form: l(phi/2) = 1 on every edge, matching target O = 1.
-    return ConicCertificate(
-        coeffs=(Fraction(1, 4),),
-        phi=phi,
-        lam=lam,
-        eigen_residual=eigen_residual,
-        orbit_residual=0.0,
-        exact=True,
-        flags=("REGULAR_BIPARTITE",),
     )
 
 

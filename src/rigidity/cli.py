@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .certify import LineSearchFailed, TargetKind, find_disproof, verify_disproof
@@ -28,7 +29,6 @@ from .pipeline import (
     PipelineStatus,
     acquire_group,
     emit_report,
-    run_batch,
     run_pipeline,
     target_cluster,
 )
@@ -244,7 +244,7 @@ def _cmd_batch(args) -> int:
         if p.suffix in (".g6", ".graph6", ".txt") and p.is_file()
     )
     targets = _targets(args.target)
-    kept, graphs = [], []
+    kept = []
     failures = 0
     for p in paths:
         try:
@@ -254,17 +254,20 @@ def _cmd_batch(args) -> int:
             print(f"{p.name}: SKIPPED ({exc})")
             failures += 1
             continue
-        kept.append(p)
-        graphs.append((graph.name, graph))
-    reports, summary = run_batch(graphs, targets, cfg)
-    cases = [(p, t) for p in kept for t in targets]
-    for (p, t), rep in zip(cases, reports):
-        print(f"{p.name} {t.value}: {rep.status.value}")
-        if args.report_dir:
-            out = Path(args.report_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            fname = f"{p.stem}.{t.value.lower()}.json"
-            (out / fname).write_bytes(emit_report(rep, "JSON"))
+        kept.append((p, graph))
+    # Each run's line and report go out as soon as it ends, so an
+    # unexpected exception loses only the runs after it.
+    summary: Counter[str] = Counter()
+    for p, graph in kept:
+        for t in targets:
+            rep = run_pipeline(graph, t, cfg, graph_id=graph.name)
+            summary[rep.status.value] += 1
+            print(f"{p.name} {t.value}: {rep.status.value}", flush=True)
+            if args.report_dir:
+                out = Path(args.report_dir)
+                out.mkdir(parents=True, exist_ok=True)
+                fname = f"{p.stem}.{t.value.lower()}.json"
+                (out / fname).write_bytes(emit_report(rep, "JSON"))
     print("summary:")
     for k in sorted(summary):
         print(f"  {k}: {summary[k]}")

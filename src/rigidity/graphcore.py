@@ -115,25 +115,6 @@ class Graph:
                     stack.append(y)
         return count == self.n
 
-    def is_regular(self) -> bool:
-        degs = self.degrees
-        return min(degs) == max(degs)
-
-    def bipartition(self) -> np.ndarray | None:
-        """2-coloring as a +/-1 vector, or None if the graph is odd-cyclic."""
-        color = np.zeros(self.n, dtype=np.int64)
-        color[0] = 1
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in self.neighbors[x]:
-                if color[y] == 0:
-                    color[y] = -color[x]
-                    stack.append(y)
-                elif color[y] == color[x]:
-                    return None
-        return color.astype(np.float64)
-
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"Graph(n={self.n}, m={self.m}{tag})"

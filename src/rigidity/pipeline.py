@@ -1,11 +1,11 @@
 """End-to-end certification pipeline and report machinery.
 
 A run walks a fixed stage graph: spectrum -> cluster -> group -> orbits ->
-(regular-bipartite shortcut | SDP feasibility) -> isotypics -> multiplicity
-tests -> cone membership (exact first) or sub-cone, with the
-disproof search on the infeasible branches. Every outcome is a structured
-report, and module errors become flags. A config that does not fit the graph
-is a caller error and raises ValueError (see run_pipeline).
+SDP feasibility -> isotypics -> multiplicity tests -> cone membership (exact
+first) or sub-cone, with the disproof search on the infeasible branches.
+Every outcome is a structured report, and module errors become flags. A
+config that does not fit the graph is a caller error and raises ValueError
+(see run_pipeline).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .certify import (
     ResidualTooLarge,
     TargetKind,
     assemble_certificate,
-    bipartite_regular_upper_certificate,
     build_cone,
     find_disproof,
     solve_cone_membership,
@@ -76,8 +75,7 @@ TRANSITIONS: dict[str, tuple[str, ...]] = {
     "spectrum": ("cluster", PipelineStatus.INCONCLUSIVE_SOLVER.value),
     "cluster": ("group", PipelineStatus.INCONCLUSIVE_SOLVER.value),
     "group": ("orbits",),
-    "orbits": ("bipartite_shortcut", "sdp"),
-    "bipartite_shortcut": ("verify",),
+    "orbits": ("sdp",),
     "sdp": (
         "isotypics",
         "disproof",
@@ -142,7 +140,6 @@ class CertificationReport:
     lam: float | None
     certificate: ConicCertificate | None
     cert_vectors: tuple | None  # ((coeff, vector), ...) pairs for re-checks
-    cert_per_edge: bool
     embedding_gram: np.ndarray | None
     disproof: Disproof | None
     residuals: dict
@@ -162,7 +159,6 @@ class CertificationReport:
                 "vectors": [[float(x) for x in v] for _, v in self.cert_vectors],
                 "lambda": float(self.certificate.lam),
                 "exact": self.certificate.exact,
-                "per_edge": self.cert_per_edge,
                 "eigen_residual": float(self.certificate.eigen_residual),
                 "orbit_residual": float(self.certificate.orbit_residual),
                 "flags": list(self.certificate.flags),
@@ -248,7 +244,6 @@ class _Run:
         message: str = "",
         certificate: ConicCertificate | None = None,
         cert_vectors=None,
-        cert_per_edge: bool = False,
         embedding_gram: np.ndarray | None = None,
         disproof: Disproof | None = None,
     ) -> CertificationReport:
@@ -267,7 +262,6 @@ class _Run:
             lam=self.lam,
             certificate=certificate,
             cert_vectors=tuple(cert_vectors) if cert_vectors else None,
-            cert_per_edge=cert_per_edge,
             embedding_gram=embedding_gram,
             disproof=disproof,
             residuals=self.residuals,
@@ -308,10 +302,6 @@ def target_cluster(dec: EigenDecomposition, target: TargetKind) -> EigenspaceClu
         except AmbiguousCluster as exc:
             err = exc
     raise err
-
-
-def _trivial_partition(graph: Graph):
-    return edge_orbits(graph, GroupGenerators(graph, ()))
 
 
 def run_pipeline(
@@ -359,32 +349,6 @@ def run_pipeline(
     part = edge_orbits(graph, gens)
     run.orbit_of = part.orbit_of
     run.orbit_sizes = part.sizes
-
-    if target is TargetKind.UPPER:
-        cert = bipartite_regular_upper_certificate(graph)
-        if cert is not None:
-            run.stage("bipartite_shortcut")
-            run.stage("verify")
-            per_edge = _trivial_partition(graph)
-            vectors = [(cert.coeffs[0], cert.phi)]
-            try:
-                ver = verify_certificate(graph, per_edge, vectors, cert.lam, target)
-            except ConvergenceFailure as exc:
-                return _eigensolve_failed(run, "certificate check", exc)
-            run.residuals["certificate_orbit"] = ver.details.get("orbit_residual", 0.0)
-            if ver.ok:
-                return run.finish(
-                    PipelineStatus.CERTIFIED_EXACT,
-                    "regular bipartite: alternating vector certifies the upper target",
-                    certificate=cert,
-                    cert_vectors=vectors,
-                    cert_per_edge=True,
-                )
-            run.flags.append("VERIFY_FAILED")
-            return run.finish(
-                PipelineStatus.INCONCLUSIVE_SOLVER,
-                f"shortcut certificate failed verification at {ver.failing_clause}",
-            )
 
     run.stage("sdp")
     co = compress_operators(cluster, graph, part)
@@ -530,24 +494,8 @@ def _assemble_stage(run: _Run, cone, sol, cluster) -> CertificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Batch, serialization, re-verification
+# Serialization, re-verification
 # ---------------------------------------------------------------------------
-
-def run_batch(
-    graphs: list[tuple[str, Graph]],
-    targets: tuple[TargetKind, ...],
-    cfg: PipelineConfig = PipelineConfig(),
-) -> tuple[list[CertificationReport], dict]:
-    """Independent runs over (id, graph) pairs; returns reports + counts."""
-    reports = []
-    summary: dict[str, int] = {}
-    for gid, graph in graphs:
-        for target in targets:
-            rep = run_pipeline(graph, target, cfg, graph_id=gid)
-            reports.append(rep)
-            summary[rep.status.value] = summary.get(rep.status.value, 0) + 1
-    return reports, summary
-
 
 def emit_report(report: CertificationReport, format: str = "JSON") -> bytes:
     """Serialize a report; JSON is deterministic, TEXT includes timings."""
@@ -611,9 +559,11 @@ def reverify_report(payload: dict) -> bool:
     is a path through TRANSITIONS, and it ends in the status. Past the orbits
     stage, orbit_of holds one label per edge, orbit_sizes counts them, and
     group_order is a positive multiple of every orbit size; before it, they
-    are empty and 0. A certified report must then carry a certificate that
-    verify_certificate accepts, and a disproved one witness weights that
-    verify_disproof accepts.
+    are empty and 0. A run that reached mult_bound, and any report that lists
+    isotypics, must carry positive integer triples whose irr_dim * mult sum
+    to the dimension of the target eigenspace. A certified report must then
+    carry a certificate that verify_certificate accepts, and a disproved one
+    witness weights that verify_disproof accepts.
 
     Numbers that do not fit the graph are rejected before anything is built:
     certificate vectors that are not n finite numbers, coefficients that are
@@ -651,21 +601,30 @@ def _reverify(payload: dict) -> bool:
         # (orbit-stabilizer).
         fits = (
             len(labels) == m
-            and all(isinstance(o, int) and o >= 0 for o in labels)
+            and all(type(o) is int and o >= 0 for o in labels)
             and sizes == np.bincount(labels).tolist()
-            and isinstance(order, int) and order > 0
+            and type(order) is int and order > 0
             and all(k > 0 and order % k == 0 for k in sizes)
         )
     if not fits:
         return False
+    iso = payload["isotypics"]
+    if iso or "mult_bound" in route:
+        # Positive (irr_dim, mult, endo_dim) triples whose irr_dim * mult
+        # dimensions add up to the target eigenspace.
+        if not iso or not all(
+            len(c) == 3 and all(type(x) is int and x > 0 for x in c)
+            for c in iso
+        ):
+            return False
+        dec = laplacian_spectrum(graph, WeightVector.uniform(graph))
+        if sum(d * k for d, k, _ in iso) != target_cluster(dec, kind).basis.shape[1]:
+            return False
     if status in ("CERTIFIED_EXACT", "CERTIFIED_NUMERIC"):
         cert = payload.get("certificate")
         if cert is None:
             return False
-        if cert["per_edge"]:
-            part = _trivial_partition(graph)
-        else:
-            part = EdgeOrbitPartition(graph, tuple(labels), tuple(sizes))
+        part = EdgeOrbitPartition(graph, tuple(labels), tuple(sizes))
         try:
             coeffs = [Fraction(a) if isinstance(a, str) else float(a)
                       for a in cert["a"]]

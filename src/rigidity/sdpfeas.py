@@ -20,7 +20,6 @@ from .symmetry import EdgeOrbitPartition
 
 SDP_TOL = 1e-9
 SDP_MAX_ITER = 50_000
-RANK_REL_TOL = 1e-6
 
 
 class SdpStatus(Enum):
@@ -48,7 +47,6 @@ class SdpResult:
     status: SdpStatus
     max_residual: float
     iterations: int
-    rank_estimate: int
 
 
 def orbit_laplacian(graph: Graph, part: EdgeOrbitPartition, orbit_id: int) -> np.ndarray:
@@ -69,15 +67,6 @@ def compress_operators(
     B = cluster.basis
     ops = tuple(B.T @ orbit_laplacian(graph, part, o) @ B for o in range(part.s))
     return CompressedOperators(ops, part.size_vector, B)
-
-
-def rank_estimate(Z: np.ndarray) -> int:
-    """Number of eigenvalues above RANK_REL_TOL times the largest one."""
-    lam = np.linalg.eigvalsh(0.5 * (Z + Z.T))
-    top = float(lam[-1])
-    if top <= 0:
-        return 0
-    return int(np.sum(lam > RANK_REL_TOL * top))
 
 
 def _psd_clip(Z: np.ndarray) -> np.ndarray:
@@ -111,7 +100,7 @@ def _dykstra(
         z_ls = ops.T @ (gram_pinv @ targets)
         r0 = float(np.max(np.abs(ops @ z_ls - targets)))
         if r0 > 10.0 * tol:
-            return SdpResult(None, SdpStatus.LIKELY_INFEASIBLE, r0, 0, 0)
+            return SdpResult(None, SdpStatus.LIKELY_INFEASIBLE, r0, 0)
 
     def affine_project(Z: np.ndarray) -> np.ndarray:
         z = Z.reshape(-1)
@@ -130,24 +119,21 @@ def _dykstra(
 
         aff_res_y = float(np.max(np.abs(ops @ y.reshape(-1) - targets))) if ops.size else 0.0
         if aff_res_y <= tol:
-            return SdpResult(y, SdpStatus.FEASIBLE, aff_res_y, it, rank_estimate(y))
+            return SdpResult(y, SdpStatus.FEASIBLE, aff_res_y, it)
         aff_res_x = float(np.max(np.abs(ops @ x.reshape(-1) - targets))) if ops.size else 0.0
         min_eig_x = float(np.linalg.eigvalsh(0.5 * (x + x.T))[0])
         if min_eig_x >= -tol and aff_res_x <= tol:
-            return SdpResult(
-                x, SdpStatus.FEASIBLE, max(aff_res_x, -min_eig_x, 0.0), it,
-                rank_estimate(x),
-            )
+            return SdpResult(x, SdpStatus.FEASIBLE, max(aff_res_x, -min_eig_x, 0.0), it)
 
         dist = float(np.linalg.norm(y - x))
         dist_hist.append(dist)
         if it >= 400 and dist > 10.0 * tol:
             prev = dist_hist[-201]
             if prev - dist < 1e-3 * dist:
-                return SdpResult(None, SdpStatus.LIKELY_INFEASIBLE, dist, it, 0)
+                return SdpResult(None, SdpStatus.LIKELY_INFEASIBLE, dist, it)
 
     last = dist_hist[-1] if dist_hist else float("inf")
-    return SdpResult(None, SdpStatus.ITERATION_LIMIT, last, max_iter, 0)
+    return SdpResult(None, SdpStatus.ITERATION_LIMIT, last, max_iter)
 
 
 def solve_feasibility(

@@ -52,8 +52,6 @@ class EigenspaceCluster:
 
     value: float
     basis: np.ndarray
-    indices: tuple[int, ...]
-    which: Which
 
 
 def eig_sym(A: np.ndarray) -> EigenDecomposition:
@@ -116,7 +114,7 @@ def cluster_eigenspace(
     basis = dec.eigenvectors[:, members]
     # Re-orthonormalize: eigh output is orthonormal, but be safe under clustering.
     q, _ = np.linalg.qr(basis)
-    return EigenspaceCluster(value=ref, basis=q, indices=tuple(members), which=which)
+    return EigenspaceCluster(value=ref, basis=q)
 
 
 def laplacian_spectrum(graph: Graph, w) -> EigenDecomposition:

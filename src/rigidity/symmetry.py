@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphcore import DimensionMismatch, Graph, WeightVector, edge_energy
+from .graphcore import Graph, edge_energy
 
 SEARCH_BUDGET_DEFAULT = 200_000
 CLOSURE_CAP_DEFAULT = 200_000
@@ -56,12 +56,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return all(i == v for i, v in enumerate(self.image))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.image)
-        for v, iv in enumerate(self.image):
-            inv[iv] = v
-        return Permutation(tuple(inv))
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self * other)(v) = self(other(v))."""
@@ -372,20 +366,6 @@ def orbit_energy(graph: Graph, part: EdgeOrbitPartition, phi) -> np.ndarray:
     return np.bincount(part.labels, edge_energy(graph, phi), minlength=part.s)
 
 
-def symmetrize_weights(w: WeightVector, gens: GroupGenerators) -> WeightVector:
-    """Group average (1/|Psi|) sum of tau . w; constant on each edge orbit.
-
-    Averaging over the generated subgroup hits every edge of an orbit equally
-    often, so this equals the per-orbit mean, which is how it is computed.
-    """
-    graph = gens.graph
-    if len(w) != graph.m:
-        raise DimensionMismatch("weight vector does not match the bound graph")
-    part = edge_orbits(graph, gens)
-    means = np.bincount(part.labels, w.values, minlength=part.s) / part.size_vector
-    return WeightVector(means[part.labels], normalized=w.normalized)
-
-
 # ---------------------------------------------------------------------------
 # External generator files
 # ---------------------------------------------------------------------------
@@ -406,7 +386,3 @@ def generators_from_json(graph: Graph, text: str) -> GroupGenerators:
             raise ValueError(f"permutation {entry} is not an automorphism")
         gens.append(sigma)
     return GroupGenerators(graph, tuple(gens))
-
-
-def generators_to_json(gens: GroupGenerators) -> str:
-    return json.dumps([list(g.image) for g in gens.gens])

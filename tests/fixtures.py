@@ -138,6 +138,21 @@ def battery():
     return [k4(), c5(), c7(), petersen(), barbell(), f3(), z12(), z21()]
 
 
+def inverse(sigma):
+    """The inverse permutation: the argsort of the image array."""
+    return R.Permutation(tuple(int(v) for v in np.argsort(sigma.image)))
+
+
+def orbit_mean(w, part):
+    """w with each edge replaced by the mean over its orbit.
+
+    This is the group average of w, so it keeps w's total and is constant on
+    every edge orbit.
+    """
+    means = np.bincount(part.labels, w.values, minlength=part.s) / part.size_vector
+    return R.WeightVector(means[part.labels], normalized=w.normalized)
+
+
 def random_weights(graph, rng):
     """Random normalized strictly positive weights."""
     w = rng.uniform(0.05, 2.0, size=graph.m)

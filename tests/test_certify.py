@@ -180,35 +180,6 @@ class TestAssemble:
             R.assemble_certificate(cone, bad, cl)
 
 
-class TestBipartiteShortcut:
-    @pytest.mark.parametrize("make", [fx.c4, fx.q3, fx.desargues])
-    def test_regular_bipartite_certificate(self, make):
-        g = make()
-        cert = R.bipartite_regular_upper_certificate(g)
-        assert cert is not None
-        assert cert.exact
-        assert "REGULAR_BIPARTITE" in cert.flags
-        d = g.degrees[0]
-        assert cert.lam == 2.0 * d
-        # the alternating vector hits energy 4 on every edge, exactly
-        en = R.edge_energy(g, cert.phi)
-        assert np.array_equal(en, 4.0 * np.ones(g.m))
-        assert cert.coeffs == (Fraction(1, 4),)
-
-    def test_upper_eigenvalue_is_two_d(self):
-        g = fx.desargues()
-        w = R.WeightVector.uniform(g)
-        assert abs(R.laplacian_spectrum(g, w).eigenvalues[-1] - 6.0) <= 1e-10
-
-    def test_rejects_non_bipartite(self):
-        assert R.bipartite_regular_upper_certificate(fx.k4()) is None
-        assert R.bipartite_regular_upper_certificate(fx.petersen()) is None
-
-    def test_rejects_irregular(self):
-        star = R.Graph(4, ((0, 1), (0, 2), (0, 3)))
-        assert R.bipartite_regular_upper_certificate(star) is None
-
-
 class TestVerifyCertificate:
     def test_z21_lower_constant(self):
         g = fx.z21()

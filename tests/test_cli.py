@@ -81,7 +81,8 @@ class TestCheck:
         gfile = tmp_path / "z12.g6"
         gfile.write_text(R.to_graph6(g) + "\n")
         gens = tmp_path / "gens.json"
-        gens.write_text(R.generators_to_json(fx.rotation_gens(g, 12)))
+        gens.write_text(json.dumps(
+            [list(s.image) for s in fx.rotation_gens(g, 12).gens]))
         rc = main(["check", str(gfile), "--target", "lower",
                    "--group", f"file:{gens}", "--json"])
         assert rc == 0
@@ -197,10 +198,45 @@ class TestBatch:
         for p in report_dir.iterdir():
             assert R.reverify_report(json.loads(p.read_bytes()))
 
+    def test_counts_per_status_in_graph_order(self, tmp_path, capsys):
+        (tmp_path / "barbell.txt").write_text(R.format_edge_list(fx.barbell()))
+        (tmp_path / "c5.g6").write_text(R.to_graph6(fx.c5()) + "\n")
+        rc = main(["batch", str(tmp_path), "--target", "both"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "barbell.txt LOWER: DISPROVED",
+            "barbell.txt UPPER: DISPROVED",
+            "c5.g6 LOWER: CERTIFIED_NUMERIC",
+            "c5.g6 UPPER: CERTIFIED_NUMERIC",
+            "summary:",
+            "  CERTIFIED_NUMERIC: 2",
+            "  DISPROVED: 2",
+        ]
+
     def test_empty_directory(self, tmp_path, capsys):
         rc = main(["batch", str(tmp_path)])
-        capsys.readouterr()
+        assert capsys.readouterr().out == "summary:\n"
         assert rc == 0
+
+    def test_line_is_printed_before_a_later_run_fails(self, tmp_path, capsys,
+                                                      monkeypatch):
+        (tmp_path / "a_c5.g6").write_text(R.to_graph6(fx.c5()) + "\n")
+        (tmp_path / "b_barbell.txt").write_text(
+            R.format_edge_list(fx.barbell()))
+        real = R.run_pipeline
+        calls = []
+
+        def fails_on_second_graph(graph, *args, **kwargs):
+            calls.append(graph.name)
+            if len(calls) == 2:
+                raise RuntimeError("unexpected failure injected by the test")
+            return real(graph, *args, **kwargs)
+
+        monkeypatch.setattr("rigidity.cli.run_pipeline", fails_on_second_graph)
+        with pytest.raises(RuntimeError):
+            main(["batch", str(tmp_path), "--target", "lower"])
+        assert calls == ["a_c5", "b_barbell"]
+        assert capsys.readouterr().out == "a_c5.g6 LOWER: CERTIFIED_NUMERIC\n"
 
 
 class TestUsageErrors:

@@ -183,10 +183,10 @@ class TestStatuses:
         assert "EIGENSOLVE_FAILED" in rep.flags
         assert R.route_is_valid(rep.route)
 
-    # c5 LOWER reaches verify through the cone, c4 UPPER through the
-    # regular-bipartite shortcut.
+    # c5 LOWER and the regular bipartite c4 UPPER reach verify through the
+    # cone.
     @pytest.mark.parametrize("make,target", [(fx.c5, LOWER), (fx.c4, UPPER)],
-                             ids=["cone", "bipartite_shortcut"])
+                             ids=["cone", "cone-upper"])
     def test_failed_eigensolve_in_verify(self, monkeypatch, make, target):
         rep = _run_with(monkeypatch, "verify_certificate", _eigensolve_fails,
                         make(), target)
@@ -198,10 +198,9 @@ class TestStatuses:
     # Petersen LOWER runs the SDP and the isotypic decomposition.
     @pytest.mark.parametrize("module,name,stage", [
         (sdpfeas, "_psd_clip", "sdp"),
-        (sdpfeas, "rank_estimate", "sdp"),
         (isotypics, "_commutant", "isotypics"),
         (isotypics, "_split_by_eigenvalues", "isotypics"),
-    ], ids=["psd_clip", "rank_estimate", "commutant", "split"])
+    ], ids=["psd_clip", "commutant", "split"])
     def test_lapack_failure_is_inconclusive(self, monkeypatch, module, name,
                                             stage):
         monkeypatch.setattr(module, name, _lapack_fails)
@@ -337,20 +336,6 @@ class TestStageTimings:
         assert rep.timings["group"] >= 0.05
         assert rep.timings["disproof"] >= 0.05
         assert rep.timings["orbits"] < 0.05
-
-class TestBipartiteShortcut:
-    @pytest.mark.parametrize("make", [fx.c4, fx.q3, fx.desargues])
-    def test_upper_certified_without_sdp(self, make):
-        rep = _run(make(), UPPER)
-        assert rep.status is R.PipelineStatus.CERTIFIED_EXACT
-        assert "bipartite_shortcut" in rep.route
-        assert "sdp" not in rep.route
-        assert "sdp_iterations" not in rep.residuals
-
-    def test_lower_target_still_goes_through_sdp(self):
-        rep = _run(fx.c4(), LOWER)
-        assert "sdp" in rep.route
-
 
 class TestReportSerialization:
     def test_json_deterministic(self, battery_reports):
@@ -503,6 +488,36 @@ class TestReverification:
             del payload["status"]
         assert R.reverify_report(payload) is False
 
+    # Petersen's lambda_2 eigenspace is one 5-dimensional irreducible of S5.
+    @pytest.mark.parametrize("isotypics", [
+        [[7, 7, 7]], [], [[4, 1, 1]], [[5, 1, 1], [1, 1, 1]], [[5, 1, 0]],
+        [[-5, -1, 1]], [[5, 1]], [[5.0, 1, 1]], [[5, True, True]],
+        [[5, 1, 1, 1]], ["511"],
+    ], ids=["claimed_7x7", "dropped", "too_few_dimensions",
+            "too_many_dimensions", "endo_zero", "negative", "pair",
+            "float_entry", "bool_entry", "four_entries", "string_entry"])
+    def test_isotypics_must_fill_the_target_eigenspace(self, isotypics,
+                                                       battery_reports):
+        payload = json.loads(R.emit_report(
+            battery_reports[("petersen", LOWER)], "JSON"))
+        assert payload["isotypics"] == [[5, 1, 1]]
+        assert "mult_bound" in payload["route"]
+        assert R.reverify_report(payload)
+        payload["isotypics"] = isotypics
+        assert R.reverify_report(payload) is False
+
+    def test_isotypics_listed_off_the_mult_bound_route_are_checked(
+            self, battery_reports):
+        # The barbell's SDP is infeasible, so its run never decomposes.
+        payload = json.loads(R.emit_report(
+            battery_reports[("barbell", LOWER)], "JSON"))
+        assert "isotypics" not in payload["route"]
+        assert payload["isotypics"] == []
+        payload["isotypics"] = [[1, 1, 1]]  # lambda_2 is simple: this fits
+        assert R.reverify_report(payload)
+        payload["isotypics"] = [[2, 1, 1]]
+        assert R.reverify_report(payload) is False
+
     @pytest.mark.parametrize("change", [
         {"group_order": 999, "orbit_sizes": [1, 2]},
         {"orbit_sizes": [1, 14]},
@@ -510,8 +525,10 @@ class TestReverification:
         {"group_order": 999},
         {"group_order": 0},
         {"group_order": 120.5},
+        {"orbit_of": [False] * 15},
     ], ids=["order_and_sizes", "sizes_miscounted", "size_zero",
-            "order_not_a_multiple", "order_zero", "order_not_an_integer"])
+            "order_not_a_multiple", "order_zero", "order_not_an_integer",
+            "labels_not_integers"])
     def test_group_order_and_orbit_sizes_must_fit_the_orbits(
             self, change, battery_reports):
         payload = json.loads(R.emit_report(
@@ -537,23 +554,6 @@ class TestReverification:
             battery_reports[("barbell", LOWER)], "JSON"))
         payload["disproof"]["w"] = [1.0] * 7
         assert not R.reverify_report(payload)
-
-
-class TestBatch:
-    def test_run_batch_counts(self):
-        graphs = [("barbell", fx.barbell()), ("c5", fx.c5())]
-        reports, summary = R.run_batch(graphs, (LOWER, UPPER),
-                                       R.PipelineConfig())
-        assert len(reports) == 4
-        assert sum(summary.values()) == 4
-        assert summary["DISPROVED"] == 2
-        assert summary["CERTIFIED_NUMERIC"] == 2
-        assert [r.graph_id for r in reports] == ["barbell", "barbell",
-                                                 "c5", "c5"]
-
-    def test_empty_batch(self):
-        reports, summary = R.run_batch([], (LOWER,), R.PipelineConfig())
-        assert reports == [] and summary == {}
 
 
 class TestSeedStability:

@@ -110,8 +110,9 @@ class TestCluster:
         dec = _uniform_spectrum(fx.k4())
         cl = R.cluster_eigenspace(dec, R.Which.SECOND)
         assert cl.basis.shape == (4, 3)
-        assert cl.indices == (1, 2, 3)
-        assert cl.which is R.Which.SECOND
+        # the basis spans eigenvectors 1-3, never the kernel vector 0
+        V = dec.eigenvectors[:, 1:4]
+        assert np.allclose(cl.basis @ cl.basis.T, V @ V.T, atol=1e-12)
 
     def test_largest_cluster(self):
         dec = _uniform_spectrum(fx.c4())

@@ -180,6 +180,36 @@ class TestAssemble:
             R.assemble_certificate(cone, bad, cl)
 
 
+class TestBipartiteShortcut:
+    """Regular bipartite upper targets need no shortcut of their own.
+
+    lambda_max = 2 deg is simple and its +-1 eigenvector has equal energy on
+    every edge, so the general cone already yields that certificate.
+    """
+
+    @pytest.mark.parametrize("make", [fx.c4, fx.q3, fx.desargues])
+    def test_regular_bipartite_certificate(self, make):
+        g = make()
+        cl = _cluster(g, R.Which.LARGEST)
+        gens = R.automorphism_generators(g)
+        part = R.edge_orbits(g, gens)
+        cone = R.build_cone(R.isotypic_decompose(cl, gens), part)
+        cert = R.assemble_certificate(cone, R.solve_cone_membership(cone), cl)
+        assert cert.exact
+        assert abs(cert.lam - 2.0 * g.degrees[0]) <= 1e-10
+        assert len(cert.coeffs) == 1
+        en = np.asarray(R.edge_energy(g, cert.phi))
+        assert np.max(en) - np.min(en) <= 1e-12 * np.max(en)
+        vr = R.verify_certificate(g, part, [(1.0, cert.phi)],
+                                  cl.value, R.TargetKind.UPPER)
+        assert vr.ok
+
+    def test_upper_eigenvalue_is_two_d(self):
+        g = fx.desargues()
+        w = R.WeightVector.uniform(g)
+        assert abs(R.laplacian_spectrum(g, w).eigenvalues[-1] - 6.0) <= 1e-10
+
+
 class TestVerifyCertificate:
     def test_z21_lower_constant(self):
         g = fx.z21()

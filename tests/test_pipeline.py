@@ -337,6 +337,29 @@ class TestStageTimings:
         assert rep.timings["disproof"] >= 0.05
         assert rep.timings["orbits"] < 0.05
 
+class TestBipartiteShortcut:
+    """Regular bipartite upper targets need no shortcut of their own.
+
+    The general route certifies them with the +-1 vector that alternates
+    across every edge, which can be written down without an SDP.
+    """
+
+    @pytest.mark.parametrize("make", [fx.c4, fx.q3, fx.desargues])
+    def test_upper_certified_without_sdp(self, make):
+        g = make()
+        rep = _run(g, UPPER)
+        assert rep.status is R.PipelineStatus.CERTIFIED_EXACT
+        assert abs(rep.lam - 2 * g.degrees[0]) <= 1e-10
+        phi = np.asarray(rep.certificate.phi)
+        assert np.max(np.abs(np.abs(phi) - abs(phi[0]))) <= 1e-12 * abs(phi[0])
+        for u, v in g.edges:
+            assert abs(phi[u] + phi[v]) <= 1e-12 * abs(phi[0])
+
+    def test_lower_target_still_goes_through_sdp(self):
+        rep = _run(fx.c4(), LOWER)
+        assert "sdp" in rep.route
+
+
 class TestReportSerialization:
     def test_json_deterministic(self, battery_reports):
         rep = battery_reports[("petersen", LOWER)]

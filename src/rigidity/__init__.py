@@ -11,7 +11,6 @@ fails.
 """
 
 from .certify import (
-    ConeMode,
     ConeModel,
     ConeSolution,
     ConicCertificate,

@@ -40,11 +40,6 @@ class TargetKind(Enum):
         return Which.SECOND if self is TargetKind.LOWER else Which.LARGEST
 
 
-class ConeMode(Enum):
-    EXACT_RATIONAL = "EXACT_RATIONAL"
-    NUMERIC = "NUMERIC"
-
-
 class MultiplicityObstruction(ValueError):
     """Cone construction needs all isotypic multiplicities equal to one."""
 
@@ -78,7 +73,6 @@ class ConeSolution:
     feasible: bool
     coeffs: tuple
     exact: bool
-    exact_unavailable: bool
     residual: float
 
 
@@ -295,40 +289,30 @@ def subcone_model(
     return ConeModel(tuple(gens), tuple(reps), part.size_vector.copy(), graph, part)
 
 
-def solve_cone_membership(
-    cone: ConeModel,
-    mode: ConeMode = ConeMode.EXACT_RATIONAL,
-) -> ConeSolution:
+def solve_cone_membership(cone: ConeModel) -> ConeSolution:
     """Decide whether the orbit-size vector lies in the generator cone.
 
-    EXACT_RATIONAL rationalizes all generator entries behind a two-tier gate
-    and runs exact phase-1 simplex: a returned solution (or infeasibility
-    verdict) is then a theorem about the rationalized data. When entries do
-    not rationalize safely, falls back to nonnegative least squares with the
-    tightened residual 1e-8 -> 1e-10 and the EXACT_UNAVAILABLE condition.
+    Rationalizes all generator entries behind a two-tier gate and runs exact
+    phase-1 simplex: a returned solution (or infeasibility verdict) is then a
+    theorem about the rationalized data. When entries do not rationalize
+    safely, falls back to nonnegative least squares accepted at residual
+    1e-10, and the solution is not exact.
     """
     G = np.column_stack(cone.generators)
     target = cone.target
-    exact_mode = mode is ConeMode.EXACT_RATIONAL
-    if exact_mode:
-        rows = [[rationalize_tight(x) for x in row] for row in G]
-        if all(f is not None for row in rows for f in row):
-            b = [Fraction(x).limit_denominator(MAX_DENOMINATOR) for x in target]
-            sol = exact_nonneg_solve(rows, b)
-            if sol is None:
-                return ConeSolution(False, (), True, False, float("inf"))
-            resid = float(
-                np.max(np.abs(G @ np.array([float(a) for a in sol]) - target))
-            )
-            return ConeSolution(True, tuple(sol), True, False, resid)
-    # Numeric mode, or the exact-mode fallback: it accepts only at 1e-10 and
-    # marks the solution EXACT_UNAVAILABLE.
+    rows = [[rationalize_tight(x) for x in row] for row in G]
+    if all(f is not None for row in rows for f in row):
+        b = [Fraction(x).limit_denominator(MAX_DENOMINATOR) for x in target]
+        sol = exact_nonneg_solve(rows, b)
+        if sol is None:
+            return ConeSolution(False, (), True, float("inf"))
+        resid = float(np.max(np.abs(G @ np.array([float(a) for a in sol]) - target)))
+        return ConeSolution(True, tuple(sol), True, resid)
     a, _ = nnls(G, target)
     resid = float(np.max(np.abs(G @ a - target)))
-    tol = (1e-10 if exact_mode else 1e-8) * float(np.max(np.abs(target)))
-    feasible = resid <= tol
+    feasible = resid <= 1e-10 * float(np.max(np.abs(target)))
     coeffs = tuple(float(x) for x in a) if feasible else ()
-    return ConeSolution(feasible, coeffs, False, exact_mode, resid)
+    return ConeSolution(feasible, coeffs, False, resid)
 
 
 def assemble_certificate(
@@ -359,7 +343,7 @@ def assemble_certificate(
         )
     L = laplacian(cone.graph, WeightVector.uniform(cone.graph))
     eigen_residual = float(np.linalg.norm(L @ phi - cluster.value * phi))
-    flags = ("EXACT_UNAVAILABLE",) if solution.exact_unavailable else ()
+    flags = () if solution.exact else ("EXACT_UNAVAILABLE",)
     return ConicCertificate(
         coeffs=tuple(coeffs),
         phi=phi,
@@ -576,7 +560,6 @@ def find_disproof(
     w = uniform.copy()
     lam_cur = lam_base
     basis = cluster.basis
-    best: tuple[float, np.ndarray] | None = None
 
     for round_no in range(MAX_ROUNDS):
         y, t = _cutting_plane_direction(graph, part, basis, kind, rng)
@@ -611,20 +594,16 @@ def find_disproof(
                     f"improved the objective"
                 )
             break
+        # Each accepted step beats the last by MARGIN, so w is the best yet.
         w, lam_cur, dec = accepted
-        if best is None or better(lam_cur, best[0]):
-            best = (lam_cur, w.copy())
         try:
             basis = cluster_eigenspace(dec, kind.which).basis
         except AmbiguousCluster:
             # Fall back to the single extreme eigenvector.
             basis = dec.eigenvectors[:, [idx]]
 
-    if best is None:
-        return None
-    achieved, w_best = best
-    margin = achieved - lam_base if lower else lam_base - achieved
+    margin = lam_cur - lam_base if lower else lam_base - lam_cur
     if margin <= MARGIN:
-        return None
-    wv = WeightVector(w_best * (m / float(w_best.sum())), normalized=True)
-    return Disproof(wv, achieved, lam_base, margin)
+        return None  # no step was accepted
+    wv = WeightVector(w * (m / float(w.sum())), normalized=True)
+    return Disproof(wv, lam_cur, lam_base, margin)

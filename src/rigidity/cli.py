@@ -1,17 +1,19 @@
 """Command line front end.
 
 Subcommands: check (full pipeline), orbits, spectrum, disprove, batch.
-Exit codes: 0 certified / informational success, 1 disproved, 2 inconclusive,
-3 bad input or usage.
+Exit codes: 0 certified / informational success, 1 disproved, 2 inconclusive
+(a failed eigensolve or an internal error included), 3 bad input or usage.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+import traceback
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 from .certify import LineSearchFailed, TargetKind, find_disproof, verify_disproof
 from .graphcore import (
@@ -32,7 +34,6 @@ from .pipeline import (
     run_pipeline,
     target_cluster,
 )
-from .sdpfeas import SDP_TOL
 from .spectra import AmbiguousCluster, ConvergenceFailure, laplacian_spectrum
 from .symmetry import (
     CapExceeded,
@@ -51,6 +52,14 @@ _EXIT_USAGE = 3
 
 class _UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors exit 3, not argparse's 2 (inconclusive)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(f"{self.prog}: {message}")
 
 
 def _load_graph(path: str) -> Graph:
@@ -74,18 +83,6 @@ def _load_graph(path: str) -> Graph:
         return Graph(g.n, g.edges, name=name)
     except (MalformedGraph6, DisconnectedGraph, ValueError) as exc:
         raise _UsageError(f"{path}: {exc}") from exc
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("RIGIDITY_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise _UsageError(f"RIGIDITY_SEED is not an integer: {env!r}") from exc
-    return 0
 
 
 def _group_spec(spec: str) -> tuple[int, ...] | Path:
@@ -120,9 +117,9 @@ def _group_config(spec: str, graph: Graph) -> GroupGenerators | tuple[int, ...]:
     return group
 
 
-def _config(args, group: GroupGenerators | tuple[int, ...], **opts) -> PipelineConfig:
+def _config(args, group: GroupGenerators | tuple[int, ...]) -> PipelineConfig:
     try:
-        return PipelineConfig(seed=_resolve_seed(args), group=group, **opts)
+        return PipelineConfig(seed=args.seed, group=group)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -146,8 +143,7 @@ def _verdict_exit(reports: list[CertificationReport]) -> int:
 
 def _cmd_check(args) -> int:
     graph = _load_graph(args.graph)
-    cfg = _config(args, _group_config(args.group, graph),
-                  sdp_tol=args.tol_sdp, mode=args.mode)
+    cfg = _config(args, _group_config(args.group, graph))
     reports = [
         run_pipeline(graph, t, cfg, graph_id=graph.name) for t in _targets(args.target)
     ]
@@ -235,7 +231,7 @@ def _cmd_batch(args) -> int:
     if isinstance(group, Path):
         raise _UsageError("batch --group takes auto or fix:<v1,v2,...>; "
                           "a generator file belongs to one graph")
-    cfg = _config(args, group, sdp_tol=args.tol_sdp, mode=args.mode)
+    cfg = _config(args, group)
     root = Path(args.dir)
     if not root.is_dir():
         raise _UsageError(f"{args.dir} is not a directory")
@@ -277,7 +273,7 @@ def _cmd_batch(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="rigidity",
         description="Decide, certify, or disprove conformal rigidity of a graph.",
     )
@@ -289,14 +285,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", default="auto",
                        help="auto | file:<generators.json> | fix:<v1,v2,...>"
                             " (batch: auto | fix:...)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (overrides RIGIDITY_SEED)")
+        p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
     p = sub.add_parser("check", help="run the full certification pipeline")
     p.add_argument("graph")
     common(p)
-    p.add_argument("--mode", choices=("exact", "numeric"), default="exact")
-    p.add_argument("--tol-sdp", type=float, default=SDP_TOL)
     p.add_argument("--report", help="write JSON report(s) to this file")
     p.add_argument("--json", action="store_true", help="print JSON to stdout")
     p.set_defaults(func=_cmd_check)
@@ -319,8 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch", help="run the pipeline over a directory")
     p.add_argument("dir")
     common(p)
-    p.add_argument("--mode", choices=("exact", "numeric"), default="exact")
-    p.add_argument("--tol-sdp", type=float, default=SDP_TOL)
     p.add_argument("--report-dir", help="write one JSON per graph/target here")
     p.set_defaults(func=_cmd_batch)
 
@@ -328,18 +319,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, MalformedGraph6, DisconnectedGraph) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    except (MalformedGraph6, DisconnectedGraph) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except ConvergenceFailure as exc:
+    except (ConvergenceFailure, np.linalg.LinAlgError) as exc:
         print(f"eigensolve failed: {exc}")
+        return _EXIT_INCONCLUSIVE
+    except Exception as exc:  # a bug must never read as exit 1, "disproved"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return _EXIT_INCONCLUSIVE
 
 

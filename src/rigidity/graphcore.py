@@ -96,19 +96,13 @@ class Graph:
         return (min(u, v), max(u, v)) in self.edge_index
 
     def _is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
         seen = [False] * self.n
         stack = [0]
         seen[0] = True
         count = 1
         while stack:
             x = stack.pop()
-            for y in adj[x]:
+            for y in self.neighbors[x]:
                 if not seen[y]:
                     seen[y] = True
                     count += 1

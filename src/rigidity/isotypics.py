@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .spectra import EigenspaceCluster
-from .symmetry import EdgeOrbitPartition, GroupGenerators, orbit_energy
+from .symmetry import EdgeOrbitPartition, GroupGenerators, _UnionFind, orbit_energy
 
 
 class UnstableSplit(RuntimeError):
@@ -163,30 +163,21 @@ def isotypic_decompose(
 
     # Merge isomorphic summands via projected cross-maps (Schur's lemma).
     k = len(subspaces)
-    parent = list(range(k))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    summands = _UnionFind(k)
     for a in range(k):
         for b in range(a + 1, k):
             Qa, Qb = subspaces[a], subspaces[b]
-            if Qa.shape[1] != Qb.shape[1]:
-                continue
-            if find(a) == find(b):
+            if Qa.shape[1] != Qb.shape[1] or summands.same(a, b):
                 continue
             X = rng.standard_normal((d, d))
             H = _project(N, Qb @ Qb.T @ X @ Qa @ Qa.T)
             T = Qb.T @ H @ Qa
             if np.linalg.norm(T) > 1e-6 * d:
-                parent[max(find(a), find(b))] = min(find(a), find(b))
+                summands.union(a, b)
 
     groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
+    for i, label in enumerate(summands.labels()):
+        groups.setdefault(label, []).append(i)
 
     components = []
     for members in groups.values():

@@ -19,7 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 from .certify import (
-    ConeMode,
     ConicCertificate,
     Disproof,
     LineSearchFailed,
@@ -40,7 +39,7 @@ from .isotypics import (
     isotypic_decompose,
     multiplicity_bound_ok,
 )
-from .sdpfeas import SDP_TOL, SdpStatus, compress_operators, expand_gram, solve_feasibility
+from .sdpfeas import SdpStatus, compress_operators, expand_gram, solve_feasibility
 from .spectra import (
     CLUSTER_TOL,
     AmbiguousCluster,
@@ -106,19 +105,13 @@ TRANSITIONS: dict[str, tuple[str, ...]] = {
 class PipelineConfig:
     """What a caller chooses; every tolerance and budget is a module constant."""
 
-    sdp_tol: float = SDP_TOL
     # Vertices the automorphism search fixes (() = full group), or generators.
     group: GroupGenerators | tuple[int, ...] = ()
     seed: int = 0
-    mode: str = "exact"  # exact | numeric
 
     def __post_init__(self):
-        if not (np.isfinite(self.sdp_tol) and self.sdp_tol > 0):
-            raise ValueError(f"sdp_tol must be finite and positive, got {self.sdp_tol!r}")
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.mode not in ("exact", "numeric"):
-            raise ValueError("mode must be 'exact' or 'numeric'")
         if not isinstance(self.group, GroupGenerators) and not (
             isinstance(self.group, tuple)
             and all(isinstance(v, int) for v in self.group)
@@ -353,7 +346,7 @@ def run_pipeline(
     run.stage("sdp")
     co = compress_operators(cluster, graph, part)
     try:
-        sdp = solve_feasibility(co, cfg.sdp_tol)
+        sdp = solve_feasibility(co)
     except np.linalg.LinAlgError as exc:
         return _eigensolve_failed(run, "SDP feasibility", exc)
     run.residuals["sdp"] = sdp.max_residual
@@ -398,10 +391,9 @@ def run_pipeline(
     except UnstableSplit as exc:
         run.flags.append("ISOTYPIC_FAILURE")
         return run.finish(PipelineStatus.INCONCLUSIVE_SOLVER, str(exc))
-    mode = ConeMode.EXACT_RATIONAL if cfg.mode == "exact" else ConeMode.NUMERIC
-    sol = solve_cone_membership(cone, mode)
+    sol = solve_cone_membership(cone)
     run.residuals["cone"] = sol.residual if np.isfinite(sol.residual) else -1.0
-    if sol.exact_unavailable:
+    if not sol.exact:
         run.flags.append("EXACT_UNAVAILABLE")
     if sol.feasible:
         return _assemble_stage(run, cone, sol, cluster)

@@ -138,20 +138,17 @@ def _dykstra(
 
 def solve_feasibility(
     co: CompressedOperators,
-    tol: float = SDP_TOL,
     max_iter: int = SDP_MAX_ITER,
 ) -> SdpResult:
-    """Decide feasibility of Z >= 0 with <L~^i, Z> = target_i.
+    """Decide feasibility of Z >= 0 with <L~^i, Z> = target_i to SDP_TOL.
 
     The iteration starts from the multiple of the identity whose total
     constraint value matches the total target.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     tr = sum(float(np.trace(op)) for op in co.ops)
     c = float(np.sum(co.targets)) / tr if tr > 0 else 1.0
     ops = np.stack([op.reshape(-1) for op in co.ops])
-    return _dykstra(ops, co.targets, co.d, tol, max_iter, c * np.eye(co.d))
+    return _dykstra(ops, co.targets, co.d, SDP_TOL, max_iter, c * np.eye(co.d))
 
 
 def expand_gram(co: CompressedOperators, Z: np.ndarray) -> np.ndarray:

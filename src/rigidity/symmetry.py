@@ -1,9 +1,9 @@
-"""Graph automorphisms, orbit structure, and symmetrization.
+"""Graph automorphisms and orbit structure.
 
 Automorphism generators come from an equitable-partition refinement search
 with individualization backtracking; callers with big graphs can supply
 generators externally (JSON) and skip the search. Orbits of edges and
-vertices, orbit-energy vectors, and weight symmetrization all live here.
+vertices and orbit-energy vectors live here too.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ class SearchBudgetExceeded(RuntimeError):
 
 class CapExceeded(RuntimeError):
     """Group closure grew past the configured cap."""
-
-    def __init__(self, msg: str, partial_count: int):
-        super().__init__(msg)
-        self.partial_count = partial_count
 
 
 @dataclass(frozen=True)
@@ -202,6 +198,12 @@ class _UnionFind:
     def same(self, a: int, b: int) -> bool:
         return self.find(a) == self.find(b)
 
+    def labels(self) -> list[int]:
+        """Class labels 0, 1, ... numbered in order of first element."""
+        first: dict[int, int] = {}
+        return [first.setdefault(self.find(x), len(first))
+                for x in range(len(self.parent))]
+
 
 def automorphism_generators(
     graph: Graph,
@@ -227,39 +229,37 @@ def automorphism_generators(
     if rest:
         seed.append(rest)
 
-    state = {
-        "nodes": 0,
-        "first_leaf": None,
-        "trace": [],
-        "gens": [],
-    }
+    nodes = 0
+    base: tuple[int, ...] | None = None  # the first leaf
+    trace: list[tuple[int, ...]] = []
+    gens: list[Permutation] = []
     orbits = _UnionFind(n)
 
     def explore(cells: list[list[int]], depth: int) -> None:
-        state["nodes"] += 1
-        if state["nodes"] > budget:
+        nonlocal nodes, base
+        nodes += 1
+        if nodes > budget:
             raise SearchBudgetExceeded(
                 f"automorphism search exceeded {budget} refinement nodes"
             )
         cells = _refine(nbrs, [list(c) for c in cells])
         shape = tuple(len(c) for c in cells)
-        if state["first_leaf"] is None:
-            state["trace"].append(shape)
+        if base is None:
+            trace.append(shape)
         else:
-            if depth >= len(state["trace"]) or shape != state["trace"][depth]:
+            if depth >= len(trace) or shape != trace[depth]:
                 return
         if all(len(c) == 1 for c in cells):
             leaf = tuple(c[0] for c in cells)
-            if state["first_leaf"] is None:
-                state["first_leaf"] = leaf
+            if base is None:
+                base = leaf
                 return
-            base = state["first_leaf"]
             image = [0] * n
             for k in range(n):
                 image[base[k]] = leaf[k]
             sigma = Permutation(tuple(image))
             if not sigma.is_identity() and verify_automorphism(graph, sigma):
-                state["gens"].append(sigma)
+                gens.append(sigma)
                 for v in range(n):
                     orbits.union(v, sigma.image[v])
             return
@@ -273,22 +273,16 @@ def automorphism_generators(
             explore(child, depth + 1)
 
     explore(seed, 0)
-
-    # Deduplicate by image; keep discovery order.
-    seen: set[tuple[int, ...]] = set()
-    gens = []
-    for g in state["gens"]:
-        if g.image not in seen:
-            seen.add(g.image)
-            gens.append(g)
+    # No image repeats: refinement only splits cells in place, so two leaves
+    # hold different vertices at the position where their branches parted.
     return GroupGenerators(graph, tuple(gens))
 
 
 def close_group(gens: GroupGenerators, cap: int = CLOSURE_CAP_DEFAULT) -> GroupClosure:
     """Breadth-first closure of the generated subgroup.
 
-    Raises CapExceeded (carrying the partial count) when the subgroup grows
-    past `cap`; callers should fall back to a smaller generating set.
+    Raises CapExceeded when the subgroup grows past `cap`; callers should
+    fall back to a smaller generating set.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
@@ -304,9 +298,7 @@ def close_group(gens: GroupGenerators, cap: int = CLOSURE_CAP_DEFAULT) -> GroupC
                 h = g.compose(e)
                 if h.image not in seen:
                     if len(elements) + 1 > cap:
-                        raise CapExceeded(
-                            f"group closure exceeded cap {cap}", len(elements)
-                        )
+                        raise CapExceeded(f"group closure exceeded cap {cap}")
                     seen.add(h.image)
                     elements.append(h)
                     nxt.append(h)
@@ -332,13 +324,8 @@ def edge_orbits(graph: Graph, gens: GroupGenerators) -> EdgeOrbitPartition:
         ep = edge_permutation(graph, g)
         for i in range(graph.m):
             uf.union(i, int(ep[i]))
-    roots = [uf.find(i) for i in range(graph.m)]
-    order: dict[int, int] = {}
-    for i, r in enumerate(roots):
-        if r not in order:
-            order[r] = len(order)
-    orbit_of = tuple(order[r] for r in roots)
-    sizes = [0] * len(order)
+    orbit_of = tuple(uf.labels())
+    sizes = [0] * (max(orbit_of) + 1)
     for o in orbit_of:
         sizes[o] += 1
     return EdgeOrbitPartition(graph, orbit_of, tuple(sizes))
@@ -349,13 +336,8 @@ def vertex_orbits(graph: Graph, gens: GroupGenerators) -> VertexOrbitPartition:
     for g in gens.gens:
         for v in range(graph.n):
             uf.union(v, g.image[v])
-    roots = [uf.find(v) for v in range(graph.n)]
-    order: dict[int, int] = {}
-    for r in roots:
-        if r not in order:
-            order[r] = len(order)
-    orbit_of = tuple(order[r] for r in roots)
-    groups: list[list[int]] = [[] for _ in range(len(order))]
+    orbit_of = tuple(uf.labels())
+    groups: list[list[int]] = [[] for _ in range(max(orbit_of) + 1)]
     for v, o in enumerate(orbit_of):
         groups[o].append(v)
     return VertexOrbitPartition(orbit_of, tuple(tuple(g) for g in groups))

@@ -132,19 +132,12 @@ class TestConeMembership:
             total = [t + a * x for t, x in zip(total, gf)]
         assert total == [Fraction(int(s)) for s in part.sizes]
 
-    def test_numeric_mode(self):
-        _, _, _, cone = _z12_cone()
-        sol = R.solve_cone_membership(cone, R.ConeMode.NUMERIC)
-        assert sol.feasible and not sol.exact
-        assert sol.residual <= 1e-10
-
     def test_irrational_generators_fall_back_to_numeric(self):
         g = fx.c5()
         iso = R.isotypic_decompose(_cluster(g), R.automorphism_generators(g))
         cone = R.build_cone(iso, _auto_part(g))
         sol = R.solve_cone_membership(cone)
         assert sol.feasible and not sol.exact
-        assert sol.exact_unavailable
         assert sol.residual <= 1e-10
 
     def test_exact_infeasible_cone(self):

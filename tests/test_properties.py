@@ -196,6 +196,22 @@ def test_orbit_partition_and_energy_totals(g, data):
     assert abs(float(np.sum(per_orbit)) - total) <= 1e-12 * max(1.0, total)
 
 
+circulants = st.integers(4, 10).flatmap(lambda n: st.sets(
+    st.integers(2, n // 2), max_size=2).map(
+        lambda jumps: R.circulant(n, sorted(jumps | {1}))))
+
+
+@given(st.one_of(connected_graphs(max_n=8), circulants), st.data())
+@settings(deadline=None, max_examples=60)
+def test_automorphism_generators_never_repeat(g, data):
+    fixed = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2, unique=True))
+    gens = R.automorphism_generators(g, fixed).gens
+    images = [sigma.image for sigma in gens]
+    assert len(set(images)) == len(images)
+    assert not any(sigma.is_identity() for sigma in gens)
+    assert all(sigma(v) == v for sigma in gens for v in fixed)
+
+
 @given(connected_graphs(), st.data())
 @settings(deadline=None, max_examples=60)
 def test_edge_energy_zero_iff_constant(g, data):

@@ -23,6 +23,7 @@ from .isotypics import IsotypicDecomposition, representative_vector
 from .sdpfeas import orbit_laplacian
 from .spectra import (
     AmbiguousCluster,
+    EigenDecomposition,
     EigenspaceCluster,
     Which,
     cluster_eigenspace,
@@ -119,6 +120,7 @@ MAX_ROUNDS = 60
 DELTA_MAX = 0.5  # line-search step range, halved from DELTA_MAX to DELTA_MIN
 DELTA_MIN = 1e-6
 RITZ_DIM = 8  # eigenvectors of the current weights that bound a line-search trial
+LP_OPTIONS = {"presolve": False}  # HiGHS presolve costs more than it saves here
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +367,7 @@ def verify_certificate(
     vectors: Sequence[tuple[float, np.ndarray]],
     lam: float,
     kind: TargetKind,
+    spectrum: EigenDecomposition | None = None,
 ) -> VerificationReport:
     """Re-check a certificate from scratch, using nothing downstream.
 
@@ -372,10 +375,11 @@ def verify_certificate(
     (ii) lam is the second-smallest (LOWER) or largest (UPPER) eigenvalue;
     (iii) sum a_j l_Psi(phi_j) = c * O for a fitted c > 0; (iv) all a_j >= 0.
     Per-edge certificates pass through as the all-singleton-orbit case.
+    spectrum, when given, is the uniform Laplacian's eigendecomposition that
+    the caller computed from the graph itself; otherwise it is computed here.
     """
     L = laplacian(graph, WeightVector.uniform(graph))
-    dec = eig_sym(L)
-    lam_all = dec.eigenvalues
+    lam_all = (spectrum if spectrum is not None else eig_sym(L)).eigenvalues
     scale = max(1.0, float(lam_all[-1]))
     details: dict = {}
 
@@ -442,24 +446,41 @@ def _cutting_plane_direction(
     operator sum_i y_i L~^i.
 
     For a one-column basis b (a simple eigenvalue) the unit eigenspace
-    vectors are +-b, and both have the orbit energies of the first cut. That
-    cut is then the whole constraint set, so one LP is exact and no operator
-    or oracle is built. Its t is the guarantee y achieves on the cut, since
-    the solver's own t may exceed it by the solver's feasibility tolerance.
+    vectors are +-b, and both have the orbit energies g of the first cut.
+    That cut is then the whole constraint set, so the direction is the
+    one-row LP max sign*g.y s.t. <y, O> = 0, |y|_inf <= 1, with no t column
+    and no operator or oracle. Its t is the guarantee y achieves on the cut,
+    not the solver's objective, which may exceed it by the solver's
+    tolerance. Both LPs run with HiGHS presolve off (LP_OPTIONS): on a dense
+    LP with one equality row or a few cut rows, presolve costs more than it
+    saves.
     """
     s = part.s
     d = basis.shape[1]
     sign = 1.0 if kind is TargetKind.LOWER else -1.0
 
+    if d == 1:
+        cut = orbit_energy(graph, part, basis[:, 0])
+        res = linprog(
+            c=-sign * cut,
+            A_eq=part.size_vector[None, :],
+            b_eq=[0.0],
+            bounds=(-1.0, 1.0),
+            method="highs",
+            options=LP_OPTIONS,
+        )
+        if not res.success:
+            return np.zeros(s), 0.0
+        return res.x, sign * float(cut @ res.x)
+
     def orbit_vec(x: np.ndarray) -> np.ndarray:
         return orbit_energy(graph, part, basis @ x)
 
     cuts = [orbit_vec(np.eye(d)[:, j]) for j in range(d)]
-    if d > 1:
-        ops = [basis.T @ orbit_laplacian(graph, part, o) @ basis for o in range(s)]
-        for _ in range(2):
-            x = rng.standard_normal(d)
-            cuts.append(orbit_vec(x / np.linalg.norm(x)))
+    ops = [basis.T @ orbit_laplacian(graph, part, o) @ basis for o in range(s)]
+    for _ in range(2):
+        x = rng.standard_normal(d)
+        cuts.append(orbit_vec(x / np.linalg.norm(x)))
 
     y = np.zeros(s)
     t = 0.0
@@ -473,12 +494,11 @@ def _cutting_plane_direction(
             b_eq=[0.0],
             bounds=[(-1.0, 1.0)] * s + [(None, None)],
             method="highs",
+            options=LP_OPTIONS,
         )
         if not res.success:
             return np.zeros(s), 0.0
         y = res.x[:s]
-        if d == 1:
-            return y, sign * float(cuts[0] @ y)
         t = float(res.x[s])
         if t <= EPS:
             return y, t

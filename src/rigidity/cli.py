@@ -117,9 +117,9 @@ def _group_config(spec: str, graph: Graph) -> GroupGenerators | tuple[int, ...]:
     return group
 
 
-def _config(args, group: GroupGenerators | tuple[int, ...]) -> PipelineConfig:
+def _config(group: GroupGenerators | tuple[int, ...], seed: int = 0) -> PipelineConfig:
     try:
-        return PipelineConfig(seed=args.seed, group=group)
+        return PipelineConfig(seed=seed, group=group)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -143,7 +143,7 @@ def _verdict_exit(reports: list[CertificationReport]) -> int:
 
 def _cmd_check(args) -> int:
     graph = _load_graph(args.graph)
-    cfg = _config(args, _group_config(args.group, graph))
+    cfg = _config(_group_config(args.group, graph), args.seed)
     reports = [
         run_pipeline(graph, t, cfg, graph_id=graph.name) for t in _targets(args.target)
     ]
@@ -174,8 +174,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_orbits(args) -> int:
     graph = _load_graph(args.graph)
-    cfg = _config(args, _group_config(args.group, graph))
-    gens, flags = acquire_group(graph, cfg)
+    gens, flags = acquire_group(graph, _config(_group_config(args.group, graph)))
     if flags:
         print("automorphism search budget exceeded; using trivial group")
     try:
@@ -197,7 +196,7 @@ def _cmd_orbits(args) -> int:
 def _cmd_disprove(args) -> int:
     graph = _load_graph(args.graph)
     kind = TargetKind.LOWER if args.target == "lower" else TargetKind.UPPER
-    cfg = _config(args, _group_config(args.group, graph))
+    cfg = _config(_group_config(args.group, graph), args.seed)
     dec = laplacian_spectrum(graph, WeightVector.uniform(graph))
     try:
         cluster = target_cluster(dec, kind)
@@ -231,7 +230,7 @@ def _cmd_batch(args) -> int:
     if isinstance(group, Path):
         raise _UsageError("batch --group takes auto or fix:<v1,v2,...>; "
                           "a generator file belongs to one graph")
-    cfg = _config(args, group)
+    cfg = _config(group, args.seed)
     root = Path(args.dir)
     if not root.is_dir():
         raise _UsageError(f"{args.dir} is not a directory")
@@ -279,12 +278,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, target_choices=("lower", "upper", "both")):
-        p.add_argument("--target", choices=target_choices, default="both"
-                       if "both" in target_choices else target_choices[0])
+    def group(p):
         p.add_argument("--group", default="auto",
                        help="auto | file:<generators.json> | fix:<v1,v2,...>"
                             " (batch: auto | fix:...)")
+
+    def common(p, target_choices=("lower", "upper", "both")):
+        p.add_argument("--target", choices=target_choices, default="both"
+                       if "both" in target_choices else target_choices[0])
+        group(p)
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
     p = sub.add_parser("check", help="run the full certification pipeline")
@@ -300,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orbits", help="print automorphism orbits of edges/vertices")
     p.add_argument("graph")
-    common(p, target_choices=("lower", "upper", "both"))
+    group(p)
     p.set_defaults(func=_cmd_orbits)
 
     p = sub.add_parser("disprove", help="search for witness weights only")

@@ -601,6 +601,7 @@ def _reverify(payload: dict) -> bool:
     if not fits:
         return False
     iso = payload["isotypics"]
+    dec = None  # the uniform spectrum, shared with the certificate check
     if iso or "mult_bound" in route:
         # Positive (irr_dim, mult, endo_dim) triples whose irr_dim * mult
         # dimensions add up to the target eigenspace.
@@ -629,7 +630,7 @@ def _reverify(payload: dict) -> bool:
         ):
             return False
         vectors = list(zip(coeffs, phis))
-        return verify_certificate(graph, part, vectors, float(lam), kind).ok
+        return verify_certificate(graph, part, vectors, float(lam), kind, dec).ok
     if status == "DISPROVED":
         disp = payload.get("disproof")
         if disp is None:

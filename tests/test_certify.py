@@ -430,8 +430,8 @@ class TestDisproofWork:
                              ids=["lower", "upper"])
     def test_simple_eigenvalue_guarantee_is_achieved_by_y(self, kind,
                                                           monkeypatch):
-        # The solver's t may exceed the guarantee y achieves by its
-        # feasibility tolerance; the one cut is exact, so nothing is re-solved.
+        # The solver's objective may exceed the guarantee y achieves by its
+        # tolerance; the one cut is exact, so nothing is re-solved.
         g = fx.barbell()
         part = _auto_part(g)
         basis = _cluster(g, kind.which).basis
@@ -442,17 +442,18 @@ class TestDisproofWork:
 
         def linprog(*args, **kwargs):
             res = real(*args, **kwargs)
-            x = res.x.copy()
-            x[-1] = sign * float(cut @ x[:-1]) + 1e-8
-            calls.append(x)
-            return scipy.optimize.OptimizeResult(x=x, success=True)
+            # linprog minimizes -sign * cut @ y: a lower fun claims more.
+            fun = res.fun - 1e-8
+            calls.append(fun)
+            return scipy.optimize.OptimizeResult(x=res.x.copy(), fun=fun,
+                                                 success=True)
 
         monkeypatch.setattr(certify, "linprog", linprog)
         y, t = certify._cutting_plane_direction(
             g, part, basis, kind, np.random.default_rng(0))
         assert len(calls) == 1
         assert t == sign * float(cut @ y)
-        assert certify.EPS < t < calls[0][-1]
+        assert certify.EPS < t < -calls[0]
 
     def test_degenerate_eigenvalue_keeps_the_oracle(self, monkeypatch):
         # P4's largest eigenvalue becomes double along the search: that

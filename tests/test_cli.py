@@ -273,8 +273,10 @@ class TestUsageErrors:
         ["batch", "graphs", "--tol-sdp", "1e-9"],
         ["check"],
         ["nosuch", "G.g6"],
+        ["orbits", "G.g6", "--seed", "5"],
+        ["orbits", "G.g6", "--target", "upper"],
     ], ids=["unknown-flag", "mode", "tol-sdp", "missing-graph",
-            "unknown-command"])
+            "unknown-command", "orbits-seed", "orbits-target"])
     def test_argument_error_exits_3(self, capsys, args):
         # argparse's own exit status, 2, would read as "inconclusive".
         rc = main(args)

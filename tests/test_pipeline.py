@@ -427,6 +427,23 @@ class TestReverification:
         monkeypatch.setattr(P, name, _eigensolve_fails)
         assert R.reverify_report(payload) is False
 
+    def test_one_uniform_eigensolve_per_certificate(self, monkeypatch,
+                                                    battery_reports):
+        # The isotypics check and the certificate check share one spectrum.
+        payload = json.loads(R.emit_report(
+            battery_reports[("petersen", LOWER)], "JSON"))
+        assert payload["isotypics"]
+        calls, real = [], R.eig_sym
+
+        def spy(A):
+            calls.append(A)
+            return real(A)
+
+        monkeypatch.setattr("rigidity.spectra.eig_sym", spy)
+        monkeypatch.setattr("rigidity.certify.eig_sym", spy)
+        assert R.reverify_report(payload)
+        assert len(calls) == 1
+
     def test_tampered_certificate_fails(self, z12_exact_report):
         payload = json.loads(R.emit_report(z12_exact_report, "JSON"))
         payload["certificate"]["a"] = ["1", "1", "0"]

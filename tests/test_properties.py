@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 import rigidity as R
+from rigidity import certify
 
 import fixtures as fx
 
@@ -235,3 +236,45 @@ def test_pipeline_ends_in_a_report_that_reverifies(g):
         rep = R.run_pipeline(g, target)
         assert R.route_is_valid(rep.route), rep.route
         assert R.reverify_report(json.loads(R.emit_report(rep, "JSON"))), rep.route
+
+
+def _knapsack_optimum(g, size):
+    """max g.y s.t. <size, y> = 0, |y|_inf <= 1, by Dantzig's greedy rule.
+
+    From y = -1 the constraint lacks sum(size); raising y_o to +1 buys
+    2 size_o of it for 2 g_o, so the best ratios g_o / size_o go up first
+    and the last one raised stops part way.
+    """
+    y = -np.ones(len(g))
+    need = float(np.sum(size))
+    for o in sorted(range(len(g)), key=lambda o: -g[o] / size[o]):
+        take = min(2.0 * size[o], need)
+        y[o] += take / size[o]
+        need -= take
+    return float(g @ y)
+
+
+@given(st.one_of(connected_graphs(max_n=8), circulants))
+@settings(deadline=None, max_examples=60)
+def test_simple_eigenvalue_direction_is_optimal(g):
+    part = R.edge_orbits(g, R.automorphism_generators(g))
+    size = np.asarray(part.size_vector, dtype=float)
+    dec = R.laplacian_spectrum(g, R.WeightVector.uniform(g))
+    simple = 0
+    for kind in (R.TargetKind.LOWER, R.TargetKind.UPPER):
+        try:
+            basis = R.cluster_eigenspace(dec, kind.which).basis
+        except R.AmbiguousCluster:
+            continue
+        if basis.shape[1] != 1:
+            continue
+        simple += 1
+        sign = 1.0 if kind is R.TargetKind.LOWER else -1.0
+        gain = sign * np.asarray(R.orbit_energy(g, part, basis[:, 0]))
+        y, t = certify._cutting_plane_direction(
+            g, part, basis, kind, np.random.default_rng(0))
+        best = _knapsack_optimum(gain, size)
+        assert abs(t - best) <= 1e-9 * max(1.0, float(np.sum(np.abs(gain))))
+        assert float(np.max(np.abs(y))) <= 1.0 + 1e-9
+        assert abs(float(size @ y)) <= 1e-9 * float(np.sum(size))
+    assume(simple > 0)

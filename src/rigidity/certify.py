@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linprog, nnls
 
 from .graphcore import Graph, WeightVector, laplacian
-from .isotypics import IsotypicDecomposition, representative_vector
+from .isotypics import IsotypicComponent, IsotypicDecomposition, representative_vector
 from .sdpfeas import orbit_laplacian
 from .spectra import (
     AmbiguousCluster,
@@ -58,14 +58,12 @@ class ConeModel:
     """Polyhedral cone of eigenspace orbit energies.
 
     generators[j] is the orbit-energy vector of reps[j], one representative
-    per multiplicity-one isotypic, scaled to squared norm n/2; target is the
-    orbit-size vector O.
+    per isotypic, scaled to squared norm n/2. The cone is asked to hold the
+    orbit-size vector O, part.size_vector.
     """
 
     generators: tuple[np.ndarray, ...]
     reps: tuple[np.ndarray, ...]
-    target: np.ndarray
-    graph: Graph
     part: EdgeOrbitPartition
 
 
@@ -79,15 +77,18 @@ class ConeSolution:
 
 @dataclass(frozen=True)
 class ConicCertificate:
-    """A subdifferential certificate: sum of a_j l_Psi(phi_j) = O, a >= 0."""
+    """A subdifferential certificate: sum of a_j l_Psi(phi_j) = O, a >= 0.
+
+    coeffs[j] is a_j and reps[j] is phi_j; phi = sum sqrt(a_j) phi_j.
+    """
 
     coeffs: tuple
+    reps: tuple[np.ndarray, ...]
     phi: np.ndarray
     lam: float
     eigen_residual: float
     orbit_residual: float
     exact: bool
-    flags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -232,6 +233,20 @@ def exact_nonneg_solve(
 # Cone construction and membership
 # ---------------------------------------------------------------------------
 
+def _cone(part: EdgeOrbitPartition, units: Iterable[np.ndarray]) -> ConeModel:
+    """The cone of one unit vector per isotypic, drawn in component order.
+
+    Each is scaled to squared norm n/2, the normalization under which a
+    cosine character vector on a circulant has integer orbit energies.
+    """
+    graph = part.graph
+    reps = tuple(phi * np.sqrt(graph.n / 2.0) for phi in units)
+    gens = tuple(orbit_energy(graph, part, phi) for phi in reps)
+    if any(np.max(g) <= 0 for g in gens):
+        raise ValueError("zero orbit-energy generator; eigenvector is constant")
+    return ConeModel(gens, reps, part)
+
+
 def build_cone(
     dec: IsotypicDecomposition,
     part: EdgeOrbitPartition,
@@ -239,27 +254,16 @@ def build_cone(
 ) -> ConeModel:
     """One representative per isotypic; generators are their orbit energies.
 
-    Representatives are scaled to squared norm n/2, the normalization under
-    which a cosine character vector on a circulant has integer orbit
-    energies. Requires every multiplicity to be one.
+    Component k's representative is drawn with seed + k. Requires every
+    multiplicity to be one.
     """
     bad = [c for c in dec.components if c.mult != 1]
     if bad:
         raise MultiplicityObstruction(
             f"{len(bad)} isotypic component(s) have multiplicity > 1"
         )
-    graph = part.graph
-    scale = np.sqrt(graph.n / 2.0)
-    reps = []
-    gens = []
-    for k, comp in enumerate(dec.components):
-        phi = representative_vector(comp, part, seed + k) * scale
-        reps.append(phi)
-        g = orbit_energy(graph, part, phi)
-        if np.max(g) <= 0:
-            raise ValueError("zero orbit-energy generator; eigenvector is constant")
-        gens.append(g)
-    return ConeModel(tuple(gens), tuple(reps), part.size_vector.copy(), graph, part)
+    return _cone(part, (representative_vector(c, part, seed + k)
+                        for k, c in enumerate(dec.components)))
 
 
 def subcone_model(
@@ -273,22 +277,15 @@ def subcone_model(
     cone is contained in the full orbit-energy image, so membership still
     yields a certificate, but failure proves nothing.
     """
-    graph = part.graph
     rng = np.random.default_rng(seed)
-    scale = np.sqrt(graph.n / 2.0)
-    reps = []
-    gens = []
-    for comp in dec.components:
+
+    def draw(comp: IsotypicComponent) -> np.ndarray:
         if comp.mult == 1:
-            phi = representative_vector(comp, part, seed)
-        else:
-            Bc = comp.basis
-            phi = Bc @ (Bc.T @ rng.standard_normal(graph.n))
-            phi = phi / np.linalg.norm(phi)
-        phi = phi * scale
-        reps.append(phi)
-        gens.append(orbit_energy(graph, part, phi))
-    return ConeModel(tuple(gens), tuple(reps), part.size_vector.copy(), graph, part)
+            return representative_vector(comp, part, seed)
+        phi = comp.basis @ (comp.basis.T @ rng.standard_normal(part.graph.n))
+        return phi / np.linalg.norm(phi)
+
+    return _cone(part, map(draw, dec.components))
 
 
 def solve_cone_membership(cone: ConeModel) -> ConeSolution:
@@ -301,7 +298,7 @@ def solve_cone_membership(cone: ConeModel) -> ConeSolution:
     1e-10, and the solution is not exact.
     """
     G = np.column_stack(cone.generators)
-    target = cone.target
+    target = cone.part.size_vector
     rows = [[rationalize_tight(x) for x in row] for row in G]
     if all(f is not None for row in rows for f in row):
         b = [Fraction(x).limit_denominator(MAX_DENOMINATOR) for x in target]
@@ -328,32 +325,32 @@ def assemble_certificate(
     orbit-size vector; ResidualTooLarge flags solver/decomposition mismatch.
     """
     coeffs = solution.coeffs
-    phi = np.zeros(cone.graph.n)
+    graph = cone.part.graph
+    phi = np.zeros(graph.n)
     for a, rep in zip(coeffs, cone.reps):
         af = float(a)
         if af < 0:
             raise ValueError("negative cone coefficient")
         if af > 0:
             phi = phi + np.sqrt(af) * rep
-    en = orbit_energy(cone.graph, cone.part, phi)
-    target = cone.target
+    en = orbit_energy(graph, cone.part, phi)
+    target = cone.part.size_vector
     orbit_residual = float(np.max(np.abs(en - target)))
     scale = float(np.max(np.abs(target)))
     if orbit_residual > ASSEMBLY_TOL * max(1.0, scale):
         raise ResidualTooLarge(
             f"assembled orbit energies miss the target by {orbit_residual:.3e}"
         )
-    L = laplacian(cone.graph, WeightVector.uniform(cone.graph))
+    L = laplacian(graph, WeightVector.uniform(graph))
     eigen_residual = float(np.linalg.norm(L @ phi - cluster.value * phi))
-    flags = () if solution.exact else ("EXACT_UNAVAILABLE",)
     return ConicCertificate(
         coeffs=tuple(coeffs),
+        reps=cone.reps,
         phi=phi,
         lam=float(cluster.value),
         eigen_residual=eigen_residual,
         orbit_residual=orbit_residual,
         exact=solution.exact,
-        flags=flags,
     )
 
 
@@ -414,7 +411,12 @@ def verify_certificate(
 
 
 def verify_disproof(graph: Graph, d: Disproof, kind: TargetKind) -> bool:
-    """Recompute spectra from scratch and check the strict improvement."""
+    """Recompute spectra from scratch and check the strict improvement.
+
+    The witness must beat the uniform target eigenvalue by MARGIN, and its
+    achieved, baseline and margin must be the recomputed weighted and
+    uniform eigenvalues and their gain, within VERIFY_TOL * max(1, lambda_max).
+    """
     w = d.w.values
     if np.any(w < 0):
         return False
@@ -422,9 +424,15 @@ def verify_disproof(graph: Graph, d: Disproof, kind: TargetKind) -> bool:
         return False
     lam_w = eig_sym(laplacian(graph, w)).eigenvalues
     lam_u = eig_sym(laplacian(graph, WeightVector.uniform(graph))).eigenvalues
-    if kind is TargetKind.LOWER:
-        return float(lam_w[1]) > float(lam_u[1]) + MARGIN
-    return float(lam_w[-1]) < float(lam_u[-1]) - MARGIN
+    idx = 1 if kind is TargetKind.LOWER else -1
+    achieved, baseline = float(lam_w[idx]), float(lam_u[idx])
+    gain = achieved - baseline if kind is TargetKind.LOWER else baseline - achieved
+    tol = VERIFY_TOL * max(1.0, float(lam_w[-1]), float(lam_u[-1]))
+    return gain > MARGIN and all(
+        abs(claimed - true) <= tol
+        for claimed, true in ((d.achieved, achieved), (d.baseline, baseline),
+                              (d.margin, gain))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ class IsotypicComponent:
 @dataclass(frozen=True)
 class IsotypicDecomposition:
     components: tuple[IsotypicComponent, ...]
-    eigenspace: EigenspaceCluster
     residual: float
 
 
@@ -206,7 +205,7 @@ def isotypic_decompose(
     )
     proj_sum = sum(c.coords @ c.coords.T for c in components)
     residual = float(np.linalg.norm(proj_sum - np.eye(d)))
-    return IsotypicDecomposition(tuple(components), cluster, residual)
+    return IsotypicDecomposition(tuple(components), residual)
 
 
 def _endo_dim(mats: Sequence[np.ndarray], Q: np.ndarray) -> int:

@@ -24,6 +24,7 @@ from .certify import (
     LineSearchFailed,
     ResidualTooLarge,
     TargetKind,
+    VERIFY_TOL,
     assemble_certificate,
     build_cone,
     find_disproof,
@@ -121,40 +122,38 @@ class PipelineConfig:
 
 @dataclass
 class CertificationReport:
+    """One run's outcome; run_pipeline fills it in place as the stages pass."""
+
     graph: Graph
     graph_id: str
     target: TargetKind
-    route: tuple[str, ...]
-    status: PipelineStatus
-    group_order: int
-    orbit_of: tuple[int, ...]
-    orbit_sizes: tuple[int, ...]
-    isotypics: tuple[tuple[int, int, int], ...]
-    lam: float | None
-    certificate: ConicCertificate | None
-    cert_vectors: tuple | None  # ((coeff, vector), ...) pairs for re-checks
-    embedding_gram: np.ndarray | None
-    disproof: Disproof | None
-    residuals: dict
-    flags: tuple[str, ...]
-    message: str
+    route: tuple[str, ...] = ()
+    status: PipelineStatus | None = None  # set when the run ends
+    group_order: int = 0
+    orbit_of: tuple[int, ...] = ()
+    orbit_sizes: tuple[int, ...] = ()
+    isotypics: tuple[tuple[int, int, int], ...] = ()
+    lam: float | None = None
+    certificate: ConicCertificate | None = None
+    embedding_gram: np.ndarray | None = None
+    disproof: Disproof | None = None
+    residuals: dict = field(default_factory=dict)
+    flags: tuple[str, ...] = ()
+    message: str = ""
     timings: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         """Deterministic JSON payload; timings stay out on purpose."""
         cert = None
-        if self.certificate is not None and self.cert_vectors is not None:
+        if (c := self.certificate) is not None:
             cert = {
-                "a": [
-                    str(c) if isinstance(c, Fraction) else float(c)
-                    for c, _ in self.cert_vectors
-                ],
-                "vectors": [[float(x) for x in v] for _, v in self.cert_vectors],
-                "lambda": float(self.certificate.lam),
-                "exact": self.certificate.exact,
-                "eigen_residual": float(self.certificate.eigen_residual),
-                "orbit_residual": float(self.certificate.orbit_residual),
-                "flags": list(self.certificate.flags),
+                "a": [str(a) if isinstance(a, Fraction) else float(a) for a in c.coeffs],
+                "vectors": [[float(x) for x in v] for v in c.reps],
+                "lambda": float(c.lam),
+                "exact": c.exact,
+                "eigen_residual": float(c.eigen_residual),
+                "orbit_residual": float(c.orbit_residual),
+                "flags": [] if c.exact else ["EXACT_UNAVAILABLE"],
             }
         disp = None
         if self.disproof is not None:
@@ -201,67 +200,28 @@ def route_is_valid(route: tuple[str, ...]) -> bool:
 
 
 class _Run:
-    """Mutable state of one pipeline run; collapses to a report."""
+    """The stage clock of one run: it times each stage of the report it fills."""
 
-    def __init__(self, graph: Graph, target: TargetKind, cfg: PipelineConfig,
-                 graph_id: str):
-        self.graph = graph
-        self.target = target
-        self.cfg = cfg
-        self.graph_id = graph_id
-        self.route: list[str] = []
-        self.flags: list[str] = []
-        self.residuals: dict = {}
-        self.timings: dict = {}
-        self.group_order = 0
-        self.orbit_of: tuple[int, ...] = ()
-        self.orbit_sizes: tuple[int, ...] = ()
-        self.isotypics: tuple = ()
-        self.lam: float | None = None
+    def __init__(self, report: CertificationReport):
+        self.report = report
         self._t0 = time.perf_counter()
 
     def stage(self, name: str):
-        """Close the open stage and open `name`."""
-        self._close_stage()
-        self.route.append(name)
-
-    def _close_stage(self):
-        now = time.perf_counter()
-        if self.route:
-            self.timings[self.route[-1]] = now - self._t0
+        """Time the open stage and open `name`."""
+        rep, now = self.report, time.perf_counter()
+        if rep.route:
+            rep.timings[rep.route[-1]] = now - self._t0
             self._t0 = now
+        rep.route += (name,)
 
-    def finish(
-        self,
-        status: PipelineStatus,
-        message: str = "",
-        certificate: ConicCertificate | None = None,
-        cert_vectors=None,
-        embedding_gram: np.ndarray | None = None,
-        disproof: Disproof | None = None,
-    ) -> CertificationReport:
-        self._close_stage()
-        self.route.append(status.value)
-        return CertificationReport(
-            graph=self.graph,
-            graph_id=self.graph_id,
-            target=self.target,
-            route=tuple(self.route),
-            status=status,
-            group_order=self.group_order,
-            orbit_of=self.orbit_of,
-            orbit_sizes=self.orbit_sizes,
-            isotypics=self.isotypics,
-            lam=self.lam,
-            certificate=certificate,
-            cert_vectors=tuple(cert_vectors) if cert_vectors else None,
-            embedding_gram=embedding_gram,
-            disproof=disproof,
-            residuals=self.residuals,
-            flags=tuple(self.flags),
-            message=message,
-            timings=self.timings,
-        )
+    def finish(self, status: PipelineStatus, message: str = "",
+               flag: str | None = None) -> CertificationReport:
+        """Raise flag, if any, time the last stage and end the route in status."""
+        rep = self.report
+        rep.flags += (flag,) if flag else ()
+        self.stage(status.value)  # a status is never timed: nothing follows it
+        rep.status, rep.message = status, message
+        return rep
 
 
 def acquire_group(
@@ -309,7 +269,8 @@ def run_pipeline(
     caller error and raises ValueError: generators in cfg.group bound to
     another graph, or a fixed vertex outside 0..n-1.
     """
-    run = _Run(graph, target, cfg, graph_id or graph.name or "graph")
+    rep = CertificationReport(graph, graph_id or graph.name or "graph", target)
+    run = _Run(rep)
 
     run.stage("spectrum")
     try:
@@ -321,27 +282,26 @@ def run_pipeline(
     try:
         cluster = target_cluster(dec, target)
     except AmbiguousCluster:
-        run.flags.append("AMBIGUOUS_CLUSTER")
         return run.finish(
             PipelineStatus.INCONCLUSIVE_SOLVER,
             "no clean spectral gap around the target eigenvalue",
+            flag="AMBIGUOUS_CLUSTER",
         )
-    run.lam = float(cluster.value)
+    rep.lam = float(cluster.value)
 
     run.stage("group")
     gens, flags = acquire_group(graph, cfg)
-    run.flags.extend(flags)
+    rep.flags += flags
     try:
-        run.group_order = close_group(gens).size
+        rep.group_order = close_group(gens).size
     except CapExceeded:
-        run.flags.append("GROUP_CAP_EXCEEDED")
+        rep.flags += ("GROUP_CAP_EXCEEDED",)
         gens = GroupGenerators(graph, ())
-        run.group_order = 1
+        rep.group_order = 1
 
     run.stage("orbits")
     part = edge_orbits(graph, gens)
-    run.orbit_of = part.orbit_of
-    run.orbit_sizes = part.sizes
+    rep.orbit_of, rep.orbit_sizes = part.orbit_of, part.sizes
 
     run.stage("sdp")
     co = compress_operators(cluster, graph, part)
@@ -349,37 +309,38 @@ def run_pipeline(
         sdp = solve_feasibility(co)
     except np.linalg.LinAlgError as exc:
         return _eigensolve_failed(run, "SDP feasibility", exc)
-    run.residuals["sdp"] = sdp.max_residual
-    run.residuals["sdp_iterations"] = float(sdp.iterations)
+    rep.residuals["sdp"] = sdp.max_residual
+    rep.residuals["sdp_iterations"] = float(sdp.iterations)
 
     if sdp.status is SdpStatus.LIKELY_INFEASIBLE:
-        return _disproof_stage(run, cluster, part, "embedding SDP likely infeasible")
+        return _disproof_stage(run, cluster, part, cfg.seed,
+                               "embedding SDP likely infeasible")
     if sdp.status is SdpStatus.ITERATION_LIMIT:
-        run.flags.append("SDP_ITERATION_LIMIT")
         return run.finish(
             PipelineStatus.INCONCLUSIVE_SOLVER,
             "SDP hit its iteration limit without a verdict",
+            flag="SDP_ITERATION_LIMIT",
         )
 
     run.stage("isotypics")
     try:
         iso = isotypic_decompose(cluster, gens, cfg.seed)
     except UnstableSplit as exc:
-        run.flags.append("ISOTYPIC_FAILURE")
-        return run.finish(PipelineStatus.INCONCLUSIVE_SOLVER, str(exc))
+        return run.finish(PipelineStatus.INCONCLUSIVE_SOLVER, str(exc),
+                          flag="ISOTYPIC_FAILURE")
     except np.linalg.LinAlgError as exc:
         return _eigensolve_failed(run, "isotypic decomposition", exc)
-    run.isotypics = tuple((c.irr_dim, c.mult, c.endo_dim) for c in iso.components)
-    run.residuals["isotypic"] = iso.residual
+    rep.isotypics = tuple((c.irr_dim, c.mult, c.endo_dim) for c in iso.components)
+    rep.residuals["isotypic"] = iso.residual
     if any(c.endo_dim == 4 for c in iso.components):
-        run.flags.append("QUATERNIONIC_COMPONENT_UNTESTED")
+        rep.flags += ("QUATERNIONIC_COMPONENT_UNTESTED",)
 
     run.stage("mult_bound")
     if not multiplicity_bound_ok(iso):
+        rep.embedding_gram = None if sdp.Z is None else expand_gram(co, sdp.Z)
         return run.finish(
             PipelineStatus.INCONCLUSIVE_NO_RANK1,
             "multiplicity bound fails: no single-eigenvector certificate guaranteed",
-            embedding_gram=None if sdp.Z is None else expand_gram(co, sdp.Z),
         )
 
     # Multiplicity one everywhere: the full cone, whose miss is a verdict.
@@ -389,12 +350,12 @@ def run_pipeline(
     try:
         cone = (build_cone if full else subcone_model)(iso, part, cfg.seed)
     except UnstableSplit as exc:
-        run.flags.append("ISOTYPIC_FAILURE")
-        return run.finish(PipelineStatus.INCONCLUSIVE_SOLVER, str(exc))
+        return run.finish(PipelineStatus.INCONCLUSIVE_SOLVER, str(exc),
+                          flag="ISOTYPIC_FAILURE")
     sol = solve_cone_membership(cone)
-    run.residuals["cone"] = sol.residual if np.isfinite(sol.residual) else -1.0
+    rep.residuals["cone"] = sol.residual if np.isfinite(sol.residual) else -1.0
     if not sol.exact:
-        run.flags.append("EXACT_UNAVAILABLE")
+        rep.flags += ("EXACT_UNAVAILABLE",)
     if sol.feasible:
         return _assemble_stage(run, cone, sol, cluster)
     if not full:
@@ -404,84 +365,77 @@ def run_pipeline(
             "target; exact route unavailable",
         )
     if sol.exact:
-        run.flags.append("EXACT_CONE_INFEASIBLE")
+        rep.flags += ("EXACT_CONE_INFEASIBLE",)
         msg = ("orbit-size vector provably outside the certificate cone; "
                "target is not conformally rigid")
     else:
-        run.flags.append("NUMERIC_CONE_INFEASIBLE")
+        rep.flags += ("NUMERIC_CONE_INFEASIBLE",)
         msg = "certificate cone membership failed numerically"
-    return _disproof_stage(run, cluster, part, msg)
+    return _disproof_stage(run, cluster, part, cfg.seed, msg)
 
 
 def _eigensolve_failed(
     run: _Run, reason: str, exc: ConvergenceFailure | np.linalg.LinAlgError
 ) -> CertificationReport:
-    run.flags.append("EIGENSOLVE_FAILED")
     return run.finish(
-        PipelineStatus.INCONCLUSIVE_SOLVER, f"{reason}; eigensolve failed: {exc}"
+        PipelineStatus.INCONCLUSIVE_SOLVER, f"{reason}; eigensolve failed: {exc}",
+        flag="EIGENSOLVE_FAILED",
     )
 
 
-def _disproof_stage(run: _Run, cluster, part, reason: str) -> CertificationReport:
+def _disproof_stage(run: _Run, cluster, part, seed: int,
+                    reason: str) -> CertificationReport:
+    rep = run.report
     run.stage("disproof")
     try:
-        d = find_disproof(run.graph, cluster, part, run.target, run.cfg.seed)
-        verified = d is not None and verify_disproof(run.graph, d, run.target)
+        d = find_disproof(rep.graph, cluster, part, rep.target, seed)
+        verified = d is not None and verify_disproof(rep.graph, d, rep.target)
     except LineSearchFailed as exc:
-        run.flags.append("LINE_SEARCH_FAILED")
-        return run.finish(
-            PipelineStatus.INCONCLUSIVE_SOLVER, f"{reason}; {exc}"
-        )
+        return run.finish(PipelineStatus.INCONCLUSIVE_SOLVER, f"{reason}; {exc}",
+                          flag="LINE_SEARCH_FAILED")
     except (ConvergenceFailure, np.linalg.LinAlgError) as exc:
         return _eigensolve_failed(run, reason, exc)
-    if verified:
-        if run.target is TargetKind.LOWER:
-            run.residuals["disproof_lambda2"] = d.achieved
-        else:
-            run.residuals["disproof_lambda_max"] = d.achieved
+    if not verified:
         return run.finish(
-            PipelineStatus.DISPROVED,
-            f"{reason}; witness weights beat the uniform spectrum by {d.margin:.6g}",
-            disproof=d,
+            PipelineStatus.INCONCLUSIVE_SOLVER,
+            f"{reason}; no verified witness weights found",
+            flag=None if d is None else "DISPROOF_VERIFY_FAILED",
         )
-    if d is not None:
-        run.flags.append("DISPROOF_VERIFY_FAILED")
+    lower = rep.target is TargetKind.LOWER
+    rep.residuals["disproof_lambda2" if lower else "disproof_lambda_max"] = d.achieved
+    rep.disproof = d
     return run.finish(
-        PipelineStatus.INCONCLUSIVE_SOLVER,
-        f"{reason}; no verified witness weights found",
+        PipelineStatus.DISPROVED,
+        f"{reason}; witness weights beat the uniform spectrum by {d.margin:.6g}",
     )
 
 
 def _assemble_stage(run: _Run, cone, sol, cluster) -> CertificationReport:
+    rep = run.report
     run.stage("assemble")
     try:
         cert = assemble_certificate(cone, sol, cluster)
     except (ResidualTooLarge, ValueError) as exc:
-        run.flags.append("ASSEMBLY_FAILED")
-        return run.finish(PipelineStatus.INCONCLUSIVE_SOLVER, str(exc))
+        return run.finish(PipelineStatus.INCONCLUSIVE_SOLVER, str(exc),
+                          flag="ASSEMBLY_FAILED")
     run.stage("verify")
-    vectors = list(zip(cert.coeffs, cone.reps))
+    vectors = list(zip(cert.coeffs, cert.reps))
     try:
-        ver = verify_certificate(run.graph, cone.part, vectors, cert.lam, run.target)
+        ver = verify_certificate(rep.graph, cone.part, vectors, cert.lam, rep.target)
     except ConvergenceFailure as exc:
         return _eigensolve_failed(run, "certificate check", exc)
-    run.residuals["certificate_orbit"] = cert.orbit_residual
-    run.residuals["certificate_eigen"] = cert.eigen_residual
+    rep.residuals["certificate_orbit"] = cert.orbit_residual
+    rep.residuals["certificate_eigen"] = cert.eigen_residual
     if not ver.ok:
-        run.flags.append("VERIFY_FAILED")
         return run.finish(
             PipelineStatus.INCONCLUSIVE_SOLVER,
             f"assembled certificate failed verification at {ver.failing_clause}",
+            flag="VERIFY_FAILED",
         )
-    status = (
-        PipelineStatus.CERTIFIED_EXACT if cert.exact
-        else PipelineStatus.CERTIFIED_NUMERIC
-    )
+    rep.certificate = cert
     return run.finish(
-        status,
+        PipelineStatus.CERTIFIED_EXACT if cert.exact else PipelineStatus.CERTIFIED_NUMERIC,
         "single-eigenvector certificate verified",
-        certificate=cert,
-        cert_vectors=vectors,
     )
 
 
@@ -555,12 +509,15 @@ def reverify_report(payload: dict) -> bool:
     isotypics, must carry positive integer triples whose irr_dim * mult sum
     to the dimension of the target eigenspace. A certified report must then
     carry a certificate that verify_certificate accepts, and a disproved one
-    witness weights that verify_disproof accepts.
+    witness weights that verify_disproof accepts, with the achieved, baseline
+    and margin it recomputes. The top-level lambda must repeat the
+    certificate's lambda or the disproof's baseline, to VERIFY_TOL.
 
     Numbers that do not fit the graph are rejected before anything is built:
-    certificate vectors that are not n finite numbers, coefficients that are
-    not finite or not one per vector, an eigenvalue that is not a finite
-    number, and disproof weights that are not m finite nonnegative numbers.
+    orbit labels outside 0..m-1, certificate vectors that are not n finite
+    numbers, coefficients that are not finite or not one per vector, an
+    eigenvalue that is not a finite number, and disproof weights that are
+    not m finite nonnegative numbers.
     A payload that is not a report (a missing key, a value of the wrong type,
     a bad graph6 string, an unknown target) is rejected too, and so is one
     whose check fails to converge: this returns False and never raises.
@@ -588,12 +545,12 @@ def _reverify(payload: dict) -> bool:
         # The run stopped before it had a group or orbits.
         fits = (labels, sizes, order) == ([], [], 0)
     else:
-        # Exactly one nonnegative integer orbit label per edge, sizes that
+        # Exactly one integer orbit label in 0..m-1 per edge, sizes that
         # count them, and an order that each orbit size divides
         # (orbit-stabilizer).
         fits = (
             len(labels) == m
-            and all(type(o) is int and o >= 0 for o in labels)
+            and all(type(o) is int and 0 <= o < m for o in labels)
             and sizes == np.bincount(labels).tolist()
             and type(order) is int and order > 0
             and all(k > 0 and order % k == 0 for k in sizes)
@@ -629,8 +586,10 @@ def _reverify(payload: dict) -> bool:
             phi is None for phi in phis
         ):
             return False
+        lam = float(lam)
         vectors = list(zip(coeffs, phis))
-        return verify_certificate(graph, part, vectors, float(lam), kind, dec).ok
+        return (abs(payload["lambda"] - lam) <= VERIFY_TOL * max(1.0, abs(lam))
+                and verify_certificate(graph, part, vectors, lam, kind, dec).ok)
     if status == "DISPROVED":
         disp = payload.get("disproof")
         if disp is None:
@@ -641,5 +600,7 @@ def _reverify(payload: dict) -> bool:
         # verify_disproof, not the WeightVector, judges the total weight.
         d = Disproof(WeightVector(w), disp["achieved"], disp["baseline"],
                      disp["margin"])
-        return verify_disproof(graph, d, kind)
+        lam = d.baseline
+        return (abs(payload["lambda"] - lam) <= VERIFY_TOL * max(1.0, abs(lam))
+                and verify_disproof(graph, d, kind))
     return True

@@ -41,10 +41,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.size
-
 
 @dataclass(frozen=True)
 class EigenspaceCluster:

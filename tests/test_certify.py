@@ -99,7 +99,7 @@ class TestBuildCone:
         _, _, _, cone = _z12_cone()
         got = sorted(tuple(np.round(gv, 8)) for gv in cone.generators)
         assert got == [(6.0, 12.0), (6.0, 12.0), (18.0, 0.0)]
-        assert np.array_equal(cone.target, np.array([12.0, 12.0]))
+        assert np.array_equal(cone.part.size_vector, np.array([12.0, 12.0]))
 
     def test_generators_nonnegative_nonzero(self):
         for make in (fx.c5, fx.petersen, fx.cn6b):
@@ -141,10 +141,10 @@ class TestConeMembership:
         assert sol.residual <= 1e-10
 
     def test_exact_infeasible_cone(self):
-        g, part, _, cone = _z12_cone()
+        _, part, _, cone = _z12_cone()
+        # the cone of (1, 0) misses the orbit-size vector (12, 12)
         off = R.ConeModel(generators=(np.array([1.0, 0.0]),),
-                          reps=(cone.reps[0],),
-                          target=np.array([0.0, 1.0]), graph=g, part=part)
+                          reps=(cone.reps[0],), part=part)
         sol = R.solve_cone_membership(off)
         assert not sol.feasible
         assert sol.exact  # infeasibility established over the rationals

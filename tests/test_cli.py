@@ -1,10 +1,13 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rigidity as R
-from rigidity.cli import main
+from rigidity.cli import _build_parser, main
 
 import fixtures as fx
 
@@ -394,3 +397,32 @@ class TestSharedPipelineSteps:
         assert rc == 3
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+
+def _subcommand_options() -> dict[str, set[str]]:
+    """Subcommand -> the long options its parser takes, --help aside."""
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()}
+
+
+def _readme_synopsis() -> dict[str, set[str]]:
+    """Subcommand -> the options its synopsis lines in README's CLI block name."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    out: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        options = set(re.findall(r"--[\w-]+", line))
+        if line.startswith("rigidity "):
+            name = line.split()[1]
+            out[name] = options
+        elif line.startswith(" "):  # a synopsis continues on indented lines
+            out[name] |= options
+    return out
+
+
+class TestReadmeSynopsis:
+    @pytest.mark.parametrize("command", sorted(_subcommand_options()))
+    def test_synopsis_names_every_option(self, command):
+        assert _readme_synopsis().get(command) == _subcommand_options()[command]

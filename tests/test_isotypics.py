@@ -84,11 +84,11 @@ class TestStructuralInvariants:
     def test_dimensions_sum_to_eigenspace(self, z12_dec):
         g, gens, dec = z12_dec
         total = sum(c.irr_dim * c.mult for c in dec.components)
-        assert total == dec.eigenspace.basis.shape[1]
+        assert total == _cluster(g).basis.shape[1]
 
     def test_projector_completeness(self, z12_dec):
         g, gens, dec = z12_dec
-        B = dec.eigenspace.basis
+        B = _cluster(g).basis
         P = B @ B.T
         total = sum(c.basis @ c.basis.T for c in dec.components)
         assert np.max(np.abs(total - P)) <= 1e-8
@@ -141,11 +141,11 @@ class TestRepresentativeVector:
     def test_lives_in_component_and_eigenspace(self):
         g = fx.z21()
         gens = fx.rotation_gens(g, 21)
-        dec = R.isotypic_decompose(_cluster(g), gens)
-        c = dec.components[0]
+        cl = _cluster(g)
+        c = R.isotypic_decompose(cl, gens).components[0]
         phi = R.representative_vector(c, R.edge_orbits(g, gens))
         L = R.laplacian(g, R.WeightVector.uniform(g))
-        lam = dec.eigenspace.value
+        lam = cl.value
         assert np.max(np.abs(L @ phi - lam * phi)) <= 1e-8
         inside = c.basis @ (c.basis.T @ phi)
         assert np.max(np.abs(phi - inside)) <= 1e-10

@@ -294,7 +294,9 @@ class TestGeneratingSetIndependence:
         assert a.status in (R.PipelineStatus.CERTIFIED_EXACT,
                             R.PipelineStatus.CERTIFIED_NUMERIC)
         assert a.group_order == b.group_order
-        for (ca, va), (cb, vb) in zip(a.cert_vectors, b.cert_vectors, strict=True):
+        pairs_a = zip(a.certificate.coeffs, a.certificate.reps)
+        pairs_b = zip(b.certificate.coeffs, b.certificate.reps)
+        for (ca, va), (cb, vb) in zip(pairs_a, pairs_b, strict=True):
             assert abs(float(ca) - float(cb)) <= 1e-10
             assert np.max(np.abs(va - vb)) <= 1e-10
 
@@ -390,6 +392,27 @@ class TestReportSerialization:
         assert len(w) == 7
         assert abs(sum(w) - 7.0) <= 1e-9
 
+    def test_schema_1_payload_shape(self, battery_reports, z12_exact_report,
+                                    tensegrity_report):
+        top = {"schema", "graph_id", "graph6", "n", "m", "target", "route",
+               "status", "group_order", "orbit_of", "orbit_sizes", "isotypics",
+               "lambda", "certificate", "embedding_gram", "disproof",
+               "residuals", "flags", "message"}
+        cert_keys = {"a", "vectors", "lambda", "exact", "eigen_residual",
+                     "orbit_residual", "flags"}
+        exact, numeric, disproved = (
+            json.loads(R.emit_report(rep, "JSON")) for rep in (
+                z12_exact_report, tensegrity_report,
+                battery_reports[("barbell", LOWER)]))
+        for payload in (exact, numeric, disproved):
+            assert payload["schema"] == 1
+            assert set(payload) == top
+        assert set(exact["certificate"]) == set(numeric["certificate"]) == cert_keys
+        assert exact["certificate"]["flags"] == []
+        assert numeric["certificate"]["flags"] == ["EXACT_UNAVAILABLE"]
+        assert exact["disproof"] is None and disproved["certificate"] is None
+        assert set(disproved["disproof"]) == {"w", "achieved", "baseline", "margin"}
+
 
 class TestReverification:
     def test_certified_reports_reverify(self, battery_reports,
@@ -470,7 +493,10 @@ class TestReverification:
         "certificate_lambda_null", "extra_coefficient",
         "disproof_mass_off", "disproof_w_short", "disproof_w_nan",
         "disproof_w_negative", "disproof_w_not_numbers",
-        "disproof_w_missing", "disproof_not_a_mapping", "graph6_malformed",
+        "disproof_w_missing", "disproof_not_a_mapping",
+        "disproof_orbit_label_huge", "disproof_orbit_label_overflows",
+        "disproof_achieved_not_a_number", "disproof_margin_off",
+        "disproof_baseline_off", "disproof_lambda_off", "graph6_malformed",
         "graph6_null", "target_unknown", "status_missing",
     ])
     def test_malformed_payload_is_rejected(self, change, battery_reports,
@@ -517,6 +543,18 @@ class TestReverification:
             del disp["w"]
         elif change == "disproof_not_a_mapping":
             payload["disproof"] = [1]
+        elif change == "disproof_orbit_label_huge":  # no bincount of 10**12 bins
+            payload["orbit_of"][-1] = 10**12
+        elif change == "disproof_orbit_label_overflows":  # beyond int64
+            payload["orbit_of"][-1] = 10**20
+        elif change == "disproof_achieved_not_a_number":
+            disp["achieved"] = "banana"
+        elif change == "disproof_margin_off":
+            disp["margin"] = 1e6
+        elif change == "disproof_baseline_off":
+            disp["baseline"] = -5.0
+        elif change == "disproof_lambda_off":
+            payload["lambda"] = 123.0
         elif change == "graph6_malformed":
             payload["graph6"] = "!!"
         elif change == "graph6_null":

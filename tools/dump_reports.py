@@ -1,0 +1,71 @@
+"""Write one JSON report per benchmark case, for byte-identity checks.
+
+    python3 tools/dump_reports.py SRC OUT
+
+Runs every atlas, symmetric and random case of perfbench/workloads.py at
+seed 0 through run_pipeline, with the rigidity package found in SRC (the
+src directory of any checkout), and writes emit_report's JSON to
+OUT/<workload>/<graph id>.<target>.json. K7, Q5 and Q6 are skipped: they
+take minutes. Two checkouts are compared with
+
+    python3 tools/dump_reports.py old/src /tmp/old
+    python3 tools/dump_reports.py new/src /tmp/new
+    diff -r /tmp/old /tmp/new
+
+Standard output names the package used, then gives each workload's status
+counts and the number of decided reports that reverify_report rejects. BLAS
+is pinned to one thread, so a report's bytes do not depend on the machine's
+core count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from collections import Counter
+from pathlib import Path
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SKIPPED = frozenset({"K7", "Q5", "Q6"})
+DECIDED = frozenset({"CERTIFIED_EXACT", "CERTIFIED_NUMERIC", "DISPROVED"})
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("src", help="directory holding the rigidity package")
+    ap.add_argument("out", help="directory the reports are written to")
+    args = ap.parse_args()
+    sys.path[:0] = [str(Path(args.src).resolve()), str(PERFBENCH)]
+    import rigidity as R
+    import workloads
+
+    print(f"rigidity from {Path(R.__file__).parent}")
+    for workload in workloads.WORKLOADS:
+        out = Path(args.out) / workload
+        out.mkdir(parents=True, exist_ok=True)
+        statuses: Counter[str] = Counter()
+        rejected = 0
+        for case in workloads.corpus(workload, 0):
+            if case.gid in SKIPPED:
+                continue
+            report = R.run_pipeline(case.graph, case.target, R.PipelineConfig(),
+                                    graph_id=case.gid)
+            blob = R.emit_report(report, "JSON")
+            (out / f"{case.gid}.{case.target.value}.json").write_bytes(blob)
+            status = report.status.value
+            statuses[status] += 1
+            if status in DECIDED and not R.reverify_report(json.loads(blob)):
+                rejected += 1
+        counts = ", ".join(f"{k} {v}" for k, v in sorted(statuses.items()))
+        print(f"{workload}: {sum(statuses.values())} reports ({counts}); "
+              f"{rejected} decided reports fail reverify_report")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

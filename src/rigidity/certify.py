@@ -554,6 +554,7 @@ def find_disproof(
     part: EdgeOrbitPartition,
     kind: TargetKind,
     seed: int = 0,
+    spectrum: EigenDecomposition | None = None,
 ) -> Disproof | None:
     """Search for witness weights violating rigidity of the given target.
 
@@ -573,6 +574,8 @@ def find_disproof(
     LineSearchFailed when a direction exists there but no step size realizes
     an improvement. A failed eigensolve raises ConvergenceFailure, or
     LinAlgError from the eigenvector oracle of a degenerate eigenvalue.
+    spectrum, when given, is the uniform Laplacian's eigendecomposition that
+    the caller already computed; otherwise it is computed here.
     """
     rng = np.random.default_rng(seed)
     m = graph.m
@@ -581,7 +584,7 @@ def find_disproof(
     lower = kind is TargetKind.LOWER
     idx = 1 if lower else -1
     ritz = slice(None, RITZ_DIM) if lower else slice(-RITZ_DIM, None)
-    dec = eig_sym(laplacian(graph, uniform))
+    dec = spectrum if spectrum is not None else eig_sym(laplacian(graph, uniform))
     lam_base = float(dec.eigenvalues[idx])
     better = (lambda a, b: a > b) if lower else (lambda a, b: a < b)
 

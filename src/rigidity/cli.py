@@ -208,7 +208,7 @@ def _cmd_disprove(args) -> int:
         print("automorphism search budget exceeded; using trivial group")
     part = edge_orbits(graph, gens)
     try:
-        d = find_disproof(graph, cluster, part, kind, cfg.seed)
+        d = find_disproof(graph, cluster, part, kind, cfg.seed, dec)
         verified = d is not None and verify_disproof(graph, d, kind)
     except LineSearchFailed as exc:
         print(f"line search failed: {exc}")

@@ -313,7 +313,7 @@ def run_pipeline(
     rep.residuals["sdp_iterations"] = float(sdp.iterations)
 
     if sdp.status is SdpStatus.LIKELY_INFEASIBLE:
-        return _disproof_stage(run, cluster, part, cfg.seed,
+        return _disproof_stage(run, dec, cluster, part, cfg.seed,
                                "embedding SDP likely infeasible")
     if sdp.status is SdpStatus.ITERATION_LIMIT:
         return run.finish(
@@ -371,7 +371,7 @@ def run_pipeline(
     else:
         rep.flags += ("NUMERIC_CONE_INFEASIBLE",)
         msg = "certificate cone membership failed numerically"
-    return _disproof_stage(run, cluster, part, cfg.seed, msg)
+    return _disproof_stage(run, dec, cluster, part, cfg.seed, msg)
 
 
 def _eigensolve_failed(
@@ -383,12 +383,12 @@ def _eigensolve_failed(
     )
 
 
-def _disproof_stage(run: _Run, cluster, part, seed: int,
+def _disproof_stage(run: _Run, dec, cluster, part, seed: int,
                     reason: str) -> CertificationReport:
     rep = run.report
     run.stage("disproof")
     try:
-        d = find_disproof(rep.graph, cluster, part, rep.target, seed)
+        d = find_disproof(rep.graph, cluster, part, rep.target, seed, dec)
         verified = d is not None and verify_disproof(rep.graph, d, rep.target)
     except LineSearchFailed as exc:
         return run.finish(PipelineStatus.INCONCLUSIVE_SOLVER, f"{reason}; {exc}",

@@ -5,6 +5,11 @@ hit prescribed targets" is a small SDP feasibility problem in the Gram matrix
 Z of the embedding coordinates. It is solved with Dykstra-corrected
 alternating projections between the PSD cone and the affine constraint set;
 no external solver is involved.
+
+Its size is that of the eigenspace, not of the graph: s operators of d x d,
+built from the m x d incidence form D = B[us] - B[vs] of the basis B, in
+O(m d^2). One thin pseudo-inverse of the s x d^2 operator matrix, an SVD in
+O(s d^4), then serves every affine projection.
 """
 
 from __future__ import annotations
@@ -20,6 +25,9 @@ from .symmetry import EdgeOrbitPartition
 
 SDP_TOL = 1e-9
 SDP_MAX_ITER = 50_000
+# Relative singular-value cut of the operator matrix: the square root of the
+# 1e-13 cut on its Gram matrix, whose singular values are the squares.
+PINV_RCOND = float(np.sqrt(1e-13))
 
 
 class SdpStatus(Enum):
@@ -30,9 +38,12 @@ class SdpStatus(Enum):
 
 @dataclass(frozen=True)
 class CompressedOperators:
-    """Eigenspace-compressed constraint operators and their targets."""
+    """Eigenspace-compressed constraint operators and their targets.
 
-    ops: tuple[np.ndarray, ...]
+    ops is an (s, d, d) array: ops[o] is the operator of orbit o.
+    """
+
+    ops: np.ndarray
     targets: np.ndarray
     basis: np.ndarray
 
@@ -50,7 +61,7 @@ class SdpResult:
 
 
 def orbit_laplacian(graph: Graph, part: EdgeOrbitPartition, orbit_id: int) -> np.ndarray:
-    """Laplacian of the subgraph formed by one edge orbit."""
+    """Laplacian of the subgraph formed by one edge orbit, n x n and dense."""
     return laplacian(graph, part.labels == orbit_id)
 
 
@@ -62,10 +73,16 @@ def compress_operators(
     """Compress constraint Laplacians into the eigenspace: B^T L^i B.
 
     One operator per orbit, with the orbit size as its target; the trivial
-    partition gives one operator per edge, each with target 1.
+    partition gives one operator per edge, each with target 1. With the
+    incidence form D = B[us] - B[vs], an edge's operator is D_e D_e^T, so
+    orbit o's is the sum of those over its edges, D_o^T D_o: O(m d^2) work
+    and no n x n matrix.
     """
     B = cluster.basis
-    ops = tuple(B.T @ orbit_laplacian(graph, part, o) @ B for o in range(part.s))
+    us, vs = graph.endpoints
+    D = B[us] - B[vs]
+    ops = np.zeros((part.s, B.shape[1], B.shape[1]))
+    np.add.at(ops, part.labels, D[:, :, None] * D[:, None, :])
     return CompressedOperators(ops, part.size_vector, B)
 
 
@@ -73,6 +90,11 @@ def _psd_clip(Z: np.ndarray) -> np.ndarray:
     lam, V = np.linalg.eigh(0.5 * (Z + Z.T))
     lam = np.clip(lam, 0.0, None)
     return (V * lam) @ V.T
+
+
+def _pinv(ops: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of the operator matrix, cut at PINV_RCOND relative."""
+    return np.linalg.pinv(ops, rcond=PINV_RCOND)
 
 
 def _dykstra(
@@ -86,26 +108,27 @@ def _dykstra(
     """Dykstra alternating projections between the PSD cone and an affine set.
 
     ops is (k, d*d) with row i = vec of the i-th constraint operator. The
-    affine projection is the least-norm correction through the Gram
-    pseudo-inverse. FEASIBLE once a projected iterate satisfies both
-    membership tests to tol; LIKELY_INFEASIBLE when the inter-set distance
-    plateaus (relative drop < 1e-3 over 200 iterations) above 10*tol, or
-    right away when the linear system itself is inconsistent.
+    affine projection is the least-norm correction z + ops^+ (t - ops z),
+    through the pseudo-inverse of ops itself: one SVD of k x d^2, O(k d^4),
+    cut at PINV_RCOND relative, which keeps the subspace that a 1e-13 cut
+    on the k x k Gram ops ops^T keeps. FEASIBLE once a projected iterate
+    satisfies both membership tests to tol; LIKELY_INFEASIBLE when the
+    inter-set distance plateaus (relative drop < 1e-3 over 200 iterations)
+    above 10*tol, or right away when the linear system itself is
+    inconsistent.
     """
-    gram = ops @ ops.T
-    gram_pinv = np.linalg.pinv(gram, rcond=1e-13)
+    ops_pinv = _pinv(ops)
 
     # An inconsistent affine system has no solution at all, PSD or not.
     if ops.size:
-        z_ls = ops.T @ (gram_pinv @ targets)
+        z_ls = ops_pinv @ targets
         r0 = float(np.max(np.abs(ops @ z_ls - targets)))
         if r0 > 10.0 * tol:
             return SdpResult(None, SdpStatus.LIKELY_INFEASIBLE, r0, 0)
 
     def affine_project(Z: np.ndarray) -> np.ndarray:
         z = Z.reshape(-1)
-        corr = gram_pinv @ (targets - ops @ z)
-        return (z + ops.T @ corr).reshape(d, d)
+        return (z + ops_pinv @ (targets - ops @ z)).reshape(d, d)
 
     x = z0.copy()
     p = np.zeros((d, d))
@@ -145,9 +168,9 @@ def solve_feasibility(
     The iteration starts from the multiple of the identity whose total
     constraint value matches the total target.
     """
-    tr = sum(float(np.trace(op)) for op in co.ops)
+    tr = float(np.trace(co.ops, axis1=1, axis2=2).sum())
     c = float(np.sum(co.targets)) / tr if tr > 0 else 1.0
-    ops = np.stack([op.reshape(-1) for op in co.ops])
+    ops = co.ops.reshape(len(co.ops), -1)
     return _dykstra(ops, co.targets, co.d, SDP_TOL, max_iter, c * np.eye(co.d))
 
 

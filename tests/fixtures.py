@@ -133,6 +133,18 @@ def diagonal_gens(g, prod):
     return R.GroupGenerators(prod, tuple(lifted))
 
 
+def gnp(n, p, seed):
+    """The first connected G(n, p) graph drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, 1)
+    while True:
+        keep = rng.random(iu.size) < p
+        try:
+            return R.Graph(n, tuple(zip(iu[keep].tolist(), ju[keep].tolist())))
+        except R.DisconnectedGraph:
+            continue
+
+
 def battery():
     """Graphs named by the property-suite criterion."""
     return [k4(), c5(), c7(), petersen(), barbell(), f3(), z12(), z21()]

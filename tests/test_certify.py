@@ -351,24 +351,13 @@ class TestDisproof:
         assert abs(d.w.values.sum() - g.m) <= 1e-9 * g.m
 
 
-def _gnp(n, p, seed):
-    rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, 1)
-    while True:
-        keep = rng.random(iu.size) < p
-        try:
-            return R.Graph(n, tuple(zip(iu[keep].tolist(), ju[keep].tolist())))
-        except R.DisconnectedGraph:
-            continue
-
-
 def _disproof_case(case):
     if case == "barbell-lower":
         return fx.barbell(), R.TargetKind.LOWER
     if case == "p4-upper":
         return R.parse_graph6("Ck"), R.TargetKind.UPPER
     kind = R.TargetKind.LOWER if case == "gnp30-lower" else R.TargetKind.UPPER
-    return _gnp(30, 0.2, seed=0), kind
+    return fx.gnp(30, 0.2, seed=0), kind
 
 
 def _count_calls(monkeypatch, name):
@@ -413,6 +402,22 @@ class TestDisproofWork:
         repeats = len(solved) - len(set(solved))
         assert repeats == 0
         assert 1 <= clustered <= certify.MAX_ROUNDS
+
+    @pytest.mark.parametrize("case", ["barbell-lower", "gnp30-upper"])
+    def test_given_spectrum_is_not_solved_again(self, case, monkeypatch):
+        # The caller's uniform spectrum saves one eigensolve and no step.
+        g, kind = _disproof_case(case)
+        cluster, part = _cluster(g, kind.which), _auto_part(g)
+        spectrum = R.laplacian_spectrum(g, R.WeightVector.uniform(g))
+        solves = _count_calls(monkeypatch, "eig_sym")
+        own = R.find_disproof(g, cluster, part, kind)
+        own_solves = len(solves)
+        given = R.find_disproof(g, cluster, part, kind, spectrum=spectrum)
+        assert len(solves) - own_solves == own_solves - 1
+        assert own is not None and given is not None
+        assert given.w.values.tobytes() == own.w.values.tobytes()
+        assert (given.achieved, given.baseline, given.margin) == (
+            own.achieved, own.baseline, own.margin)
 
     @pytest.mark.parametrize("case", ["barbell-lower", "gnp30-upper"])
     def test_simple_eigenvalue_direction_is_one_lp(self, case, monkeypatch):

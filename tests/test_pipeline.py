@@ -100,6 +100,22 @@ class TestStatuses:
             assert rep.disproof is not None
             assert R.verify_disproof(rep.graph, rep.disproof, target)
 
+    def test_disproof_reuses_the_uniform_spectrum(self, monkeypatch):
+        # find_disproof takes the spectrum stage's decomposition; only
+        # verify_disproof, the independent check, solves L(1) again.
+        g = fx.barbell()
+        L = R.laplacian(g, R.WeightVector.uniform(g))
+        uniform, real = [], R.eig_sym
+
+        def spy(A):
+            uniform.append(np.array_equal(A, L))
+            return real(A)
+
+        monkeypatch.setattr("rigidity.spectra.eig_sym", spy)
+        monkeypatch.setattr("rigidity.certify.eig_sym", spy)
+        assert _run(g).status is R.PipelineStatus.DISPROVED
+        assert sum(uniform) == 2
+
     def test_certified_battery(self, battery_reports):
         certified = {R.PipelineStatus.CERTIFIED_EXACT,
                      R.PipelineStatus.CERTIFIED_NUMERIC}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rigidity as R
+from rigidity import sdpfeas
 
 import fixtures as fx
 
@@ -20,7 +21,50 @@ def _compress(g, which=R.Which.SECOND, orbits=True):
     return R.compress_operators(_cluster(g, which), g, part)
 
 
+def _operator_case(case):
+    """(graph, target eigenspace, partition) for an operator comparison."""
+    if case == "c5-trivial":
+        g = fx.c5()
+        return g, R.Which.SECOND, R.edge_orbits(g, R.GroupGenerators(g, ()))
+    if case == "z12-orbits":  # d = 2
+        g = fx.z12()
+        return g, R.Which.LARGEST, _orbit_part(g)
+    if case == "petersen-largest":  # d = 4
+        g = fx.petersen()
+        return g, R.Which.LARGEST, _orbit_part(g)
+    g = fx.gnp(30, 0.2, seed=0)
+    return g, R.Which.SECOND, R.edge_orbits(g, R.GroupGenerators(g, ()))
+
+
+def _gram_pinv(ops):
+    """The Gram-form reference: ops^T (ops ops^T)^+, cut at 1e-13 on the Gram."""
+    return ops.T @ np.linalg.pinv(ops @ ops.T, rcond=1e-13)
+
+
+# Every graph and eigenspace that TestSolveFeasibility solves.
+SOLVE_BATTERY = [(fx.k4, R.Which.SECOND), (fx.c5, R.Which.SECOND),
+                 (fx.c7, R.Which.SECOND), (fx.petersen, R.Which.SECOND),
+                 (fx.petersen, R.Which.LARGEST), (fx.barbell, R.Which.SECOND),
+                 (fx.f3, R.Which.LARGEST), (fx.z12, R.Which.SECOND),
+                 (fx.z12, R.Which.LARGEST)]
+
+
 class TestCompressOperators:
+    @pytest.mark.parametrize("case", ["c5-trivial", "z12-orbits",
+                                      "petersen-largest", "gnp30-trivial"])
+    def test_ops_match_dense_reference(self, case):
+        # ops[o] is B^T L_o B, with L_o the n x n Laplacian of orbit o.
+        g, which, part = _operator_case(case)
+        cl = _cluster(g, which)
+        co = R.compress_operators(cl, g, part)
+        B = cl.basis
+        d = B.shape[1]
+        assert co.ops.shape == (part.s, d, d)
+        tol = 1e-12 * max(1.0, cl.value)
+        for o in range(part.s):
+            ref = B.T @ R.orbit_laplacian(g, part, o) @ B
+            assert np.max(np.abs(co.ops[o] - ref)) <= tol, o
+
     def test_per_edge_count_and_symmetry(self):
         g = fx.c5()
         co = _compress(g, orbits=False)
@@ -127,3 +171,34 @@ class TestSolveFeasibility:
             feas = {R.SdpStatus.FEASIBLE}
             assert (a.status in feas) == (b.status in feas), g.name
 
+    @pytest.mark.parametrize("orbits", [True, False], ids=["orbits", "edges"])
+    @pytest.mark.parametrize(
+        "make,which", SOLVE_BATTERY,
+        ids=[f"{make.__name__}-{which.value}" for make, which in SOLVE_BATTERY])
+    def test_pseudo_inverse_matches_gram_form(self, make, which, orbits,
+                                              monkeypatch):
+        co = _compress(make(), which, orbits)
+        res = R.solve_feasibility(co)
+        monkeypatch.setattr(sdpfeas, "_pinv", _gram_pinv)
+        ref = R.solve_feasibility(co)
+        assert res.status is ref.status
+        assert res.iterations == ref.iterations
+        assert abs(res.max_residual - ref.max_residual) <= 1e-12 * max(
+            1.0, abs(ref.max_residual))
+
+    def test_tiny_singular_value_is_cut_like_its_gram_square(self, monkeypatch):
+        # The operator matrix has singular values 1 and 1e-8, its Gram 1 and
+        # 1e-16: below the Gram's 1e-13 cut, so both forms see rank one and
+        # the second target, which only the dropped direction reaches, is
+        # missed by the least-squares solution before any iteration.
+        ops = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1e-8])])
+        sv = np.linalg.svd(ops.reshape(2, -1), compute_uv=False)
+        assert np.array_equal(sv, [1.0, 1e-8])
+        co = R.CompressedOperators(ops, np.ones(2), np.eye(2))
+        res = R.solve_feasibility(co)
+        monkeypatch.setattr(sdpfeas, "_pinv", _gram_pinv)
+        ref = R.solve_feasibility(co)
+        for r in (res, ref):
+            assert r.status is R.SdpStatus.LIKELY_INFEASIBLE
+            assert r.iterations == 0
+            assert r.max_residual == pytest.approx(1.0)

@@ -118,6 +118,7 @@ EPS = 1e-8  # cutting-plane guarantee at or below which no direction exists
 MARGIN = 1e-7
 MAX_CUTS = 100
 MAX_ROUNDS = 60
+STALL = 0.01  # least share of the margin so far that a round must gain to go on
 DELTA_MAX = 0.5  # line-search step range, halved from DELTA_MAX to DELTA_MIN
 DELTA_MIN = 1e-6
 RITZ_DIM = 8  # eigenvectors of the current weights that bound a line-search trial
@@ -570,6 +571,16 @@ def find_disproof(
     Every other trial gets one checked eigensolve: a rejected one reads only
     its target eigenvalue, and the accepted one's decomposition is clustered
     for the next round's eigenspace basis.
+    The search stops after an accepted round that gained less than STALL of
+    the margin so far, before that round's eigenspace is clustered, and
+    MAX_ROUNDS stays as a ceiling. The first accepted round gains its whole
+    margin, so it never stalls, and STALL = 0 gives back the search that only
+    MAX_ROUNDS ends. Stopping early is sound: any accepted witness beats the
+    uniform eigenvalue by MARGIN, which is a proof that verify_disproof
+    re-checks from the graph alone, and the margin is not part of the status
+    contract. Later rounds only grow it. Acceptance criterion 01 (barbell
+    LOWER achieved >= 0.70) and TestDisproof::test_barbell_lower keep a
+    floor on its quality.
     Returns None when no strict direction exists at uniform weights; raises
     LineSearchFailed when a direction exists there but no step size realizes
     an improvement. A failed eigensolve raises ConvergenceFailure, or
@@ -626,7 +637,10 @@ def find_disproof(
                 )
             break
         # Each accepted step beats the last by MARGIN, so w is the best yet.
+        gain = abs(accepted[1] - lam_cur)
         w, lam_cur, dec = accepted
+        if gain < STALL * abs(lam_cur - lam_base):
+            break  # stalled: no later round's eigenspace is needed
         try:
             basis = cluster_eigenspace(dec, kind.which).basis
         except AmbiguousCluster:

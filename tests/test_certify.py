@@ -487,6 +487,24 @@ class TestDisproofWork:
         assert (d.achieved, d.baseline, d.margin) == (
             ref.achieved, ref.baseline, ref.margin)
 
+    @pytest.mark.parametrize("case", ["barbell-lower", "gnp30-lower",
+                                      "gnp30-upper"])
+    def test_search_stops_when_a_round_stalls(self, case, monkeypatch):
+        # STALL = 0 runs until no step is accepted or MAX_ROUNDS is reached.
+        g, kind = _disproof_case(case)
+        cluster, part = _cluster(g, kind.which), _auto_part(g)
+        directions = _count_calls(monkeypatch, "_cutting_plane_direction")
+        d = R.find_disproof(g, cluster, part, kind)
+        stalled = len(directions)
+        monkeypatch.setattr(certify, "STALL", 0.0)
+        ref = R.find_disproof(g, cluster, part, kind)
+        full = len(directions) - stalled
+        assert d is not None and ref is not None
+        assert R.verify_disproof(g, d, kind) and R.verify_disproof(g, ref, kind)
+        assert stalled < full
+        if case != "barbell-lower":
+            assert 2 * stalled < full
+
     @pytest.mark.parametrize("case", ["gnp30-lower", "gnp30-upper"])
     def test_rejected_trials_skip_the_eigensolve(self, case, monkeypatch):
         g, kind = _disproof_case(case)

@@ -4,6 +4,7 @@ import json
 
 import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import rigidity as R
@@ -278,3 +279,33 @@ def test_simple_eigenvalue_direction_is_optimal(g):
         assert float(np.max(np.abs(y))) <= 1.0 + 1e-9
         assert abs(float(size @ y)) <= 1e-9 * float(np.sum(size))
     assume(simple > 0)
+
+
+def _disproof_or_error(g, kind):
+    """find_disproof on the trivial partition, or the type of what it raised."""
+    part = R.edge_orbits(g, R.GroupGenerators(g, ()))
+    dec = R.laplacian_spectrum(g, R.WeightVector.uniform(g))
+    cluster = R.cluster_eigenspace(dec, kind.which)
+    try:
+        return R.find_disproof(g, cluster, part, kind, spectrum=dec)
+    except R.LineSearchFailed as exc:
+        return type(exc)
+
+
+@given(st.integers(3, 10), st.floats(0.3, 0.9), st.integers(0, 2**16))
+@settings(deadline=None, max_examples=12)
+def test_stall_rule_never_changes_a_verdict(n, p, seed):
+    g = fx.gnp(n, p, seed)
+    for kind in (R.TargetKind.LOWER, R.TargetKind.UPPER):
+        try:
+            stalled = _disproof_or_error(g, kind)
+        except R.AmbiguousCluster:
+            continue
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(certify, "STALL", 0.0)
+            full = _disproof_or_error(g, kind)
+        assert (stalled is None) == (full is None)
+        assert (stalled is R.LineSearchFailed) == (full is R.LineSearchFailed)
+        for d in (stalled, full):
+            if isinstance(d, R.Disproof):
+                assert R.verify_disproof(g, d, kind)

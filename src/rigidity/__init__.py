@@ -4,10 +4,10 @@ A connected graph is conformally rigid when the uniform edge weighting is
 already optimal: no reweighting of total mass |E| can raise the second
 Laplacian eigenvalue (lower target) or lower the largest one (upper target).
 The package decides this through a pipeline of spectral clustering, symmetry
-reduction, an embedding feasibility SDP, isotypic decomposition, and a
-polyhedral certificate cone with exact rational arithmetic, falling back to a
-perturbation search that produces explicit witness weights when rigidity
-fails.
+reduction, isotypic decomposition, and a polyhedral certificate cone with
+exact rational arithmetic, with an embedding feasibility SDP only where an
+isotypic multiplicity exceeds one, falling back to a perturbation search that
+produces explicit witness weights when rigidity fails.
 """
 
 from .certify import (
@@ -16,7 +16,6 @@ from .certify import (
     ConicCertificate,
     Disproof,
     LineSearchFailed,
-    MultiplicityObstruction,
     ResidualTooLarge,
     TargetKind,
     VerificationReport,

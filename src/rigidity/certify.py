@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import takewhile
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,10 +40,6 @@ class TargetKind(Enum):
     @property
     def which(self) -> Which:
         return Which.SECOND if self is TargetKind.LOWER else Which.LARGEST
-
-
-class MultiplicityObstruction(ValueError):
-    """Cone construction needs all isotypic multiplicities equal to one."""
 
 
 class ResidualTooLarge(RuntimeError):
@@ -256,13 +253,8 @@ def build_cone(
     """One representative per isotypic; generators are their orbit energies.
 
     Component k's representative is drawn with seed + k. Requires every
-    multiplicity to be one.
+    multiplicity to be one: representative_vector raises MultiplicityNotOne.
     """
-    bad = [c for c in dec.components if c.mult != 1]
-    if bad:
-        raise MultiplicityObstruction(
-            f"{len(bad)} isotypic component(s) have multiplicity > 1"
-        )
     return _cone(part, (representative_vector(c, part, seed + k)
                         for k, c in enumerate(dec.components)))
 
@@ -296,12 +288,16 @@ def solve_cone_membership(cone: ConeModel) -> ConeSolution:
     phase-1 simplex: a returned solution (or infeasibility verdict) is then a
     theorem about the rationalized data. When entries do not rationalize
     safely, falls back to nonnegative least squares accepted at residual
-    1e-10, and the solution is not exact.
+    1e-10, and the solution is not exact. Rationalizing stops at the first
+    entry that fails the gate, since one such entry already rules out the
+    exact route.
     """
     G = np.column_stack(cone.generators)
     target = cone.part.size_vector
-    rows = [[rationalize_tight(x) for x in row] for row in G]
-    if all(f is not None for row in rows for f in row):
+    fracs = list(takewhile(lambda f: f is not None, map(rationalize_tight, G.flat)))
+    if len(fracs) == G.size:
+        h = G.shape[1]
+        rows = [fracs[i:i + h] for i in range(0, G.size, h)]
         b = [Fraction(x).limit_denominator(MAX_DENOMINATOR) for x in target]
         sol = exact_nonneg_solve(rows, b)
         if sol is None:
@@ -411,12 +407,15 @@ def verify_certificate(
     return VerificationReport(True, c, None, details)
 
 
-def verify_disproof(graph: Graph, d: Disproof, kind: TargetKind) -> bool:
+def verify_disproof(graph: Graph, d: Disproof, kind: TargetKind,
+                    spectrum: EigenDecomposition | None = None) -> bool:
     """Recompute spectra from scratch and check the strict improvement.
 
     The witness must beat the uniform target eigenvalue by MARGIN, and its
     achieved, baseline and margin must be the recomputed weighted and
     uniform eigenvalues and their gain, within VERIFY_TOL * max(1, lambda_max).
+    spectrum, when given, is the uniform Laplacian's eigendecomposition that
+    the caller computed from the graph itself; otherwise it is computed here.
     """
     w = d.w.values
     if np.any(w < 0):
@@ -424,7 +423,8 @@ def verify_disproof(graph: Graph, d: Disproof, kind: TargetKind) -> bool:
     if abs(float(w.sum()) - graph.m) > 1e-9 * graph.m:
         return False
     lam_w = eig_sym(laplacian(graph, w)).eigenvalues
-    lam_u = eig_sym(laplacian(graph, WeightVector.uniform(graph))).eigenvalues
+    lam_u = (spectrum if spectrum is not None
+             else eig_sym(laplacian(graph, WeightVector.uniform(graph)))).eigenvalues
     idx = 1 if kind is TargetKind.LOWER else -1
     achieved, baseline = float(lam_w[idx]), float(lam_u[idx])
     gain = achieved - baseline if kind is TargetKind.LOWER else baseline - achieved

@@ -75,8 +75,8 @@ def _commutant(mats: Sequence[np.ndarray], d: int) -> np.ndarray:
     matrix sum K^T K, K = I (x) R - R^T (x) I. Commuting with the generators
     is commuting with the whole group, so no group element is enumerated.
     """
-    if not mats:
-        return np.eye(d * d)  # trivial group: every matrix commutes
+    if not mats or d == 1:
+        return np.eye(d * d)  # trivial group or 1 x 1: every matrix commutes
     eye = np.eye(d)
     gram = np.zeros((d * d, d * d))
     for R in mats:

@@ -1,8 +1,9 @@
 """End-to-end certification pipeline and report machinery.
 
 A run walks a fixed stage graph: spectrum -> cluster -> group -> orbits ->
-SDP feasibility -> isotypics -> multiplicity tests -> cone membership (exact
-first) or sub-cone, with the disproof search on the infeasible branches.
+isotypics. When every multiplicity is one, cone membership (exact first)
+decides; otherwise SDP feasibility, the multiplicity bound and a sub-cone
+follow. The disproof search takes both infeasible branches.
 Every outcome is a structured report, and module errors become flags. A
 config that does not fit the graph is a caller error and raises ValueError
 (see run_pipeline).
@@ -75,22 +76,18 @@ TRANSITIONS: dict[str, tuple[str, ...]] = {
     "spectrum": ("cluster", PipelineStatus.INCONCLUSIVE_SOLVER.value),
     "cluster": ("group", PipelineStatus.INCONCLUSIVE_SOLVER.value),
     "group": ("orbits",),
-    "orbits": ("sdp",),
-    "sdp": (
-        "isotypics",
-        "disproof",
+    "orbits": ("isotypics",),
+    "isotypics": ("cone", "sdp", PipelineStatus.INCONCLUSIVE_SOLVER.value),
+    "cone": ("assemble", "disproof", PipelineStatus.INCONCLUSIVE_SOLVER.value),
+    "sdp": ("mult_bound", "disproof", PipelineStatus.INCONCLUSIVE_SOLVER.value),
+    "mult_bound": ("subcone", PipelineStatus.INCONCLUSIVE_NO_RANK1.value),
+    "subcone": (
+        "assemble",
+        PipelineStatus.INCONCLUSIVE_MULTIPLICITY.value,
         PipelineStatus.INCONCLUSIVE_SOLVER.value,
     ),
     "disproof": (
         PipelineStatus.DISPROVED.value,
-        PipelineStatus.INCONCLUSIVE_SOLVER.value,
-    ),
-    "isotypics": ("mult_bound", PipelineStatus.INCONCLUSIVE_SOLVER.value),
-    "mult_bound": ("cone", "subcone", PipelineStatus.INCONCLUSIVE_NO_RANK1.value),
-    "cone": ("assemble", "disproof", PipelineStatus.INCONCLUSIVE_SOLVER.value),
-    "subcone": (
-        "assemble",
-        PipelineStatus.INCONCLUSIVE_MULTIPLICITY.value,
         PipelineStatus.INCONCLUSIVE_SOLVER.value,
     ),
     "assemble": ("verify", PipelineStatus.INCONCLUSIVE_SOLVER.value),
@@ -167,7 +164,7 @@ class CertificationReport:
         if self.embedding_gram is not None:
             emb = [[float(x) for x in row] for row in self.embedding_gram]
         return {
-            "schema": 1,
+            "schema": 2,
             "graph_id": self.graph_id,
             "graph6": to_graph6(self.graph),
             "n": self.graph.n,
@@ -303,25 +300,6 @@ def run_pipeline(
     part = edge_orbits(graph, gens)
     rep.orbit_of, rep.orbit_sizes = part.orbit_of, part.sizes
 
-    run.stage("sdp")
-    co = compress_operators(cluster, graph, part)
-    try:
-        sdp = solve_feasibility(co)
-    except np.linalg.LinAlgError as exc:
-        return _eigensolve_failed(run, "SDP feasibility", exc)
-    rep.residuals["sdp"] = sdp.max_residual
-    rep.residuals["sdp_iterations"] = float(sdp.iterations)
-
-    if sdp.status is SdpStatus.LIKELY_INFEASIBLE:
-        return _disproof_stage(run, dec, cluster, part, cfg.seed,
-                               "embedding SDP likely infeasible")
-    if sdp.status is SdpStatus.ITERATION_LIMIT:
-        return run.finish(
-            PipelineStatus.INCONCLUSIVE_SOLVER,
-            "SDP hit its iteration limit without a verdict",
-            flag="SDP_ITERATION_LIMIT",
-        )
-
     run.stage("isotypics")
     try:
         iso = isotypic_decompose(cluster, gens, cfg.seed)
@@ -335,17 +313,36 @@ def run_pipeline(
     if any(c.endo_dim == 4 for c in iso.components):
         rep.flags += ("QUATERNIONIC_COMPONENT_UNTESTED",)
 
-    run.stage("mult_bound")
-    if not multiplicity_bound_ok(iso):
-        rep.embedding_gram = None if sdp.Z is None else expand_gram(co, sdp.Z)
-        return run.finish(
-            PipelineStatus.INCONCLUSIVE_NO_RANK1,
-            "multiplicity bound fails: no single-eigenvector certificate guaranteed",
-        )
-
-    # Multiplicity one everywhere: the full cone, whose miss is a verdict.
-    # Otherwise a sub-cone, whose miss proves nothing.
+    # Multiplicity one everywhere: the full cone decides, and its miss is a
+    # verdict. Otherwise the SDP decides feasibility, and a sub-cone, whose
+    # miss proves nothing, looks for a certificate.
     full = all_multiplicity_one(iso)
+    if not full:
+        run.stage("sdp")
+        co = compress_operators(cluster, graph, part)
+        try:
+            sdp = solve_feasibility(co)
+        except np.linalg.LinAlgError as exc:
+            return _eigensolve_failed(run, "SDP feasibility", exc)
+        rep.residuals["sdp"] = sdp.max_residual
+        rep.residuals["sdp_iterations"] = float(sdp.iterations)
+        if sdp.status is SdpStatus.LIKELY_INFEASIBLE:
+            return _disproof_stage(run, dec, cluster, part, cfg.seed,
+                                   "embedding SDP likely infeasible")
+        if sdp.status is SdpStatus.ITERATION_LIMIT:
+            return run.finish(
+                PipelineStatus.INCONCLUSIVE_SOLVER,
+                "SDP hit its iteration limit without a verdict",
+                flag="SDP_ITERATION_LIMIT",
+            )
+        run.stage("mult_bound")
+        if not multiplicity_bound_ok(iso):
+            rep.embedding_gram = None if sdp.Z is None else expand_gram(co, sdp.Z)
+            return run.finish(
+                PipelineStatus.INCONCLUSIVE_NO_RANK1,
+                "multiplicity bound fails: no single-eigenvector certificate guaranteed",
+            )
+
     run.stage("cone" if full else "subcone")
     try:
         cone = (build_cone if full else subcone_model)(iso, part, cfg.seed)
@@ -501,17 +498,18 @@ def _finite_array(values, shape: tuple[int, ...]) -> np.ndarray | None:
 def reverify_report(payload: dict) -> bool:
     """Re-check a loaded report against its graph6 string.
 
-    Every report must agree with itself: n and m match the graph, the route
-    is a path through TRANSITIONS, and it ends in the status. Past the orbits
-    stage, orbit_of holds one label per edge, orbit_sizes counts them, and
-    group_order is a positive multiple of every orbit size; before it, they
-    are empty and 0. A run that reached mult_bound, and any report that lists
-    isotypics, must carry positive integer triples whose irr_dim * mult sum
-    to the dimension of the target eigenspace. A certified report must then
-    carry a certificate that verify_certificate accepts, and a disproved one
-    witness weights that verify_disproof accepts, with the achieved, baseline
-    and margin it recomputes. The top-level lambda must repeat the
-    certificate's lambda or the disproof's baseline, to VERIFY_TOL.
+    Every report must agree with itself: schema 2, n and m that match the
+    graph, and a route through TRANSITIONS that ends in the status. Past the
+    orbits stage, orbit_of holds one label per edge, orbit_sizes counts them,
+    and group_order is a positive multiple of every orbit size; before it,
+    they are empty and 0. A run that passed the isotypics stage (on to cone or
+    sdp), and any report that lists isotypics, must carry positive integer
+    triples whose irr_dim * mult sum to the dimension of the target
+    eigenspace. A certified report must then carry a certificate that
+    verify_certificate accepts, and a disproved one witness weights that
+    verify_disproof accepts, with the achieved, baseline and margin it
+    recomputes. The top-level lambda must repeat the certificate's lambda or
+    the disproof's baseline, to VERIFY_TOL.
 
     Numbers that do not fit the graph are rejected before anything is built:
     orbit labels outside 0..m-1, certificate vectors that are not n finite
@@ -535,7 +533,7 @@ def _reverify(payload: dict) -> bool:
     kind = TargetKind(payload["target"])
     status = payload["status"]
     route = tuple(payload["route"])
-    if (payload["n"], payload["m"]) != (n, m) or not (
+    if payload["schema"] != 2 or (payload["n"], payload["m"]) != (n, m) or not (
         route_is_valid(route) and route[-1] == status
     ):
         return False
@@ -558,8 +556,8 @@ def _reverify(payload: dict) -> bool:
     if not fits:
         return False
     iso = payload["isotypics"]
-    dec = None  # the uniform spectrum, shared with the certificate check
-    if iso or "mult_bound" in route:
+    dec = None  # the uniform spectrum, shared with the checks below
+    if iso or "cone" in route or "sdp" in route:
         # Positive (irr_dim, mult, endo_dim) triples whose irr_dim * mult
         # dimensions add up to the target eigenspace.
         if not iso or not all(
@@ -602,5 +600,5 @@ def _reverify(payload: dict) -> bool:
                      disp["margin"])
         lam = d.baseline
         return (abs(payload["lambda"] - lam) <= VERIFY_TOL * max(1.0, abs(lam))
-                and verify_disproof(graph, d, kind))
+                and verify_disproof(graph, d, kind, dec))
     return True

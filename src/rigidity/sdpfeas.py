@@ -4,7 +4,8 @@ The question "is there an eigenspace embedding whose edge (or orbit) energies
 hit prescribed targets" is a small SDP feasibility problem in the Gram matrix
 Z of the embedding coordinates. It is solved with Dykstra-corrected
 alternating projections between the PSD cone and the affine constraint set;
-no external solver is involved.
+no external solver is involved. The pipeline asks it only where an isotypic
+multiplicity exceeds one; elsewhere, by Schur's lemma, the cone LP decides it.
 
 Its size is that of the eigenspace, not of the graph: s operators of d x d,
 built from the m x d incidence form D = B[us] - B[vs] of the basis B, in

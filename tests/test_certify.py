@@ -115,7 +115,7 @@ class TestBuildCone:
         trivial = R.GroupGenerators(g, ())
         iso = R.isotypic_decompose(_cluster(g), trivial)
         part = R.edge_orbits(g, trivial)
-        with pytest.raises(R.MultiplicityObstruction):
+        with pytest.raises(R.MultiplicityNotOne):
             R.build_cone(iso, part)
 
 
@@ -139,6 +139,17 @@ class TestConeMembership:
         sol = R.solve_cone_membership(cone)
         assert sol.feasible and not sol.exact
         assert sol.residual <= 1e-10
+
+    def test_irrational_entry_stops_rationalizing(self, monkeypatch):
+        # One entry that fails the gate rules out the exact route.
+        g = fx.gnp(30, 0.2, seed=0)
+        trivial = R.GroupGenerators(g, ())
+        iso = R.isotypic_decompose(_cluster(g), trivial)
+        cone = R.build_cone(iso, R.edge_orbits(g, trivial))
+        calls = _count_calls(monkeypatch, "rationalize_tight")
+        sol = R.solve_cone_membership(cone)
+        assert not sol.exact
+        assert 1 <= len(calls) <= len(cone.generators)
 
     def test_exact_infeasible_cone(self):
         _, part, _, cone = _z12_cone()

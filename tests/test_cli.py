@@ -60,7 +60,7 @@ class TestCheck:
         rc = main(["check", str(z21_g6_file), "--target", "lower", "--json"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert payload["status"].startswith("CERTIFIED")
 
     def test_report_file_roundtrips(self, z21_g6_file, tmp_path, capsys):

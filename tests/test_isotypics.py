@@ -193,3 +193,15 @@ class TestCommutant:
             avg += Rs.T @ X @ Rs
         avg /= len(elements)
         assert np.max(np.abs(I._project(N, X) - avg)) <= 1e-10
+
+    def test_simple_eigenvalue_solves_no_commutant(self, monkeypatch):
+        # The barbell's lambda_2 is simple under a group of order 8: every
+        # 1 x 1 matrix commutes, so no Kronecker system is built.
+        g = fx.barbell()
+        gens = _full_group(g)
+        assert gens.gens
+        calls, real = [], np.kron
+        monkeypatch.setattr(np, "kron", lambda *a: calls.append(a) or real(*a))
+        dec = R.isotypic_decompose(_cluster(g), gens)
+        assert _shapes(dec) == [(1, 1, 1)]
+        assert calls == []

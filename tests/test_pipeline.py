@@ -19,15 +19,20 @@ def _run(graph, target=LOWER, **kw):
     return R.run_pipeline(graph, target, R.PipelineConfig(**kw))
 
 
-def _run_with(monkeypatch, name, value, graph, target=LOWER):
+def _run_with(monkeypatch, name, value, graph, target=LOWER, **kw):
     """Run with rigidity.pipeline's `name` replaced by `value`."""
     with monkeypatch.context() as mp:
         mp.setattr(P, name, value)
-        return _run(graph, target)
+        return _run(graph, target, **kw)
 
 
 # The SDP stops before its first iteration: status ITERATION_LIMIT.
 _SDP_NO_ITERATIONS = functools.partial(R.solve_feasibility, max_iter=0)
+
+
+def _c5_trivial():
+    """C5 under the trivial group: lambda_2 has multiplicity 2, so the SDP runs."""
+    return fx.c5(), {"group": R.GroupGenerators(fx.c5(), ())}
 
 
 def _c5_square_diagonal():
@@ -154,8 +159,9 @@ class TestStatuses:
         assert "subcone" in rep.route
 
     def test_inconclusive_solver_iteration_limit(self, monkeypatch):
+        graph, kw = _c5_trivial()
         rep = _run_with(monkeypatch, "solve_feasibility", _SDP_NO_ITERATIONS,
-                        fx.c5())
+                        graph, **kw)
         assert rep.status is R.PipelineStatus.INCONCLUSIVE_SOLVER
         assert "SDP_ITERATION_LIMIT" in rep.flags
 
@@ -210,16 +216,19 @@ class TestStatuses:
         assert "EIGENSOLVE_FAILED" in rep.flags
         assert R.route_is_valid(rep.route)
 
-    # Petersen LOWER runs the SDP and the isotypic decomposition.
-    @pytest.mark.parametrize("module,name,stage", [
-        (sdpfeas, "_psd_clip", "sdp"),
-        (isotypics, "_commutant", "isotypics"),
-        (isotypics, "_split_by_eigenvalues", "isotypics"),
+    # Petersen LOWER runs the isotypic decomposition; C5 under the trivial
+    # group goes on to the SDP.
+    @pytest.mark.parametrize("module,name,stage,case", [
+        (sdpfeas, "_psd_clip", "sdp", _c5_trivial),
+        (isotypics, "_commutant", "isotypics", lambda: (fx.petersen(), {})),
+        (isotypics, "_split_by_eigenvalues", "isotypics",
+         lambda: (fx.petersen(), {})),
     ], ids=["psd_clip", "commutant", "split"])
     def test_lapack_failure_is_inconclusive(self, monkeypatch, module, name,
-                                            stage):
+                                            stage, case):
         monkeypatch.setattr(module, name, _lapack_fails)
-        rep = _run(fx.petersen())
+        graph, kw = case()
+        rep = _run(graph, **kw)
         assert rep.status is R.PipelineStatus.INCONCLUSIVE_SOLVER
         assert rep.route[-2:] == (stage, "INCONCLUSIVE_SOLVER")
         assert "EIGENSOLVE_FAILED" in rep.flags
@@ -244,13 +253,13 @@ class TestStatuses:
 
     def test_all_six_statuses_constructible(self, battery_reports,
                                             z12_exact_report, monkeypatch):
+        c5, trivial = _c5_trivial()
         seen = {battery_reports[("barbell", LOWER)].status,
                 battery_reports[("circulant(5,{1})", LOWER)].status,
                 z12_exact_report.status,
-                _run(fx.c5(), group=R.GroupGenerators(fx.c5(), ())).status,
+                _run(c5, **trivial).status,
                 _run_with(monkeypatch, "solve_feasibility",
-                          _SDP_NO_ITERATIONS, fx.c5()).status}
-        c5 = fx.c5()
+                          _SDP_NO_ITERATIONS, c5, **trivial).status}
         prod = R.cartesian_product(c5, c5)
         seen.add(_run(prod, group=fx.diagonal_gens(c5, prod)).status)
         assert seen == set(R.PipelineStatus)
@@ -372,9 +381,9 @@ class TestBipartiteShortcut:
         for u, v in g.edges:
             assert abs(phi[u] + phi[v]) <= 1e-12 * abs(phi[0])
 
-    def test_lower_target_still_goes_through_sdp(self):
+    def test_lower_target_takes_the_general_cone_route(self):
         rep = _run(fx.c4(), LOWER)
-        assert "sdp" in rep.route
+        assert "cone" in rep.route
 
 
 class TestReportSerialization:
@@ -408,7 +417,7 @@ class TestReportSerialization:
         assert len(w) == 7
         assert abs(sum(w) - 7.0) <= 1e-9
 
-    def test_schema_1_payload_shape(self, battery_reports, z12_exact_report,
+    def test_schema_2_payload_shape(self, battery_reports, z12_exact_report,
                                     tensegrity_report):
         top = {"schema", "graph_id", "graph6", "n", "m", "target", "route",
                "status", "group_order", "orbit_of", "orbit_sizes", "isotypics",
@@ -421,7 +430,7 @@ class TestReportSerialization:
                 z12_exact_report, tensegrity_report,
                 battery_reports[("barbell", LOWER)]))
         for payload in (exact, numeric, disproved):
-            assert payload["schema"] == 1
+            assert payload["schema"] == 2
             assert set(payload) == top
         assert set(exact["certificate"]) == set(numeric["certificate"]) == cert_keys
         assert exact["certificate"]["flags"] == []
@@ -452,7 +461,7 @@ class TestReverification:
         payload["status"] = "CERTIFIED_NUMERIC"
         assert not R.reverify_report(payload)
         # a route that may end in that status does not stand in for a certificate
-        payload["route"][-1:] = ["cone", "assemble", "verify", "CERTIFIED_NUMERIC"]
+        payload["route"][-1:] = ["subcone", "assemble", "verify", "CERTIFIED_NUMERIC"]
         assert R.route_is_valid(tuple(payload["route"]))
         assert not R.reverify_report(payload)
 
@@ -483,6 +492,25 @@ class TestReverification:
         assert R.reverify_report(payload)
         assert len(calls) == 1
 
+    def test_one_uniform_eigensolve_per_disproof(self, monkeypatch,
+                                                 battery_reports):
+        # The isotypics check and the disproof check share one spectrum.
+        g = fx.barbell()
+        payload = json.loads(R.emit_report(battery_reports[("barbell", LOWER)],
+                                           "JSON"))
+        payload["isotypics"] = [[1, 1, 1]]  # lambda_2 is simple: this fits
+        L = R.laplacian(g, R.WeightVector.uniform(g))
+        uniform, real = [], R.eig_sym
+
+        def spy(A):
+            uniform.append(np.array_equal(A, L))
+            return real(A)
+
+        monkeypatch.setattr("rigidity.spectra.eig_sym", spy)
+        monkeypatch.setattr("rigidity.certify.eig_sym", spy)
+        assert R.reverify_report(payload)
+        assert sum(uniform) == 1
+
     def test_tampered_certificate_fails(self, z12_exact_report):
         payload = json.loads(R.emit_report(z12_exact_report, "JSON"))
         payload["certificate"]["a"] = ["1", "1", "0"]
@@ -505,6 +533,7 @@ class TestReverification:
 
     @pytest.mark.parametrize("change", [
         "report_m_wrong", "report_route_skips_stage", "report_status_off_route",
+        "report_schema_1",
         "vector_entry_dropped", "vector_nan", "coefficient_nan",
         "certificate_lambda_null", "extra_coefficient",
         "disproof_mass_off", "disproof_w_short", "disproof_w_nan",
@@ -535,6 +564,8 @@ class TestReverification:
             payload["route"].remove("isotypics")
         elif change == "report_status_off_route":
             payload["status"] = "INCONCLUSIVE_MULTIPLICITY"
+        elif change == "report_schema_1":  # its routes ran the SDP first
+            payload["schema"] = 1
         elif change == "vector_entry_dropped":
             cert["vectors"][0] = cert["vectors"][0][:-1]
         elif change == "vector_nan":
@@ -594,17 +625,20 @@ class TestReverification:
         payload = json.loads(R.emit_report(
             battery_reports[("petersen", LOWER)], "JSON"))
         assert payload["isotypics"] == [[5, 1, 1]]
-        assert "mult_bound" in payload["route"]
+        assert "cone" in payload["route"]
         assert R.reverify_report(payload)
         payload["isotypics"] = isotypics
         assert R.reverify_report(payload) is False
 
     def test_isotypics_listed_off_the_mult_bound_route_are_checked(
-            self, battery_reports):
-        # The barbell's SDP is infeasible, so its run never decomposes.
-        payload = json.loads(R.emit_report(
-            battery_reports[("barbell", LOWER)], "JSON"))
-        assert "isotypics" not in payload["route"]
+            self, monkeypatch):
+        # A run whose decomposition fails never lists isotypics.
+        def unstable(*args):
+            raise R.UnstableSplit("unstable split injected by the test")
+
+        rep = _run_with(monkeypatch, "isotypic_decompose", unstable, fx.barbell())
+        payload = json.loads(R.emit_report(rep, "JSON"))
+        assert payload["route"][-2:] == ["isotypics", "INCONCLUSIVE_SOLVER"]
         assert payload["isotypics"] == []
         payload["isotypics"] = [[1, 1, 1]]  # lambda_2 is simple: this fits
         assert R.reverify_report(payload)

@@ -309,3 +309,29 @@ def test_stall_rule_never_changes_a_verdict(n, p, seed):
         for d in (stalled, full):
             if isinstance(d, R.Disproof):
                 assert R.verify_disproof(g, d, kind)
+
+
+# Schur's lemma: with every multiplicity one, the group average of a feasible
+# embedding's Gram lies in the span of the isotypic projectors, so the SDP is
+# feasible exactly when the orbit-size vector lies in the cone. The pipeline
+# runs only the cone there; this keeps the SDP as its reference.
+@given(st.one_of(connected_graphs(max_n=6), circulants))
+@settings(deadline=None, max_examples=25)
+def test_cone_and_sdp_agree_at_multiplicity_one(g):
+    gens = R.automorphism_generators(g)
+    part = R.edge_orbits(g, gens)
+    dec = R.laplacian_spectrum(g, R.WeightVector.uniform(g))
+    checked = 0
+    for kind in (R.TargetKind.LOWER, R.TargetKind.UPPER):
+        try:
+            cluster = R.cluster_eigenspace(dec, kind.which)
+        except R.AmbiguousCluster:
+            continue
+        iso = R.isotypic_decompose(cluster, gens)
+        if not R.all_multiplicity_one(iso):
+            continue
+        sdp = R.solve_feasibility(R.compress_operators(cluster, g, part))
+        cone = R.solve_cone_membership(R.build_cone(iso, part))
+        assert (sdp.status is R.SdpStatus.FEASIBLE) == cone.feasible, kind
+        checked += 1
+    assume(checked > 0)

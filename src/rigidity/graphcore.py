@@ -8,6 +8,7 @@ is indexed by that ordering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -92,9 +93,6 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.neighbors)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edge_index
-
     def _is_connected(self) -> bool:
         seen = [False] * self.n
         stack = [0]
@@ -150,10 +148,11 @@ class WeightVector:
 # ---------------------------------------------------------------------------
 # graph6 (McKay encoding): N(n) header, then the upper triangle x_{ij} (i<j)
 # in column order j=1..n-1, i=0..j-1, packed big-endian 6 bits per byte,
-# each byte offset by 63.
+# each byte offset by 63. Bit k = j(j-1)/2 + i holds x_{ij}.
 # ---------------------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
+_G6_PLUS63 = bytes((b + 63) & 255 for b in range(256))
 
 
 def _g6_decode_n(data: str) -> tuple[int, int]:
@@ -212,40 +211,31 @@ def parse_graph6(text: str) -> Graph:
         raise MalformedGraph6(
             f"expected {nbytes} adjacency bytes for n={n}, got {len(body)}"
         )
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        if val < 0 or val > 63:
-            raise MalformedGraph6(f"bad adjacency byte {ch!r}")
-        bits.extend((val >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
+    if body and (min(body) < "?" or max(body) > "~"):
+        bad = next(ch for ch in body if not "?" <= ch <= "~")
+        raise MalformedGraph6(f"bad adjacency byte {bad!r}")
+    if nbits % 6 and (ord(body[-1]) - 63) & ((1 << (6 - nbits % 6)) - 1):
         raise MalformedGraph6("nonzero padding bits")
     edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
+    for i, val in enumerate(body.encode("ascii")):
+        val -= 63
+        while val:
+            top = val.bit_length() - 1
+            val ^= 1 << top
+            k = 6 * i + 5 - top
+            j = (1 + math.isqrt(8 * k + 1)) // 2
+            edges.append((k - j * (j - 1) // 2, j))
     return Graph(n, edges)
 
 
 def to_graph6(graph: Graph) -> str:
     """Encode a Graph as a canonical graph6 string."""
     n = graph.n
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if graph.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = (val << 1) | b
-        chars.append(chr(val + 63))
-    return _g6_encode_n(n) + "".join(chars)
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for i, j in graph.edges:
+        k = j * (j - 1) // 2 + i
+        body[k // 6] |= 32 >> (k % 6)
+    return _g6_encode_n(n) + body.translate(_G6_PLUS63).decode("ascii")
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -8,6 +8,7 @@ vertices and orbit-energy vectors live here too.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -140,35 +141,85 @@ def verify_automorphism(graph: Graph, sigma: Permutation) -> bool:
 # Equitable-partition refinement search
 # ---------------------------------------------------------------------------
 
-def _refine(neighbors: Sequence[Sequence[int]], cells: list[list[int]]) -> list[list[int]]:
+def _refine(
+    neighbors: Sequence[Sequence[int]],
+    cells: list[list[int]],
+    live: Iterable[int] | None = None,
+) -> list[list[int]]:
     """Equitable refinement: split cells by neighbor counts into every cell.
 
-    Sub-cells replace their parent in place, ordered by ascending count key,
-    which keeps the cell order isomorphism-invariant.
+    Take the first cell that can still split anything, split every cell by
+    the neighbor counts of its vertices into that splitter, and start over
+    until no cell splits any other. Sub-cells replace their parent in place,
+    ordered by ascending count with vertices kept in their order, which keeps
+    the cell order isomorphism-invariant. `cells` is not modified.
+
+    A cell that split nothing stays inert until it is itself split. Cells
+    only get finer, and the vertices of any finer cell still share their
+    count into an unchanged cell, so an inert cell can never split anything
+    later. Skipping inert cells therefore picks the same splitters in the
+    same order as rescanning from cell 0 after every split would, so the
+    partition, and with it the search tree and its generators, does not
+    depend on which cells are marked live as long as every unmarked cell is
+    inert. `live` holds the indices of the cells not known to be inert
+    (default: all); a caller that changed a few cells of an equitable
+    partition passes only those.
+
+    The partition is kept as one vertex array `lab` in which each cell is a
+    run of positions named by its first one. Live cells wait in a heap of
+    those positions, so the first live cell is always the next splitter, and
+    each splitter's neighbor counts go into one reused array.
     """
-    nsets = [set(a) for a in neighbors]
-    changed = True
-    while changed:
-        changed = False
-        for s in range(len(cells)):
-            splitter = set(cells[s])
-            c = 0
-            while c < len(cells):
-                cell = cells[c]
-                if len(cell) > 1:
-                    groups: dict[int, list[int]] = {}
-                    for v in cell:
-                        k = len(nsets[v] & splitter)
-                        groups.setdefault(k, []).append(v)
-                    if len(groups) > 1:
-                        parts = [groups[k] for k in sorted(groups)]
-                        cells[c:c + 1] = parts
-                        changed = True
-                        c += len(parts) - 1
-                c += 1
-            if changed:
-                break
-    return cells
+    n = len(neighbors)
+    lab: list[int] = []
+    end = [0] * n        # end[p]: one past the cell that starts at position p
+    cell_at = [0] * n    # cell_at[v]: start of the cell holding vertex v
+    starts = []
+    for c in cells:
+        p = len(lab)
+        starts.append(p)
+        lab += c
+        end[p] = len(lab)
+        for v in c:
+            cell_at[v] = p
+    queue = starts if live is None else [starts[i] for i in live]
+    heapq.heapify(queue)
+    queued = set(queue)
+    count = [0] * n
+    splits = n - len(cells)  # a discrete partition splits no further
+    while queue and splits:
+        s = heapq.heappop(queue)
+        queued.remove(s)
+        touched = []
+        for u in lab[s:end[s]]:
+            for w in neighbors[u]:
+                if not count[w]:
+                    touched.append(w)
+                count[w] += 1
+        for p in {cell_at[w] for w in touched}:
+            q = end[p]
+            if q - p == 1:
+                continue
+            groups: dict[int, list[int]] = {}
+            for v in lab[p:q]:
+                groups.setdefault(count[v], []).append(v)
+            if len(groups) == 1:
+                continue
+            splits -= len(groups) - 1
+            for key in sorted(groups):
+                part = groups[key]
+                e = p + len(part)
+                lab[p:e] = part
+                end[p] = e
+                for v in part:
+                    cell_at[v] = p
+                if p not in queued:
+                    queued.add(p)
+                    heapq.heappush(queue, p)
+                p = e
+        for w in touched:
+            count[w] = 0
+    return [lab[p:end[p]] for p in sorted(set(cell_at))]
 
 
 def _target_cell(cells: list[list[int]]) -> int:
@@ -215,7 +266,10 @@ def automorphism_generators(
     Individualization-refinement backtracking: the first discrete leaf is the
     base labeling, every other leaf with a matching refinement trace yields a
     candidate permutation that is kept if it verifies. Vertices already in
-    the orbit of an explored branch are skipped at the root. Raises
+    the orbit of an explored branch are skipped at the root. The root
+    refines the seed partition with every cell live. A child node differs
+    from its equitable parent only in the two cells that individualizing a
+    vertex creates, so it refines with just those two live. Raises
     SearchBudgetExceeded when more than `budget` refinement nodes are
     expanded; supply generators externally in that case.
     """
@@ -235,14 +289,15 @@ def automorphism_generators(
     gens: list[Permutation] = []
     orbits = _UnionFind(n)
 
-    def explore(cells: list[list[int]], depth: int) -> None:
+    def explore(cells: list[list[int]], depth: int,
+                live: tuple[int, int] | None = None) -> None:
         nonlocal nodes, base
         nodes += 1
         if nodes > budget:
             raise SearchBudgetExceeded(
                 f"automorphism search exceeded {budget} refinement nodes"
             )
-        cells = _refine(nbrs, [list(c) for c in cells])
+        cells = _refine(nbrs, cells, live)
         shape = tuple(len(c) for c in cells)
         if base is None:
             trace.append(shape)
@@ -270,7 +325,7 @@ def automorphism_generators(
                 continue
             tried.append(v)
             child = cells[:t] + [[v], [u for u in cells[t] if u != v]] + cells[t + 1:]
-            explore(child, depth + 1)
+            explore(child, depth + 1, (t, t + 1))
 
     explore(seed, 0)
     # No image repeats: refinement only splits cells in place, so two leaves

@@ -74,7 +74,8 @@ class TestGraph6:
         g = fx.c5()
         assert R.parse_graph6(">>graph6<<" + R.to_graph6(g)).edges == g.edges
 
-    @pytest.mark.parametrize("bad", ["", "D" + chr(30), "D~~~~~~~", "D" + chr(127)])
+    @pytest.mark.parametrize("bad", ["", "D" + chr(30), "D~~~~~~~", "D" + chr(127),
+                                     "D?@", "D?\u20ac"])
     def test_malformed_rejected(self, bad):
         with pytest.raises(R.MalformedGraph6):
             R.parse_graph6(bad)

@@ -3,10 +3,13 @@ import json
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rigidity as R
+from rigidity import symmetry
 
 import fixtures as fx
+from test_properties import connected_graphs
 
 
 def _vf2_automorphism_count(g):
@@ -93,6 +96,83 @@ class TestSearch:
             assert fx.inverse(s) in elems
             for t in clo.elements:
                 assert s.compose(t) in elems
+
+
+def _rescan_refine(neighbors, cells):
+    """The refinement rule spelled out: after every split, rescan from cell 0."""
+    cells = [list(c) for c in cells]
+    while True:
+        for splitter in map(set, cells):
+            split = False
+            out = []
+            for cell in cells:
+                groups = {}
+                for v in cell:
+                    groups.setdefault(len(splitter.intersection(neighbors[v])), []).append(v)
+                out.extend(groups[k] for k in sorted(groups))
+                split |= len(groups) > 1
+            if split:
+                cells = out
+                break
+        else:
+            return cells
+
+
+@st.composite
+def graphs_with_seed_partitions(draw):
+    """A connected graph, an ordered partition of its vertices, a relabelling."""
+    g = draw(connected_graphs(max_n=9))
+    order = draw(st.permutations(range(g.n)))
+    cuts = sorted(draw(st.sets(st.integers(1, g.n - 1))))
+    bounds = [0, *cuts, g.n]
+    cells = [list(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return g, cells, draw(st.permutations(range(g.n)))
+
+
+class TestRefine:
+    @given(graphs_with_seed_partitions())
+    @settings(deadline=None, max_examples=150)
+    def test_refinement_is_equitable_in_place_and_equivariant(self, case):
+        g, cells, pi = case
+        out = symmetry._refine(g.neighbors, cells)
+        assert out == _rescan_refine(g.neighbors, cells)
+        # equitable: a cell's vertices share their count into every cell
+        for splitter in map(set, out):
+            for cell in out:
+                assert len({len(splitter.intersection(g.neighbors[v])) for v in cell}) == 1
+        # sub-cells replace their parent in place, keeping vertex order
+        parent = {v: i for i, c in enumerate(cells) for v in c}
+        owners = [parent[c[0]] for c in out]
+        assert all(parent[v] == o for c, o in zip(out, owners) for v in c)
+        assert owners == sorted(owners) and set(owners) == set(range(len(cells)))
+        assert sorted(v for c in out for v in c) == list(range(g.n))
+        assert all(c == [v for v in cells[o] if v in c] for c, o in zip(out, owners))
+        # relabelling commutes with refinement
+        def relabel(part):
+            return [[pi[v] for v in c] for c in part]
+
+        moved = R.Graph(g.n, tuple((pi[u], pi[v]) for u, v in g.edges))
+        assert symmetry._refine(moved.neighbors, relabel(cells)) == relabel(out)
+
+    @pytest.mark.parametrize("make", [
+        fx.petersen,
+        lambda: R.cartesian_product(fx.q3(), R.Graph(2, ((0, 1),))),
+        lambda: fx.gnp(30, 0.08, 3),
+    ], ids=["petersen", "q4", "gnp30"])
+    def test_search_nodes_need_only_the_new_cells_live(self, make, monkeypatch):
+        real = symmetry._refine
+        live_sets = []
+
+        def spy(neighbors, cells, live=None):
+            out = real(neighbors, cells, live)
+            assert out == real(neighbors, cells)
+            live_sets.append(live)
+            return out
+
+        monkeypatch.setattr(symmetry, "_refine", spy)
+        R.automorphism_generators(make())
+        assert live_sets[0] is None
+        assert len(live_sets) > 1 and all(len(live) == 2 for live in live_sets[1:])
 
 
 class TestOrbits:

@@ -5,8 +5,10 @@
 Runs every atlas, symmetric and random case of perfbench/workloads.py at
 seed 0 through run_pipeline, with the rigidity package found in SRC (the
 src directory of any checkout), and writes emit_report's JSON to
-OUT/<workload>/<graph id>.<target>.json. K7, Q5 and Q6 are skipped: they
-take minutes. Two checkouts are compared with
+OUT/<workload>/<graph id>.<target>.json. K7, Q5 and Q6 are skipped:
+close_group lists every element of their groups (orders 5,040, 3,840 and
+46,080), which takes tens of seconds to minutes, though their automorphism
+search takes under a second. Two checkouts are compared with
 
     python3 tools/dump_reports.py old/src /tmp/old
     python3 tools/dump_reports.py new/src /tmp/new

@@ -3,9 +3,14 @@
 The decomposition drives both the multiplicity-bound test (which guarantees a
 rank-1 certificate exists if the numerical problem is feasible) and the
 polyhedral-cone exact route (which needs every isotypic to have multiplicity
-one). Splitting uses the commutant of the group action, the matrices that
-commute with every generator: by Schur's lemma a random symmetric element of
-the commutant acts as a scalar on every irreducible summand.
+one). It works in the commutant of the group action, the matrices that
+commute with every generator. The eigenspaces of one random symmetric
+element of the commutant are irreducible summands (Murota, Kanno, Kojima &
+Kojima, A numerical algorithm for block-diagonal decomposition of matrix
+*-algebras, Japan J. Indust. Appl. Math. 2010). Schur's lemma then makes the
+rest exact checks: a summand is irreducible exactly when its own commutant
+is R, C or H, and two summands are isomorphic exactly when the commutant
+holds a nonzero map between them.
 """
 
 from __future__ import annotations
@@ -20,7 +25,12 @@ from .symmetry import EdgeOrbitPartition, GroupGenerators, _UnionFind, orbit_ene
 
 
 class UnstableSplit(RuntimeError):
-    """Random commutant refinement failed to stabilize."""
+    """The commutant split left a summand that is not irreducible.
+
+    Raised when a summand's commutant has a symmetric part beyond the
+    scalars, and so holds the projector onto a smaller invariant subspace,
+    or when summands found isomorphic differ in endomorphism field.
+    """
 
 
 class MultiplicityNotOne(ValueError):
@@ -31,14 +41,12 @@ class MultiplicityNotOne(ValueError):
 class IsotypicComponent:
     """One isotypic component of an eigenspace.
 
-    basis holds vertex-space coordinates (n x d*m), coords the same columns
-    expressed in the eigenspace basis (dim x d*m). irr_dim is the real
-    dimension of the underlying irreducible, mult its multiplicity, endo_dim
-    the dimension of its endomorphism field (1, 2, 4 for R, C, H).
+    basis holds orthonormal vertex-space coordinates (n x d*m). irr_dim is the
+    real dimension of the underlying irreducible, mult its multiplicity,
+    endo_dim the dimension of its endomorphism field (1, 2, 4 for R, C, H).
     """
 
     basis: np.ndarray
-    coords: np.ndarray
     irr_dim: int
     mult: int
     endo_dim: int
@@ -71,19 +79,22 @@ def _generator_action(cluster: EigenspaceCluster, gens: GroupGenerators) -> list
 def _commutant(mats: Sequence[np.ndarray], d: int) -> np.ndarray:
     """Orthonormal basis of the d x d matrices commuting with every R in mats.
 
-    Columns are column-stacked matrices spanning the nullspace of the Gram
-    matrix sum K^T K, K = I (x) R - R^T (x) I. Commuting with the generators
-    is commuting with the whole group, so no group element is enumerated.
+    Columns are column-stacked matrices. The span starts as every matrix and
+    shrinks one generator at a time: of the span's c basis matrices X_j, the
+    combinations that commute with R are the nullspace of the c x c Gram
+    matrix of the R X_j - X_j R. Commuting with the generators is commuting
+    with the whole group, so no group element is enumerated, and the loop
+    stops once only the scalars are left.
     """
-    if not mats or d == 1:
-        return np.eye(d * d)  # trivial group or 1 x 1: every matrix commutes
-    eye = np.eye(d)
-    gram = np.zeros((d * d, d * d))
+    N = np.eye(d * d)
     for R in mats:
-        K = np.kron(eye, R) - np.kron(R.T, eye)
-        gram += K.T @ K
-    lam, V = np.linalg.eigh(gram)
-    return V[:, lam <= 1e-9 * max(1.0, float(lam[-1]))]
+        if N.shape[1] == 1:
+            break
+        X = N.T.reshape(-1, d, d).transpose(0, 2, 1)
+        K = (R @ X - X @ R).reshape(X.shape[0], -1)
+        lam, V = np.linalg.eigh(K @ K.T)
+        N = N @ V[:, lam <= 1e-9 * max(1.0, float(lam[-1]))]
+    return N
 
 
 def _project(N: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -107,6 +118,29 @@ def _split_by_eigenvalues(M: np.ndarray, tol: float = 1e-7) -> list[np.ndarray]:
     return blocks
 
 
+def _endomorphism_field(mats: Sequence[np.ndarray], Q: np.ndarray) -> int:
+    """Dimension of the commutant of the action restricted to Q's columns.
+
+    By Schur's lemma the summand is irreducible exactly when this commutant
+    is R, C or H. The commutant of an orthogonal action holds the projector
+    onto every invariant subspace, so it must have no symmetric part beyond
+    the scalars. Otherwise a unit traceless symmetric element lies in it, and
+    the traceless symmetric parts of its orthonormal basis have a norm of at
+    least 1, where 0.5 is the threshold.
+    """
+    k = Q.shape[1]
+    E = _commutant([Q.T @ R @ Q for R in mats], k)
+    X = E.T.reshape(-1, k, k)
+    S = 0.5 * (X + X.transpose(0, 2, 1))
+    S -= np.trace(S, axis1=1, axis2=2)[:, None, None] * (np.eye(k) / k)
+    if np.linalg.norm(S) > 0.5 or E.shape[1] not in (1, 2, 4):
+        raise UnstableSplit(
+            f"a {k}-dimensional summand is reducible: its commutant of "
+            f"dimension {E.shape[1]} is not R, C or H"
+        )
+    return E.shape[1]
+
+
 def isotypic_decompose(
     cluster: EigenspaceCluster,
     gens: GroupGenerators,
@@ -114,103 +148,57 @@ def isotypic_decompose(
 ) -> IsotypicDecomposition:
     """Decompose an eigenspace into isotypic components.
 
-    The commutant of the generators' action on the eigenspace is solved for
-    once. Random symmetric matrices are projected onto it; eigenspaces of the
-    projection are invariant subspaces, and repeating with fresh draws refines
-    them to irreducible summands. Summands are merged into isotypics when a
-    projected cross-map between them is nonzero, and the endomorphism
-    dimension is the commutant dimension of one summand per isotypic. Raises
-    UnstableSplit when refinement keeps changing, ValueError when the
-    eigenspace is not invariant under a generator.
+    The commutant N of the generators' action on the eigenspace is solved for
+    once. The eigenspaces of one random symmetric matrix projected onto it
+    are invariant, and irreducible for a generic draw; the seed feeds only
+    this draw. Each summand is then proven irreducible, and its endo_dim
+    found, by _endomorphism_field. Summands a and b are isomorphic, and share
+    an isotypic, exactly when ||(Q_a (x) Q_b)^T N||_2 > 0.5: the blocks
+    Q_b^T X Q_a of the commutant are the intertwiners from a to b, so the
+    norm is at least 1 when an isometric one exists and 0 when none does.
+    Raises UnstableSplit when a summand is reducible or isomorphic summands
+    disagree, ValueError when the eigenspace is not invariant under a
+    generator.
     """
     B = cluster.basis
     d = B.shape[1]
-    rng = np.random.default_rng(seed)
     mats = _generator_action(cluster, gens)
     N = _commutant(mats, d)
+    X = np.random.default_rng(seed).standard_normal((d, d))
+    summands = _split_by_eigenvalues(_project(N, 0.5 * (X + X.T)))
+    endos = [_endomorphism_field(mats, Q) for Q in summands]
 
-    def random_commutant() -> np.ndarray:
-        X = rng.standard_normal((d, d))
-        return _project(N, 0.5 * (X + X.T))
-
-    # Round 0 splits, then refine until five consecutive draws change nothing.
-    subspaces: list[np.ndarray] = [np.eye(d)]
-    stable = 0
-    rounds = 0
-    while stable < 5:
-        rounds += 1
-        if rounds > 12:
-            raise UnstableSplit("commutant refinement did not stabilize")
-        M = random_commutant()
-        new_subspaces: list[np.ndarray] = []
-        changed = False
-        for Q in subspaces:
-            if Q.shape[1] == 1:
-                new_subspaces.append(Q)
-                continue
-            blocks = _split_by_eigenvalues(Q.T @ M @ Q)
-            if len(blocks) > 1:
-                changed = True
-            new_subspaces.extend(Q @ blk for blk in blocks)
-        subspaces = new_subspaces
-        if changed:
-            if rounds > 6:
-                raise UnstableSplit("subspaces still splitting after six rounds")
-            stable = 0
-        else:
-            stable += 1
-
-    # Merge isomorphic summands via projected cross-maps (Schur's lemma).
-    k = len(subspaces)
-    summands = _UnionFind(k)
-    for a in range(k):
-        for b in range(a + 1, k):
-            Qa, Qb = subspaces[a], subspaces[b]
-            if Qa.shape[1] != Qb.shape[1] or summands.same(a, b):
-                continue
-            X = rng.standard_normal((d, d))
-            H = _project(N, Qb @ Qb.T @ X @ Qa @ Qa.T)
-            T = Qb.T @ H @ Qa
-            if np.linalg.norm(T) > 1e-6 * d:
-                summands.union(a, b)
-
+    commutant = N.T.reshape(-1, d, d).transpose(0, 2, 1)
+    isomorphic = _UnionFind(len(summands))
+    for a, Qa in enumerate(summands):
+        for b, Qb in enumerate(summands[:a]):
+            if Qa.shape == Qb.shape and not isomorphic.same(a, b):
+                T = (Qb.T @ commutant @ Qa).reshape(len(commutant), -1)
+                if np.linalg.norm(T, 2) > 0.5:
+                    isomorphic.union(a, b)
     groups: dict[int, list[int]] = {}
-    for i, label in enumerate(summands.labels()):
+    for i, label in enumerate(isomorphic.labels()):
         groups.setdefault(label, []).append(i)
 
     components = []
     for members in groups.values():
-        dims = {subspaces[i].shape[1] for i in members}
-        if len(dims) != 1:
-            raise UnstableSplit("isomorphic summands of unequal dimension")
-        irr_dim = dims.pop()
-        Q = np.column_stack([subspaces[i] for i in members])
-        endo = _endo_dim(mats, subspaces[members[0]])
-        if endo not in (1, 2, 4):
-            raise UnstableSplit(
-                f"endomorphism dimension {endo} is not 1, 2, or 4; summand is reducible"
-            )
+        if len({endos[i] for i in members}) != 1:
+            raise UnstableSplit("isomorphic summands with unequal endomorphism fields")
         components.append(
             IsotypicComponent(
-                basis=B @ Q,
-                coords=Q,
-                irr_dim=irr_dim,
+                basis=B @ np.column_stack([summands[i] for i in members]),
+                irr_dim=summands[members[0]].shape[1],
                 mult=len(members),
-                endo_dim=endo,
+                endo_dim=endos[members[0]],
             )
         )
 
     components.sort(
         key=lambda c: (c.irr_dim, c.mult, np.round(c.basis @ c.basis.T, 9).tobytes())
     )
-    proj_sum = sum(c.coords @ c.coords.T for c in components)
-    residual = float(np.linalg.norm(proj_sum - np.eye(d)))
+    Q = np.column_stack(summands)
+    residual = float(np.linalg.norm(Q @ Q.T - np.eye(d)))
     return IsotypicDecomposition(tuple(components), residual)
-
-
-def _endo_dim(mats: Sequence[np.ndarray], Q: np.ndarray) -> int:
-    """Dimension of the commutant of the action restricted to one summand."""
-    return _commutant([Q.T @ R @ Q for R in mats], Q.shape[1]).shape[1]
 
 
 def multiplicity_bound_ok(dec: IsotypicDecomposition) -> bool:

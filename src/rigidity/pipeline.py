@@ -505,11 +505,12 @@ def reverify_report(payload: dict) -> bool:
     they are empty and 0. A run that passed the isotypics stage (on to cone or
     sdp), and any report that lists isotypics, must carry positive integer
     triples whose irr_dim * mult sum to the dimension of the target
-    eigenspace. A certified report must then carry a certificate that
-    verify_certificate accepts, and a disproved one witness weights that
-    verify_disproof accepts, with the achieved, baseline and margin it
-    recomputes. The top-level lambda must repeat the certificate's lambda or
-    the disproof's baseline, to VERIFY_TOL.
+    eigenspace, and whose endo_dim is 1, 2 or 4 and divides irr_dim. A
+    certified report must then carry a certificate that verify_certificate
+    accepts, and a disproved one witness weights that verify_disproof
+    accepts, with the achieved, baseline and margin it recomputes. The
+    top-level lambda must repeat the certificate's lambda or the disproof's
+    baseline, to VERIFY_TOL.
 
     Numbers that do not fit the graph are rejected before anything is built:
     orbit labels outside 0..m-1, certificate vectors that are not n finite
@@ -559,9 +560,12 @@ def _reverify(payload: dict) -> bool:
     dec = None  # the uniform spectrum, shared with the checks below
     if iso or "cone" in route or "sdp" in route:
         # Positive (irr_dim, mult, endo_dim) triples whose irr_dim * mult
-        # dimensions add up to the target eigenspace.
+        # dimensions add up to the target eigenspace. An irreducible is a
+        # vector space over its endomorphism field R, C or H, whose dimension
+        # therefore divides irr_dim.
         if not iso or not all(
             len(c) == 3 and all(type(x) is int and x > 0 for x in c)
+            and c[2] in (1, 2, 4) and c[0] % c[2] == 0
             for c in iso
         ):
             return False

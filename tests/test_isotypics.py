@@ -167,6 +167,24 @@ class TestRepresentativeVector:
             R.representative_vector(dec.components[0], R.edge_orbits(g, trivial))
 
 
+class TestIrreducibility:
+    """Schur's lemma proves each summand irreducible, whatever the split."""
+
+    # C5's lambda_2 plane under the trivial group is two trivial summands,
+    # and cn6b's lambda_2 space a line plus a plane under its group. Left
+    # unsplit, each commutant has more than the scalars as symmetric part.
+    @pytest.mark.parametrize("make, gens_of", [
+        (fx.c5, lambda g: R.GroupGenerators(g, ())),
+        (fx.cn6b, R.automorphism_generators),
+    ], ids=["c5-trivial", "cn6b"])
+    def test_unsplit_eigenspace_is_rejected(self, monkeypatch, make, gens_of):
+        monkeypatch.setattr(I, "_split_by_eigenvalues",
+                            lambda M: [np.eye(len(M))])
+        g = make()
+        with pytest.raises(R.UnstableSplit):
+            R.isotypic_decompose(_cluster(g), gens_of(g))
+
+
 class TestCommutant:
     """The generator commutant against the group average it replaces."""
 

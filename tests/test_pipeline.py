@@ -616,10 +616,11 @@ class TestReverification:
     @pytest.mark.parametrize("isotypics", [
         [[7, 7, 7]], [], [[4, 1, 1]], [[5, 1, 1], [1, 1, 1]], [[5, 1, 0]],
         [[-5, -1, 1]], [[5, 1]], [[5.0, 1, 1]], [[5, True, True]],
-        [[5, 1, 1, 1]], ["511"],
+        [[5, 1, 1, 1]], ["511"], [[5, 1, 2]], [[5, 1, 3]],
     ], ids=["claimed_7x7", "dropped", "too_few_dimensions",
             "too_many_dimensions", "endo_zero", "negative", "pair",
-            "float_entry", "bool_entry", "four_entries", "string_entry"])
+            "float_entry", "bool_entry", "four_entries", "string_entry",
+            "endo_not_dividing", "endo_three"])
     def test_isotypics_must_fill_the_target_eigenspace(self, isotypics,
                                                        battery_reports):
         payload = json.loads(R.emit_report(

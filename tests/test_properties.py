@@ -335,3 +335,44 @@ def test_cone_and_sdp_agree_at_multiplicity_one(g):
         assert (sdp.status is R.SdpStatus.FEASIBLE) == cone.feasible, kind
         checked += 1
     assume(checked > 0)
+
+
+# Schur's lemma makes the decomposition exact: the isotypics fill the
+# eigenspace with orthogonal, group-invariant projectors, each endomorphism
+# field is R, C or H and divides its irreducible, and the seed of the one
+# random split changes nothing.
+@given(connected_graphs(min_n=2, max_n=7),
+       st.sampled_from(["full", "stabilizer", "trivial"]))
+@settings(deadline=None, max_examples=80)
+def test_isotypic_decomposition_is_exact_and_seed_free(g, group):
+    gens = {"full": lambda: R.automorphism_generators(g),
+            "stabilizer": lambda: R.automorphism_generators(g, fixed=[0]),
+            "trivial": lambda: R.GroupGenerators(g, ())}[group]()
+    spectrum = R.laplacian_spectrum(g, R.WeightVector.uniform(g))
+    for kind in (R.TargetKind.LOWER, R.TargetKind.UPPER):
+        try:
+            cluster = R.cluster_eigenspace(spectrum, kind.which)
+        except R.AmbiguousCluster:
+            continue
+        B = cluster.basis
+        decs = [R.isotypic_decompose(cluster, gens, seed) for seed in (0, 1)]
+        for dec in decs:
+            comps = dec.components
+            assert sum(c.irr_dim * c.mult for c in comps) == B.shape[1]
+            assert all(c.endo_dim in (1, 2, 4) and c.irr_dim % c.endo_dim == 0
+                       for c in comps)
+            projs = [c.basis @ c.basis.T for c in comps]
+            assert np.max(np.abs(sum(projs) - B @ B.T)) <= 1e-8
+            for i, P in enumerate(projs):
+                assert all(np.max(np.abs(P @ Q)) <= 1e-8 for Q in projs[i + 1:])
+                for sigma in gens.gens:
+                    image = list(sigma.image)
+                    assert np.max(np.abs(P[np.ix_(image, image)] - P)) <= 1e-8
+        shapes = [[(c.irr_dim, c.mult, c.endo_dim) for c in dec.components]
+                  for dec in decs]
+        assert shapes[0] == shapes[1]
+        for a in decs[0].components:
+            Pa = a.basis @ a.basis.T
+            assert min(np.max(np.abs(Pa - b.basis @ b.basis.T))
+                       for b in decs[1].components
+                       if (b.irr_dim, b.mult) == (a.irr_dim, a.mult)) <= 1e-8

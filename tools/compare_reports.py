@@ -5,8 +5,10 @@
 For each workload directory, prints how many reports changed status (with
 each old -> new pair) and how many exist on one side only. Then prints, for
 each top-level report field, how many reports differ in it, per workload and
-in total. Exits 1 when any status changed or any report is missing from one
-side, 0 otherwise.
+in total, the largest absolute difference between two float leaves of the
+field, and how many reports differ in a non-float leaf: a string, an int, a
+key, a list length or a change of type. Exits 1 when any status changed or
+any report is missing from one side, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -23,6 +25,20 @@ def _load(tree: Path, workload: str) -> dict[str, dict]:
             for p in sorted((tree / workload).glob("*.json"))}
 
 
+def _walk(a, b, gaps: list[float]) -> bool:
+    """Append |a - b| for each pair of float leaves; True if any other leaf differs."""
+    if type(a) is float and type(b) is float:
+        gaps.append(abs(a - b))
+        return False
+    if isinstance(a, dict) and isinstance(b, dict):
+        other = [_walk(a[k], b[k], gaps) for k in a.keys() & b.keys()]
+        return a.keys() != b.keys() or any(other)
+    if isinstance(a, list) and isinstance(b, list):
+        other = [_walk(x, y, gaps) for x, y in zip(a, b)]
+        return len(a) != len(b) or any(other)
+    return type(a) is not type(b) or a != b
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old", type=Path, help="report tree of the old checkout")
@@ -31,6 +47,8 @@ def main() -> int:
     workloads = sorted({p.name for tree in (args.old, args.new)
                         for p in tree.iterdir() if p.is_dir()})
     fields: dict[str, Counter[str]] = {}
+    largest: Counter[str] = Counter()  # largest float move per field
+    non_float: Counter[str] = Counter()  # reports with a non-float difference
     changed = 0
     for workload in workloads:
         old, new = _load(args.old, workload), _load(args.new, workload)
@@ -43,6 +61,9 @@ def main() -> int:
             for key in sorted(a.keys() | b.keys()):
                 if a.get(key) != b.get(key):
                     fields.setdefault(key, Counter())[workload] += 1
+                    gaps: list[float] = []
+                    non_float[key] += _walk(a.get(key), b.get(key), gaps)
+                    largest[key] = max(largest[key], *gaps, 0.0)
         changed += sum(moves.values()) + one_side
         print(f"{workload}: {len(old.keys() & new.keys())} reports on both sides, "
               f"{sum(moves.values())} status changes, {one_side} on one side only")
@@ -51,7 +72,8 @@ def main() -> int:
     print("reports that differ, per field:")
     for key, counts in sorted(fields.items()):
         per = ", ".join(f"{w} {counts[w]}" for w in workloads if counts[w])
-        print(f"  {key}: {sum(counts.values())} ({per})")
+        print(f"  {key}: {sum(counts.values())} ({per}); largest float move "
+              f"{largest[key]:.2e}, non-float differences in {non_float[key]}")
     return 1 if changed else 0
 
 

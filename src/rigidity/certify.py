@@ -319,7 +319,8 @@ def assemble_certificate(
     """Combine representatives into phi = sum sqrt(a_j) phi_j.
 
     Orbit energies add across isotypics, so l_Psi(phi) must equal the
-    orbit-size vector; ResidualTooLarge flags solver/decomposition mismatch.
+    orbit-size vector; ResidualTooLarge flags solver/decomposition mismatch,
+    and a negative coefficient.
     """
     coeffs = solution.coeffs
     graph = cone.part.graph
@@ -327,7 +328,7 @@ def assemble_certificate(
     for a, rep in zip(coeffs, cone.reps):
         af = float(a)
         if af < 0:
-            raise ValueError("negative cone coefficient")
+            raise ResidualTooLarge("negative cone coefficient")
         if af > 0:
             phi = phi + np.sqrt(af) * rep
     en = orbit_energy(graph, cone.part, phi)

@@ -25,11 +25,12 @@ from .symmetry import EdgeOrbitPartition, GroupGenerators, _UnionFind, orbit_ene
 
 
 class UnstableSplit(RuntimeError):
-    """The commutant split left a summand that is not irreducible.
+    """The eigenspace does not split into irreducibles under the group.
 
-    Raised when a summand's commutant has a symmetric part beyond the
-    scalars, and so holds the projector onto a smaller invariant subspace,
-    or when summands found isomorphic differ in endomorphism field.
+    Raised when a generator does not map the eigenspace into itself, when a
+    summand's commutant has a symmetric part beyond the scalars, and so holds
+    the projector onto a smaller invariant subspace, or when summands found
+    isomorphic differ in endomorphism field.
     """
 
 
@@ -69,7 +70,7 @@ def _generator_action(cluster: EigenspaceCluster, gens: GroupGenerators) -> list
         R = B.T @ PB
         resid = float(np.linalg.norm(PB - B @ R))
         if resid > 1e-8 * max(1.0, np.sqrt(d)):
-            raise ValueError(
+            raise UnstableSplit(
                 f"eigenspace is not invariant under the group (residual {resid:.3e})"
             )
         mats.append(R)
@@ -156,9 +157,11 @@ def isotypic_decompose(
     an isotypic, exactly when ||(Q_a (x) Q_b)^T N||_2 > 0.5: the blocks
     Q_b^T X Q_a of the commutant are the intertwiners from a to b, so the
     norm is at least 1 when an isometric one exists and 0 when none does.
-    Raises UnstableSplit when a summand is reducible or isomorphic summands
-    disagree, ValueError when the eigenspace is not invariant under a
-    generator.
+    Raises UnstableSplit when the eigenspace is not invariant under a
+    generator, a summand is reducible or isomorphic summands disagree.
+    Components sort by (irr_dim, mult) and then by the bytes of the rounded
+    projector, with -0.0 made 0.0 so the sign of a roundoff-sized entry
+    cannot reorder them.
     """
     B = cluster.basis
     d = B.shape[1]
@@ -194,7 +197,9 @@ def isotypic_decompose(
         )
 
     components.sort(
-        key=lambda c: (c.irr_dim, c.mult, np.round(c.basis @ c.basis.T, 9).tobytes())
+        key=lambda c: (
+            c.irr_dim, c.mult, (np.round(c.basis @ c.basis.T, 9) + 0.0).tobytes()
+        )
     )
     Q = np.column_stack(summands)
     residual = float(np.linalg.norm(Q @ Q.T - np.eye(d)))

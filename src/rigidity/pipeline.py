@@ -4,9 +4,11 @@ A run walks a fixed stage graph: spectrum -> cluster -> group -> orbits ->
 isotypics. When every multiplicity is one, cone membership (exact first)
 decides; otherwise SDP feasibility, the multiplicity bound and a sub-cone
 follow. The disproof search takes both infeasible branches.
-Every outcome is a structured report, and module errors become flags. A
-config that does not fit the graph is a caller error and raises ValueError
-(see run_pipeline).
+Every outcome is a structured report. FAILURE_FLAGS is the one table of the
+module errors that end a run: run_pipeline catches those, and only those,
+in one handler, and ends the run in INCONCLUSIVE_SOLVER with the table's
+flag. A config that does not fit the graph is a caller error and raises
+ValueError (see run_pipeline).
 """
 
 from __future__ import annotations
@@ -96,6 +98,18 @@ TRANSITIONS: dict[str, tuple[str, ...]] = {
         PipelineStatus.CERTIFIED_NUMERIC.value,
         PipelineStatus.INCONCLUSIVE_SOLVER.value,
     ),
+}
+
+# The failures that end a run in INCONCLUSIVE_SOLVER, and the flag each
+# raises. run_pipeline catches these and nothing else: a ValueError from
+# acquire_group is a caller error and propagates.
+FAILURE_FLAGS: dict[type[Exception], str] = {
+    ConvergenceFailure: "EIGENSOLVE_FAILED",
+    np.linalg.LinAlgError: "EIGENSOLVE_FAILED",
+    AmbiguousCluster: "AMBIGUOUS_CLUSTER",
+    UnstableSplit: "ISOTYPIC_FAILURE",
+    LineSearchFailed: "LINE_SEARCH_FAILED",
+    ResidualTooLarge: "ASSEMBLY_FAILED",
 }
 
 
@@ -262,137 +276,123 @@ def run_pipeline(
 ) -> CertificationReport:
     """Run the full certification flow for one graph and one target.
 
-    Every run ends in a report. A config that does not fit the graph is a
-    caller error and raises ValueError: generators in cfg.group bound to
-    another graph, or a fixed vertex outside 0..n-1.
+    Every run ends in a report. The stages run as one walk, and a failure
+    listed in FAILURE_FLAGS ends it in INCONCLUSIVE_SOLVER at the stage it
+    came from, with the table's flag and the message "<stage> stage failed:
+    <exception text>". A config that does not fit the graph is a caller
+    error and raises ValueError: generators in cfg.group bound to another
+    graph, or a fixed vertex outside 0..n-1.
     """
     rep = CertificationReport(graph, graph_id or graph.name or "graph", target)
     run = _Run(rep)
-
-    run.stage("spectrum")
     try:
+        run.stage("spectrum")
         dec = laplacian_spectrum(graph, WeightVector.uniform(graph))
-    except ConvergenceFailure as exc:
-        return _eigensolve_failed(run, "uniform spectrum", exc)
 
-    run.stage("cluster")
-    try:
+        run.stage("cluster")
         cluster = target_cluster(dec, target)
-    except AmbiguousCluster:
-        return run.finish(
-            PipelineStatus.INCONCLUSIVE_SOLVER,
-            "no clean spectral gap around the target eigenvalue",
-            flag="AMBIGUOUS_CLUSTER",
-        )
-    rep.lam = float(cluster.value)
+        rep.lam = float(cluster.value)
 
-    run.stage("group")
-    gens, flags = acquire_group(graph, cfg)
-    rep.flags += flags
-    try:
-        rep.group_order = close_group(gens).size
-    except CapExceeded:
-        rep.flags += ("GROUP_CAP_EXCEEDED",)
-        gens = GroupGenerators(graph, ())
-        rep.group_order = 1
-
-    run.stage("orbits")
-    part = edge_orbits(graph, gens)
-    rep.orbit_of, rep.orbit_sizes = part.orbit_of, part.sizes
-
-    run.stage("isotypics")
-    try:
-        iso = isotypic_decompose(cluster, gens, cfg.seed)
-    except UnstableSplit as exc:
-        return run.finish(PipelineStatus.INCONCLUSIVE_SOLVER, str(exc),
-                          flag="ISOTYPIC_FAILURE")
-    except np.linalg.LinAlgError as exc:
-        return _eigensolve_failed(run, "isotypic decomposition", exc)
-    rep.isotypics = tuple((c.irr_dim, c.mult, c.endo_dim) for c in iso.components)
-    rep.residuals["isotypic"] = iso.residual
-    if any(c.endo_dim == 4 for c in iso.components):
-        rep.flags += ("QUATERNIONIC_COMPONENT_UNTESTED",)
-
-    # Multiplicity one everywhere: the full cone decides, and its miss is a
-    # verdict. Otherwise the SDP decides feasibility, and a sub-cone, whose
-    # miss proves nothing, looks for a certificate.
-    full = all_multiplicity_one(iso)
-    if not full:
-        run.stage("sdp")
-        co = compress_operators(cluster, graph, part)
+        run.stage("group")
+        gens, flags = acquire_group(graph, cfg)
+        rep.flags += flags
         try:
+            rep.group_order = close_group(gens).size
+        except CapExceeded:
+            rep.flags += ("GROUP_CAP_EXCEEDED",)
+            gens = GroupGenerators(graph, ())
+            rep.group_order = 1
+
+        run.stage("orbits")
+        part = edge_orbits(graph, gens)
+        rep.orbit_of, rep.orbit_sizes = part.orbit_of, part.sizes
+
+        run.stage("isotypics")
+        iso = isotypic_decompose(cluster, gens, cfg.seed)
+        rep.isotypics = tuple((c.irr_dim, c.mult, c.endo_dim) for c in iso.components)
+        rep.residuals["isotypic"] = iso.residual
+        if any(c.endo_dim == 4 for c in iso.components):
+            rep.flags += ("QUATERNIONIC_COMPONENT_UNTESTED",)
+
+        # Multiplicity one everywhere: the full cone decides, and its miss is
+        # a verdict. Otherwise the SDP decides feasibility, and a sub-cone,
+        # whose miss proves nothing, looks for a certificate.
+        full = all_multiplicity_one(iso)
+        if not full:
+            run.stage("sdp")
+            co = compress_operators(cluster, graph, part)
             sdp = solve_feasibility(co)
-        except np.linalg.LinAlgError as exc:
-            return _eigensolve_failed(run, "SDP feasibility", exc)
-        rep.residuals["sdp"] = sdp.max_residual
-        rep.residuals["sdp_iterations"] = float(sdp.iterations)
-        if sdp.status is SdpStatus.LIKELY_INFEASIBLE:
-            return _disproof_stage(run, dec, cluster, part, cfg.seed,
-                                   "embedding SDP likely infeasible")
-        if sdp.status is SdpStatus.ITERATION_LIMIT:
+            rep.residuals["sdp"] = sdp.max_residual
+            rep.residuals["sdp_iterations"] = float(sdp.iterations)
+            if sdp.status is SdpStatus.LIKELY_INFEASIBLE:
+                return _disproof_stage(run, dec, cluster, part, cfg.seed,
+                                       "embedding SDP likely infeasible")
+            if sdp.status is SdpStatus.ITERATION_LIMIT:
+                return run.finish(
+                    PipelineStatus.INCONCLUSIVE_SOLVER,
+                    "SDP hit its iteration limit without a verdict",
+                    flag="SDP_ITERATION_LIMIT",
+                )
+            run.stage("mult_bound")
+            if not multiplicity_bound_ok(iso):
+                rep.embedding_gram = None if sdp.Z is None else expand_gram(co, sdp.Z)
+                return run.finish(
+                    PipelineStatus.INCONCLUSIVE_NO_RANK1,
+                    "multiplicity bound fails: no single-eigenvector certificate "
+                    "guaranteed",
+                )
+
+        run.stage("cone" if full else "subcone")
+        cone = (build_cone if full else subcone_model)(iso, part, cfg.seed)
+        sol = solve_cone_membership(cone)
+        rep.residuals["cone"] = sol.residual if np.isfinite(sol.residual) else -1.0
+        if not sol.exact:
+            rep.flags += ("EXACT_UNAVAILABLE",)
+        if not sol.feasible:
+            if not full:
+                return run.finish(
+                    PipelineStatus.INCONCLUSIVE_MULTIPLICITY,
+                    "multiplicities above one and the representative sub-cone missed "
+                    "the target; exact route unavailable",
+                )
+            if sol.exact:
+                rep.flags += ("EXACT_CONE_INFEASIBLE",)
+                msg = ("orbit-size vector provably outside the certificate cone; "
+                       "target is not conformally rigid")
+            else:
+                rep.flags += ("NUMERIC_CONE_INFEASIBLE",)
+                msg = "certificate cone membership failed numerically"
+            return _disproof_stage(run, dec, cluster, part, cfg.seed, msg)
+
+        run.stage("assemble")
+        cert = assemble_certificate(cone, sol, cluster)
+        run.stage("verify")
+        vectors = list(zip(cert.coeffs, cert.reps))
+        ver = verify_certificate(graph, part, vectors, cert.lam, target)
+        rep.residuals["certificate_orbit"] = cert.orbit_residual
+        rep.residuals["certificate_eigen"] = cert.eigen_residual
+        if not ver.ok:
             return run.finish(
                 PipelineStatus.INCONCLUSIVE_SOLVER,
-                "SDP hit its iteration limit without a verdict",
-                flag="SDP_ITERATION_LIMIT",
+                f"assembled certificate failed verification at {ver.failing_clause}",
+                flag="VERIFY_FAILED",
             )
-        run.stage("mult_bound")
-        if not multiplicity_bound_ok(iso):
-            rep.embedding_gram = None if sdp.Z is None else expand_gram(co, sdp.Z)
-            return run.finish(
-                PipelineStatus.INCONCLUSIVE_NO_RANK1,
-                "multiplicity bound fails: no single-eigenvector certificate guaranteed",
-            )
-
-    run.stage("cone" if full else "subcone")
-    try:
-        cone = (build_cone if full else subcone_model)(iso, part, cfg.seed)
-    except UnstableSplit as exc:
-        return run.finish(PipelineStatus.INCONCLUSIVE_SOLVER, str(exc),
-                          flag="ISOTYPIC_FAILURE")
-    sol = solve_cone_membership(cone)
-    rep.residuals["cone"] = sol.residual if np.isfinite(sol.residual) else -1.0
-    if not sol.exact:
-        rep.flags += ("EXACT_UNAVAILABLE",)
-    if sol.feasible:
-        return _assemble_stage(run, cone, sol, cluster)
-    if not full:
-        return run.finish(
-            PipelineStatus.INCONCLUSIVE_MULTIPLICITY,
-            "multiplicities above one and the representative sub-cone missed the "
-            "target; exact route unavailable",
-        )
-    if sol.exact:
-        rep.flags += ("EXACT_CONE_INFEASIBLE",)
-        msg = ("orbit-size vector provably outside the certificate cone; "
-               "target is not conformally rigid")
-    else:
-        rep.flags += ("NUMERIC_CONE_INFEASIBLE",)
-        msg = "certificate cone membership failed numerically"
-    return _disproof_stage(run, dec, cluster, part, cfg.seed, msg)
-
-
-def _eigensolve_failed(
-    run: _Run, reason: str, exc: ConvergenceFailure | np.linalg.LinAlgError
-) -> CertificationReport:
-    return run.finish(
-        PipelineStatus.INCONCLUSIVE_SOLVER, f"{reason}; eigensolve failed: {exc}",
-        flag="EIGENSOLVE_FAILED",
-    )
+        rep.certificate = cert
+        status = (PipelineStatus.CERTIFIED_EXACT if cert.exact
+                  else PipelineStatus.CERTIFIED_NUMERIC)
+        return run.finish(status, "single-eigenvector certificate verified")
+    except tuple(FAILURE_FLAGS) as exc:
+        flag = next(FAILURE_FLAGS[c] for c in type(exc).__mro__ if c in FAILURE_FLAGS)
+        return run.finish(PipelineStatus.INCONCLUSIVE_SOLVER,
+                          f"{rep.route[-1]} stage failed: {exc}", flag=flag)
 
 
 def _disproof_stage(run: _Run, dec, cluster, part, seed: int,
                     reason: str) -> CertificationReport:
     rep = run.report
     run.stage("disproof")
-    try:
-        d = find_disproof(rep.graph, cluster, part, rep.target, seed, dec)
-        verified = d is not None and verify_disproof(rep.graph, d, rep.target)
-    except LineSearchFailed as exc:
-        return run.finish(PipelineStatus.INCONCLUSIVE_SOLVER, f"{reason}; {exc}",
-                          flag="LINE_SEARCH_FAILED")
-    except (ConvergenceFailure, np.linalg.LinAlgError) as exc:
-        return _eigensolve_failed(run, reason, exc)
-    if not verified:
+    d = find_disproof(rep.graph, cluster, part, rep.target, seed, dec)
+    if d is None or not verify_disproof(rep.graph, d, rep.target):
         return run.finish(
             PipelineStatus.INCONCLUSIVE_SOLVER,
             f"{reason}; no verified witness weights found",
@@ -404,35 +404,6 @@ def _disproof_stage(run: _Run, dec, cluster, part, seed: int,
     return run.finish(
         PipelineStatus.DISPROVED,
         f"{reason}; witness weights beat the uniform spectrum by {d.margin:.6g}",
-    )
-
-
-def _assemble_stage(run: _Run, cone, sol, cluster) -> CertificationReport:
-    rep = run.report
-    run.stage("assemble")
-    try:
-        cert = assemble_certificate(cone, sol, cluster)
-    except (ResidualTooLarge, ValueError) as exc:
-        return run.finish(PipelineStatus.INCONCLUSIVE_SOLVER, str(exc),
-                          flag="ASSEMBLY_FAILED")
-    run.stage("verify")
-    vectors = list(zip(cert.coeffs, cert.reps))
-    try:
-        ver = verify_certificate(rep.graph, cone.part, vectors, cert.lam, rep.target)
-    except ConvergenceFailure as exc:
-        return _eigensolve_failed(run, "certificate check", exc)
-    rep.residuals["certificate_orbit"] = cert.orbit_residual
-    rep.residuals["certificate_eigen"] = cert.eigen_residual
-    if not ver.ok:
-        return run.finish(
-            PipelineStatus.INCONCLUSIVE_SOLVER,
-            f"assembled certificate failed verification at {ver.failing_clause}",
-            flag="VERIFY_FAILED",
-        )
-    rep.certificate = cert
-    return run.finish(
-        PipelineStatus.CERTIFIED_EXACT if cert.exact else PipelineStatus.CERTIFIED_NUMERIC,
-        "single-eigenvector certificate verified",
     )
 
 

@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -214,12 +215,50 @@ class TestCommutant:
 
     def test_simple_eigenvalue_solves_no_commutant(self, monkeypatch):
         # The barbell's lambda_2 is simple under a group of order 8: every
-        # 1 x 1 matrix commutes, so no Kronecker system is built.
+        # 1 x 1 matrix commutes, so _commutant runs no eigensolve.
         g = fx.barbell()
         gens = _full_group(g)
         assert gens.gens
-        calls, real = [], np.kron
-        monkeypatch.setattr(np, "kron", lambda *a: calls.append(a) or real(*a))
+        calls, real_commutant, real_eigh = [], I._commutant, np.linalg.eigh
+
+        def commutant(*args):
+            with monkeypatch.context() as mp:
+                mp.setattr(np.linalg, "eigh",
+                           lambda M, *a: calls.append(M.shape) or real_eigh(M, *a))
+                return real_commutant(*args)
+
+        monkeypatch.setattr(I, "_commutant", commutant)
         dec = R.isotypic_decompose(_cluster(g), gens)
         assert _shapes(dec) == [(1, 1, 1)]
         assert calls == []
+
+
+class TestComponentOrder:
+    # networkx atlas graph 117 (6 vertices) has two (1, 1, 1) components for
+    # lambda_2 whose rounded projectors first differ where one holds 0.0.
+    @pytest.mark.parametrize("fixed", [(), (0,)], ids=["full", "stabilizer"])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_negative_zeros_do_not_reorder_components(self, monkeypatch,
+                                                       fixed, k):
+        h = nx.graph_atlas(117)
+        g = R.Graph(h.number_of_nodes(), tuple(map(tuple, map(sorted, h.edges()))))
+        gens = R.automorphism_generators(g, fixed)
+
+        def projectors():
+            dec = R.isotypic_decompose(_cluster(g), gens)
+            return [c.basis @ c.basis.T for c in dec.components]
+
+        before = projectors()
+        assert len(before) == 2
+        calls, real = [], np.round
+
+        def round_with_negative_zeros(a, decimals=0):
+            # The k-th sort key's projector gets -0.0 for every 0.0.
+            r = real(a, decimals)
+            calls.append(1)
+            return np.where(r == 0, -0.0, r) if len(calls) == k + 1 else r
+
+        monkeypatch.setattr(np, "round", round_with_negative_zeros)
+        after = projectors()
+        assert len(calls) == 2
+        assert all(np.allclose(p, q, atol=1e-12) for p, q in zip(before, after))

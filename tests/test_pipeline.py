@@ -1,7 +1,9 @@
 import dataclasses
 import functools
 import json
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +50,19 @@ def _eigensolve_fails(*args):
 
 def _lapack_fails(*args):
     raise np.linalg.LinAlgError("LAPACK failure injected by the test")
+
+
+def _raises(exc):
+    """A stand-in for a pipeline function that raises exc."""
+    def fake(*args):
+        raise exc
+    return fake
+
+
+def _negative_first_coefficient(cone):
+    """Cone membership whose first coefficient is made -1."""
+    sol = R.solve_cone_membership(cone)
+    return dataclasses.replace(sol, coeffs=(-1,) + tuple(sol.coeffs[1:]))
 
 
 class TestConfig:
@@ -249,6 +264,56 @@ class TestStatuses:
         assert rep.status is R.PipelineStatus.INCONCLUSIVE_SOLVER
         assert rep.route[-2:] == ("disproof", "INCONCLUSIVE_SOLVER")
         assert "EIGENSOLVE_FAILED" in rep.flags
+        assert R.route_is_valid(rep.route)
+
+    def test_non_invariant_eigenspace_is_an_isotypic_failure(self, monkeypatch):
+        # Petersen's lambda_2 basis, perturbed by 1e-3 and re-orthonormalized,
+        # is no longer mapped into itself by the automorphisms.
+        real = P.target_cluster
+
+        def perturbed(dec, target):
+            c = real(dec, target)
+            noise = np.random.default_rng(0).standard_normal(c.basis.shape)
+            q, _ = np.linalg.qr(c.basis + 1e-3 * noise)
+            return dataclasses.replace(c, basis=q)
+
+        rep = _run_with(monkeypatch, "target_cluster", perturbed, fx.petersen())
+        assert rep.status is R.PipelineStatus.INCONCLUSIVE_SOLVER
+        assert rep.route[-2:] == ("isotypics", "INCONCLUSIVE_SOLVER")
+        assert "ISOTYPIC_FAILURE" in rep.flags
+        assert rep.message.startswith(
+            "isotypics stage failed: eigenspace is not invariant")
+        assert R.route_is_valid(rep.route)
+
+    # c5 LOWER is certified through the cone and the barbell LOWER disproved
+    # after it; each injection turns one of them inconclusive at `stage`.
+    @pytest.mark.parametrize("name,fake,make,stage,flag,message", [
+        ("find_disproof", _raises(R.LineSearchFailed("line search injected")),
+         fx.barbell, "disproof", "LINE_SEARCH_FAILED",
+         "disproof stage failed: line search injected"),
+        ("assemble_certificate", _raises(R.ResidualTooLarge("residual injected")),
+         fx.c5, "assemble", "ASSEMBLY_FAILED",
+         "assemble stage failed: residual injected"),
+        ("solve_cone_membership", _negative_first_coefficient,
+         fx.c5, "assemble", "ASSEMBLY_FAILED",
+         "assemble stage failed: negative cone coefficient"),
+        ("verify_certificate",
+         lambda *a: R.VerificationReport(False, 0.0, "injected clause"),
+         fx.c5, "verify", "VERIFY_FAILED",
+         "assembled certificate failed verification at injected clause"),
+        ("verify_disproof", lambda *a: False,
+         fx.barbell, "disproof", "DISPROOF_VERIFY_FAILED",
+         "certificate cone membership failed numerically; no verified "
+         "witness weights found"),
+    ], ids=["line_search", "residual", "negative_coefficient", "verify",
+            "disproof_verify"])
+    def test_injected_failure_ends_in_its_flag(self, monkeypatch, name, fake,
+                                               make, stage, flag, message):
+        rep = _run_with(monkeypatch, name, fake, make())
+        assert rep.status is R.PipelineStatus.INCONCLUSIVE_SOLVER
+        assert rep.route[-2] == stage
+        assert flag in rep.flags
+        assert rep.message == message
         assert R.route_is_valid(rep.route)
 
     def test_all_six_statuses_constructible(self, battery_reports,
@@ -689,3 +754,23 @@ class TestSeedStability:
         a = _run(fx.z21(), LOWER, seed=11)
         b = _run(fx.z21(), LOWER, seed=11)
         assert R.emit_report(a, "JSON") == R.emit_report(b, "JSON")
+
+
+def _pipeline_flags() -> set[str]:
+    """Every flag string in pipeline.py: quoted SNAKE_CASE names, not statuses."""
+    text = Path(P.__file__).read_text()
+    names = set(re.findall(r'"([A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+)"', text))
+    return names - {s.value for s in R.PipelineStatus}
+
+
+def _readme_flags() -> set[str]:
+    """The flags that the rows of README's flag table name."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = text.split("| flag | stage | meaning |", 1)[1].split("\n\n", 1)[0]
+    return set(re.findall(r"^\| `(\w+)` \|", table, re.M))
+
+
+class TestReadmeFlagTable:
+    def test_table_lists_every_flag_the_pipeline_raises(self):
+        assert len(_pipeline_flags()) == 14
+        assert _readme_flags() == _pipeline_flags()

@@ -10,15 +10,14 @@ isotypic multiplicity exceeds one, falling back to a perturbation search that
 produces explicit witness weights when rigidity fails.
 """
 
+from types import ModuleType as _ModuleType
+
 from .certify import (
     ConeModel,
     ConeSolution,
     ConicCertificate,
-    Disproof,
     LineSearchFailed,
     ResidualTooLarge,
-    TargetKind,
-    VerificationReport,
     assemble_certificate,
     build_cone,
     exact_nonneg_solve,
@@ -27,12 +26,21 @@ from .certify import (
     rationalize_tight,
     solve_cone_membership,
     subcone_model,
+)
+from .check import (
+    TRANSITIONS,
+    Disproof,
+    PipelineStatus,
+    VerificationReport,
+    reverify_report,
+    route_is_valid,
     verify_certificate,
     verify_disproof,
 )
 from .graphcore import (
     DimensionMismatch,
     DisconnectedGraph,
+    EdgeOrbitPartition,
     Graph,
     MalformedGraph6,
     WeightVector,
@@ -41,6 +49,7 @@ from .graphcore import (
     edge_energy,
     format_edge_list,
     laplacian,
+    orbit_energy,
     parse_edge_list,
     parse_graph6,
     to_graph6,
@@ -56,13 +65,9 @@ from .isotypics import (
     representative_vector,
 )
 from .pipeline import (
-    TRANSITIONS,
     CertificationReport,
     PipelineConfig,
-    PipelineStatus,
     emit_report,
-    reverify_report,
-    route_is_valid,
     run_pipeline,
 )
 from .sdpfeas import (
@@ -80,14 +85,13 @@ from .spectra import (
     EigenDecomposition,
     EigenspaceCluster,
     NotSymmetric,
-    Which,
+    TargetKind,
     cluster_eigenspace,
     eig_sym,
     laplacian_spectrum,
 )
 from .symmetry import (
     CapExceeded,
-    EdgeOrbitPartition,
     GroupClosure,
     GroupGenerators,
     Permutation,
@@ -98,11 +102,13 @@ from .symmetry import (
     edge_orbits,
     edge_permutation,
     generators_from_json,
-    orbit_energy,
     verify_automorphism,
     vertex_orbits,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above; the submodules that importing them binds here
+# are not part of the public surface.
+__all__ = [name for name, value in dict(globals()).items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import LineSearchFailed, TargetKind, find_disproof, verify_disproof
+from .certify import LineSearchFailed, find_disproof
+from .check import PipelineStatus, verify_disproof
 from .graphcore import (
     DisconnectedGraph,
     format_edge_list,
@@ -28,13 +29,17 @@ from .graphcore import (
 from .pipeline import (
     CertificationReport,
     PipelineConfig,
-    PipelineStatus,
     acquire_group,
     emit_report,
     run_pipeline,
+)
+from .spectra import (
+    AmbiguousCluster,
+    ConvergenceFailure,
+    TargetKind,
+    laplacian_spectrum,
     target_cluster,
 )
-from .spectra import AmbiguousCluster, ConvergenceFailure, laplacian_spectrum
 from .symmetry import (
     CapExceeded,
     GroupGenerators,

@@ -1,4 +1,4 @@
-"""Graph representation, ingestion, and edge-energy primitives.
+"""Graph representation, ingestion, edge energies and edge-orbit partitions.
 
 A Graph is an immutable, simple, connected, undirected graph with a canonical
 edge ordering: edges are stored as (u, v) pairs with u < v, sorted
@@ -364,3 +364,39 @@ def edge_energy(graph: Graph, phi) -> np.ndarray:
         )
     us, vs = graph.endpoints
     return (vec[us] - vec[vs]) ** 2
+
+
+@dataclass(frozen=True)
+class EdgeOrbitPartition:
+    """Edge orbit labels plus the orbit-size vector O.
+
+    Orbit ids are assigned in order of the smallest edge index each orbit
+    contains, so reports are stable across runs.
+    """
+
+    graph: Graph
+    orbit_of: tuple[int, ...]
+    sizes: tuple[int, ...]
+
+    @property
+    def s(self) -> int:
+        return len(self.sizes)
+
+    @property
+    def size_vector(self) -> np.ndarray:
+        return np.asarray(self.sizes, dtype=np.float64)
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Read-only orbit_of as an index array."""
+        arr = np.asarray(self.orbit_of, dtype=np.intp)
+        arr.setflags(write=False)
+        return arr
+
+    def members(self, orbit_id: int) -> tuple[int, ...]:
+        return tuple(i for i, o in enumerate(self.orbit_of) if o == orbit_id)
+
+
+def orbit_energy(graph: Graph, part: EdgeOrbitPartition, phi) -> np.ndarray:
+    """Per-orbit sums of (phi(u) - phi(v))^2."""
+    return np.bincount(part.labels, edge_energy(graph, phi), minlength=part.s)

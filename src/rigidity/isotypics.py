@@ -20,8 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .graphcore import EdgeOrbitPartition, orbit_energy
 from .spectra import EigenspaceCluster
-from .symmetry import EdgeOrbitPartition, GroupGenerators, _UnionFind, orbit_energy
+from .symmetry import GroupGenerators, _UnionFind
 
 
 class UnstableSplit(RuntimeError):

@@ -4,11 +4,12 @@ A run walks a fixed stage graph: spectrum -> cluster -> group -> orbits ->
 isotypics. When every multiplicity is one, cone membership (exact first)
 decides; otherwise SDP feasibility, the multiplicity bound and a sub-cone
 follow. The disproof search takes both infeasible branches.
-Every outcome is a structured report. FAILURE_FLAGS is the one table of the
-module errors that end a run: run_pipeline catches those, and only those,
-in one handler, and ends the run in INCONCLUSIVE_SOLVER with the table's
-flag. A config that does not fit the graph is a caller error and raises
-ValueError (see run_pipeline).
+Every outcome is a structured report, whose grammar lives in rigidity.check
+with the verifiers that decide whether a loaded report re-verifies.
+FAILURE_FLAGS is the one table of the module errors that end a run:
+run_pipeline catches those, and only those, in one handler, and ends the run
+in INCONCLUSIVE_SOLVER with the table's flag. A config that does not fit the
+graph is a caller error and raises ValueError (see run_pipeline).
 """
 
 from __future__ import annotations
@@ -16,27 +17,24 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
 from .certify import (
     ConicCertificate,
-    Disproof,
     LineSearchFailed,
     ResidualTooLarge,
-    TargetKind,
-    VERIFY_TOL,
     assemble_certificate,
     build_cone,
     find_disproof,
     solve_cone_membership,
     subcone_model,
-    verify_certificate,
-    verify_disproof,
 )
-from .graphcore import Graph, WeightVector, to_graph6, parse_graph6
+from .check import Disproof, PipelineStatus, verify_certificate, verify_disproof
+# Bound here only because perfbench/spans.py::TRACED names it as pipeline's.
+from .check import reverify_report  # noqa: F401
+from .graphcore import Graph, WeightVector, to_graph6
 from .isotypics import (
     UnstableSplit,
     all_multiplicity_one,
@@ -45,17 +43,14 @@ from .isotypics import (
 )
 from .sdpfeas import SdpStatus, compress_operators, expand_gram, solve_feasibility
 from .spectra import (
-    CLUSTER_TOL,
     AmbiguousCluster,
     ConvergenceFailure,
-    EigenDecomposition,
-    EigenspaceCluster,
-    cluster_eigenspace,
+    TargetKind,
     laplacian_spectrum,
+    target_cluster,
 )
 from .symmetry import (
     CapExceeded,
-    EdgeOrbitPartition,
     GroupGenerators,
     SearchBudgetExceeded,
     automorphism_generators,
@@ -63,42 +58,6 @@ from .symmetry import (
     edge_orbits,
 )
 
-
-class PipelineStatus(Enum):
-    CERTIFIED_EXACT = "CERTIFIED_EXACT"
-    CERTIFIED_NUMERIC = "CERTIFIED_NUMERIC"
-    DISPROVED = "DISPROVED"
-    INCONCLUSIVE_NO_RANK1 = "INCONCLUSIVE_NO_RANK1"
-    INCONCLUSIVE_MULTIPLICITY = "INCONCLUSIVE_MULTIPLICITY"
-    INCONCLUSIVE_SOLVER = "INCONCLUSIVE_SOLVER"
-
-
-# Stage graph of the pipeline; every report route must be a path here.
-TRANSITIONS: dict[str, tuple[str, ...]] = {
-    "spectrum": ("cluster", PipelineStatus.INCONCLUSIVE_SOLVER.value),
-    "cluster": ("group", PipelineStatus.INCONCLUSIVE_SOLVER.value),
-    "group": ("orbits",),
-    "orbits": ("isotypics",),
-    "isotypics": ("cone", "sdp", PipelineStatus.INCONCLUSIVE_SOLVER.value),
-    "cone": ("assemble", "disproof", PipelineStatus.INCONCLUSIVE_SOLVER.value),
-    "sdp": ("mult_bound", "disproof", PipelineStatus.INCONCLUSIVE_SOLVER.value),
-    "mult_bound": ("subcone", PipelineStatus.INCONCLUSIVE_NO_RANK1.value),
-    "subcone": (
-        "assemble",
-        PipelineStatus.INCONCLUSIVE_MULTIPLICITY.value,
-        PipelineStatus.INCONCLUSIVE_SOLVER.value,
-    ),
-    "disproof": (
-        PipelineStatus.DISPROVED.value,
-        PipelineStatus.INCONCLUSIVE_SOLVER.value,
-    ),
-    "assemble": ("verify", PipelineStatus.INCONCLUSIVE_SOLVER.value),
-    "verify": (
-        PipelineStatus.CERTIFIED_EXACT.value,
-        PipelineStatus.CERTIFIED_NUMERIC.value,
-        PipelineStatus.INCONCLUSIVE_SOLVER.value,
-    ),
-}
 
 # The failures that end a run in INCONCLUSIVE_SOLVER, and the flag each
 # raises. run_pipeline catches these and nothing else: a ValueError from
@@ -200,16 +159,6 @@ class CertificationReport:
         }
 
 
-def route_is_valid(route: tuple[str, ...]) -> bool:
-    """Check a report route against the static stage graph."""
-    if not route or route[0] != "spectrum":
-        return False
-    for a, b in zip(route, route[1:]):
-        if b not in TRANSITIONS.get(a, ()):
-            return False
-    return route[-1] in {s.value for s in PipelineStatus}
-
-
 class _Run:
     """The stage clock of one run: it times each stage of the report it fills."""
 
@@ -253,19 +202,6 @@ def acquire_group(
         return automorphism_generators(graph, cfg.group), ()
     except SearchBudgetExceeded:
         return GroupGenerators(graph, ()), ("GROUP_SEARCH_BUDGET_EXCEEDED",)
-
-
-def target_cluster(dec: EigenDecomposition, target: TargetKind) -> EigenspaceCluster:
-    """The target's eigenvalue cluster, retried at CLUSTER_TOL / 100.
-
-    Raises AmbiguousCluster when neither tolerance finds a clean gap.
-    """
-    for tol in (CLUSTER_TOL, CLUSTER_TOL / 100.0):
-        try:
-            return cluster_eigenspace(dec, target.which, tol)
-        except AmbiguousCluster as exc:
-            err = exc
-    raise err
 
 
 def run_pipeline(
@@ -408,7 +344,7 @@ def _disproof_stage(run: _Run, dec, cluster, part, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# Serialization, re-verification
+# Serialization
 # ---------------------------------------------------------------------------
 
 def emit_report(report: CertificationReport, format: str = "JSON") -> bytes:
@@ -453,127 +389,3 @@ def emit_report(report: CertificationReport, format: str = "JSON") -> bytes:
         lines.append(f"timings: {t}")
     lines.append(d["message"])
     return ("\n".join(lines) + "\n").encode()
-
-
-def _finite_array(values, shape: tuple[int, ...]) -> np.ndarray | None:
-    """values as a float array of the given shape, or None if it is not one."""
-    try:
-        arr = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if arr.shape != shape or not np.all(np.isfinite(arr)):
-        return None
-    return arr
-
-
-def reverify_report(payload: dict) -> bool:
-    """Re-check a loaded report against its graph6 string.
-
-    Every report must agree with itself: schema 2, n and m that match the
-    graph, and a route through TRANSITIONS that ends in the status. Past the
-    orbits stage, orbit_of holds one label per edge, orbit_sizes counts them,
-    and group_order is a positive multiple of every orbit size; before it,
-    they are empty and 0. A run that passed the isotypics stage (on to cone or
-    sdp), and any report that lists isotypics, must carry positive integer
-    triples whose irr_dim * mult sum to the dimension of the target
-    eigenspace, and whose endo_dim is 1, 2 or 4 and divides irr_dim. A
-    certified report must then carry a certificate that verify_certificate
-    accepts, and a disproved one witness weights that verify_disproof
-    accepts, with the achieved, baseline and margin it recomputes. The
-    top-level lambda must repeat the certificate's lambda or the disproof's
-    baseline, to VERIFY_TOL.
-
-    Numbers that do not fit the graph are rejected before anything is built:
-    orbit labels outside 0..m-1, certificate vectors that are not n finite
-    numbers, coefficients that are not finite or not one per vector, an
-    eigenvalue that is not a finite number, and disproof weights that are
-    not m finite nonnegative numbers.
-    A payload that is not a report (a missing key, a value of the wrong type,
-    a bad graph6 string, an unknown target) is rejected too, and so is one
-    whose check fails to converge: this returns False and never raises.
-    """
-    try:
-        return _reverify(payload)
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError,
-            ConvergenceFailure):
-        return False
-
-
-def _reverify(payload: dict) -> bool:
-    graph = parse_graph6(payload["graph6"])
-    n, m = graph.n, graph.m
-    kind = TargetKind(payload["target"])
-    status = payload["status"]
-    route = tuple(payload["route"])
-    if payload["schema"] != 2 or (payload["n"], payload["m"]) != (n, m) or not (
-        route_is_valid(route) and route[-1] == status
-    ):
-        return False
-    labels, sizes = payload["orbit_of"], payload["orbit_sizes"]
-    order = payload["group_order"]
-    if "orbits" not in route:
-        # The run stopped before it had a group or orbits.
-        fits = (labels, sizes, order) == ([], [], 0)
-    else:
-        # Exactly one integer orbit label in 0..m-1 per edge, sizes that
-        # count them, and an order that each orbit size divides
-        # (orbit-stabilizer).
-        fits = (
-            len(labels) == m
-            and all(type(o) is int and 0 <= o < m for o in labels)
-            and sizes == np.bincount(labels).tolist()
-            and type(order) is int and order > 0
-            and all(k > 0 and order % k == 0 for k in sizes)
-        )
-    if not fits:
-        return False
-    iso = payload["isotypics"]
-    dec = None  # the uniform spectrum, shared with the checks below
-    if iso or "cone" in route or "sdp" in route:
-        # Positive (irr_dim, mult, endo_dim) triples whose irr_dim * mult
-        # dimensions add up to the target eigenspace. An irreducible is a
-        # vector space over its endomorphism field R, C or H, whose dimension
-        # therefore divides irr_dim.
-        if not iso or not all(
-            len(c) == 3 and all(type(x) is int and x > 0 for x in c)
-            and c[2] in (1, 2, 4) and c[0] % c[2] == 0
-            for c in iso
-        ):
-            return False
-        dec = laplacian_spectrum(graph, WeightVector.uniform(graph))
-        if sum(d * k for d, k, _ in iso) != target_cluster(dec, kind).basis.shape[1]:
-            return False
-    if status in ("CERTIFIED_EXACT", "CERTIFIED_NUMERIC"):
-        cert = payload.get("certificate")
-        if cert is None:
-            return False
-        part = EdgeOrbitPartition(graph, tuple(labels), tuple(sizes))
-        try:
-            coeffs = [Fraction(a) if isinstance(a, str) else float(a)
-                      for a in cert["a"]]
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-            return False
-        phis = [_finite_array(v, (n,)) for v in cert["vectors"]]
-        lam = _finite_array(cert["lambda"], ())
-        if _finite_array(coeffs, (len(phis),)) is None or lam is None or any(
-            phi is None for phi in phis
-        ):
-            return False
-        lam = float(lam)
-        vectors = list(zip(coeffs, phis))
-        return (abs(payload["lambda"] - lam) <= VERIFY_TOL * max(1.0, abs(lam))
-                and verify_certificate(graph, part, vectors, lam, kind, dec).ok)
-    if status == "DISPROVED":
-        disp = payload.get("disproof")
-        if disp is None:
-            return False
-        w = _finite_array(disp["w"], (m,))
-        if w is None or np.any(w < 0):
-            return False
-        # verify_disproof, not the WeightVector, judges the total weight.
-        d = Disproof(WeightVector(w), disp["achieved"], disp["baseline"],
-                     disp["margin"])
-        lam = d.baseline
-        return (abs(payload["lambda"] - lam) <= VERIFY_TOL * max(1.0, abs(lam))
-                and verify_disproof(graph, d, kind, dec))
-    return True

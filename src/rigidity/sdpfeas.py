@@ -20,9 +20,8 @@ from enum import Enum
 
 import numpy as np
 
-from .graphcore import Graph, laplacian
+from .graphcore import EdgeOrbitPartition, Graph, laplacian
 from .spectra import EigenspaceCluster
-from .symmetry import EdgeOrbitPartition
 
 SDP_TOL = 1e-9
 SDP_MAX_ITER = 50_000

@@ -29,9 +29,9 @@ class AmbiguousCluster(ValueError):
     """No clean spectral gap separates the requested eigenvalue cluster."""
 
 
-class Which(Enum):
-    SECOND = "second"
-    LARGEST = "largest"
+class TargetKind(Enum):
+    LOWER = "LOWER"
+    UPPER = "UPPER"
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,10 @@ def eig_sym(A: np.ndarray) -> EigenDecomposition:
 
 def cluster_eigenspace(
     dec: EigenDecomposition,
-    which: Which,
+    kind: TargetKind,
     tol: float = CLUSTER_TOL,
 ) -> EigenspaceCluster:
-    """Collect the eigenvalue cluster at the second-smallest or largest eigenvalue.
+    """Collect the eigenvalue cluster at lambda_2 (LOWER) or lambda_max (UPPER).
 
     Membership: |lam_k - lam_ref| <= tol * max(1, lam_max). The cluster must
     be separated from the rest of the spectrum by a gap larger than 10x the
@@ -93,7 +93,7 @@ def cluster_eigenspace(
         raise ValueError("need at least a 2x2 spectrum")
     scale = max(1.0, float(lam[-1]))
     eff = tol * scale
-    if which is Which.SECOND:
+    if kind is TargetKind.LOWER:
         ref = float(lam[1])
         # Index 0 is the Laplacian kernel; it never joins the cluster.
         members = [k for k in range(1, n) if abs(lam[k] - ref) <= eff]
@@ -111,6 +111,19 @@ def cluster_eigenspace(
     # Re-orthonormalize: eigh output is orthonormal, but be safe under clustering.
     q, _ = np.linalg.qr(basis)
     return EigenspaceCluster(value=ref, basis=q)
+
+
+def target_cluster(dec: EigenDecomposition, target: TargetKind) -> EigenspaceCluster:
+    """The target's eigenvalue cluster, retried at CLUSTER_TOL / 100.
+
+    Raises AmbiguousCluster when neither tolerance finds a clean gap.
+    """
+    for tol in (CLUSTER_TOL, CLUSTER_TOL / 100.0):
+        try:
+            return cluster_eigenspace(dec, target, tol)
+        except AmbiguousCluster as exc:
+            err = exc
+    raise err
 
 
 def laplacian_spectrum(graph: Graph, w) -> EigenDecomposition:

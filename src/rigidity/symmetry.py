@@ -3,7 +3,8 @@
 Automorphism generators come from an equitable-partition refinement search
 with individualization backtracking; callers with big graphs can supply
 generators externally (JSON) and skip the search. Orbits of edges and
-vertices and orbit-energy vectors live here too.
+vertices live here too; the edge-orbit partition they fill in, and its
+orbit energies, live in graphcore.
 """
 
 from __future__ import annotations
@@ -11,12 +12,11 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphcore import Graph, edge_energy
+from .graphcore import EdgeOrbitPartition, Graph
 
 SEARCH_BUDGET_DEFAULT = 200_000
 CLOSURE_CAP_DEFAULT = 200_000
@@ -85,37 +85,6 @@ class GroupClosure:
     @property
     def size(self) -> int:
         return len(self.elements)
-
-
-@dataclass(frozen=True)
-class EdgeOrbitPartition:
-    """Edge orbit labels plus the orbit-size vector O.
-
-    Orbit ids are assigned in order of the smallest edge index each orbit
-    contains, so reports are stable across runs.
-    """
-
-    graph: Graph
-    orbit_of: tuple[int, ...]
-    sizes: tuple[int, ...]
-
-    @property
-    def s(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def size_vector(self) -> np.ndarray:
-        return np.asarray(self.sizes, dtype=np.float64)
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """Read-only orbit_of as an index array."""
-        arr = np.asarray(self.orbit_of, dtype=np.intp)
-        arr.setflags(write=False)
-        return arr
-
-    def members(self, orbit_id: int) -> tuple[int, ...]:
-        return tuple(i for i, o in enumerate(self.orbit_of) if o == orbit_id)
 
 
 @dataclass(frozen=True)
@@ -396,11 +365,6 @@ def vertex_orbits(graph: Graph, gens: GroupGenerators) -> VertexOrbitPartition:
     for v, o in enumerate(orbit_of):
         groups[o].append(v)
     return VertexOrbitPartition(orbit_of, tuple(tuple(g) for g in groups))
-
-
-def orbit_energy(graph: Graph, part: EdgeOrbitPartition, phi) -> np.ndarray:
-    """Per-orbit sums of (phi(u) - phi(v))^2."""
-    return np.bincount(part.labels, edge_energy(graph, phi), minlength=part.s)
 
 
 # ---------------------------------------------------------------------------

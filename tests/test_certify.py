@@ -13,7 +13,7 @@ from rigidity import certify
 import fixtures as fx
 
 
-def _cluster(g, which=R.Which.SECOND):
+def _cluster(g, which=R.TargetKind.LOWER):
     dec = R.laplacian_spectrum(g, R.WeightVector.uniform(g))
     return R.cluster_eigenspace(dec, which)
 
@@ -28,12 +28,6 @@ def _z12_cone():
     iso = R.isotypic_decompose(_cluster(g), gens)
     part = R.edge_orbits(g, gens)
     return g, part, _cluster(g), R.build_cone(iso, part)
-
-
-class TestTargetKind:
-    def test_which_mapping(self):
-        assert R.TargetKind.LOWER.which is R.Which.SECOND
-        assert R.TargetKind.UPPER.which is R.Which.LARGEST
 
 
 class TestRationalize:
@@ -194,7 +188,7 @@ class TestBipartiteShortcut:
     @pytest.mark.parametrize("make", [fx.c4, fx.q3, fx.desargues])
     def test_regular_bipartite_certificate(self, make):
         g = make()
-        cl = _cluster(g, R.Which.LARGEST)
+        cl = _cluster(g, R.TargetKind.UPPER)
         gens = R.automorphism_generators(g)
         part = R.edge_orbits(g, gens)
         cone = R.build_cone(R.isotypic_decompose(cl, gens), part)
@@ -230,7 +224,7 @@ class TestVerifyCertificate:
         g = fx.z21()
         part = R.edge_orbits(g, fx.rotation_gens(g, 21))
         t = 2 * np.pi * np.arange(21) / 21
-        cl = _cluster(g, R.Which.LARGEST)
+        cl = _cluster(g, R.TargetKind.UPPER)
         vr = R.verify_certificate(g, part, [(1.0, np.cos(9 * t)),
                                             (1.0, np.sin(9 * t))],
                                   cl.value, R.TargetKind.UPPER)
@@ -323,7 +317,7 @@ class TestDisproof:
 
     def test_f3_upper(self):
         g = fx.f3()
-        d = R.find_disproof(g, _cluster(g, R.Which.LARGEST), _auto_part(g),
+        d = R.find_disproof(g, _cluster(g, R.TargetKind.UPPER), _auto_part(g),
                             R.TargetKind.UPPER)
         assert d is not None
         assert d.achieved < 7.0
@@ -356,7 +350,7 @@ class TestDisproof:
 
     def test_disproof_weights_are_normalized(self):
         g = fx.f3()
-        d = R.find_disproof(g, _cluster(g, R.Which.LARGEST), _auto_part(g),
+        d = R.find_disproof(g, _cluster(g, R.TargetKind.UPPER), _auto_part(g),
                             R.TargetKind.UPPER)
         assert np.all(d.w.values >= 0)
         assert abs(d.w.values.sum() - g.m) <= 1e-9 * g.m
@@ -393,7 +387,7 @@ class TestDisproofWork:
     @pytest.mark.parametrize("case", ["barbell-lower", "gnp30-upper"])
     def test_each_weight_vector_solved_once(self, case, monkeypatch):
         g, kind = _disproof_case(case)
-        cluster = _cluster(g, kind.which)
+        cluster = _cluster(g, kind)
         solved, clustered = [], 0
         laplacian, cluster_eigenspace = certify.laplacian, certify.cluster_eigenspace
 
@@ -418,7 +412,7 @@ class TestDisproofWork:
     def test_given_spectrum_is_not_solved_again(self, case, monkeypatch):
         # The caller's uniform spectrum saves one eigensolve and no step.
         g, kind = _disproof_case(case)
-        cluster, part = _cluster(g, kind.which), _auto_part(g)
+        cluster, part = _cluster(g, kind), _auto_part(g)
         spectrum = R.laplacian_spectrum(g, R.WeightVector.uniform(g))
         solves = _count_calls(monkeypatch, "eig_sym")
         own = R.find_disproof(g, cluster, part, kind)
@@ -436,7 +430,7 @@ class TestDisproofWork:
         directions = _count_calls(monkeypatch, "_cutting_plane_direction")
         lps = _count_calls(monkeypatch, "linprog")
         operators = _count_calls(monkeypatch, "orbit_laplacian")
-        assert R.find_disproof(g, _cluster(g, kind.which), _auto_part(g),
+        assert R.find_disproof(g, _cluster(g, kind), _auto_part(g),
                                kind) is not None
         assert all(basis.shape[1] == 1 for _, _, basis, _, _ in directions)
         assert operators == []
@@ -450,7 +444,7 @@ class TestDisproofWork:
         # tolerance; the one cut is exact, so nothing is re-solved.
         g = fx.barbell()
         part = _auto_part(g)
-        basis = _cluster(g, kind.which).basis
+        basis = _cluster(g, kind).basis
         assert basis.shape[1] == 1
         sign = 1.0 if kind is R.TargetKind.LOWER else -1.0
         cut = R.orbit_energy(g, part, basis[:, 0])
@@ -478,7 +472,7 @@ class TestDisproofWork:
         directions = _count_calls(monkeypatch, "_cutting_plane_direction")
         lps = _count_calls(monkeypatch, "linprog")
         operators = _count_calls(monkeypatch, "orbit_laplacian")
-        assert R.find_disproof(g, _cluster(g, kind.which), _auto_part(g),
+        assert R.find_disproof(g, _cluster(g, kind), _auto_part(g),
                                kind) is not None
         assert any(basis.shape[1] > 1 for _, _, basis, _, _ in directions)
         assert operators
@@ -489,7 +483,7 @@ class TestDisproofWork:
     def test_interlacing_skip_changes_no_step(self, case, monkeypatch):
         # The reference loop solves every trial with eig_sym.
         g, kind = _disproof_case(case)
-        cluster, part = _cluster(g, kind.which), _auto_part(g)
+        cluster, part = _cluster(g, kind), _auto_part(g)
         d = R.find_disproof(g, cluster, part, kind)
         monkeypatch.setattr(certify, "_interlacing_rejects", lambda *args: False)
         ref = R.find_disproof(g, cluster, part, kind)
@@ -503,7 +497,7 @@ class TestDisproofWork:
     def test_search_stops_when_a_round_stalls(self, case, monkeypatch):
         # STALL = 0 runs until no step is accepted or MAX_ROUNDS is reached.
         g, kind = _disproof_case(case)
-        cluster, part = _cluster(g, kind.which), _auto_part(g)
+        cluster, part = _cluster(g, kind), _auto_part(g)
         directions = _count_calls(monkeypatch, "_cutting_plane_direction")
         d = R.find_disproof(g, cluster, part, kind)
         stalled = len(directions)
@@ -521,7 +515,7 @@ class TestDisproofWork:
         g, kind = _disproof_case(case)
         trials = _count_calls(monkeypatch, "_interlacing_rejects")
         solves = _count_calls(monkeypatch, "eig_sym")
-        assert R.find_disproof(g, _cluster(g, kind.which), _auto_part(g),
+        assert R.find_disproof(g, _cluster(g, kind), _auto_part(g),
                                kind) is not None
         # One solve at uniform weights, then one per trial not skipped.
         assert 1 <= len(solves) < len(trials)

@@ -345,7 +345,7 @@ class TestSharedPipelineSteps:
     def ambiguous(self, monkeypatch):
         def ambiguous(*args, **kwargs):
             raise R.AmbiguousCluster("no gap")
-        monkeypatch.setattr("rigidity.pipeline.cluster_eigenspace", ambiguous)
+        monkeypatch.setattr("rigidity.spectra.cluster_eigenspace", ambiguous)
 
     def test_orbits_falls_back_to_trivial_group(self, barbell_file, capsys,
                                                 budget_exceeded):

@@ -8,7 +8,7 @@ import rigidity.isotypics as I
 import fixtures as fx
 
 
-def _cluster(g, which=R.Which.SECOND):
+def _cluster(g, which=R.TargetKind.LOWER):
     dec = R.laplacian_spectrum(g, R.WeightVector.uniform(g))
     return R.cluster_eigenspace(dec, which)
 

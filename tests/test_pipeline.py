@@ -3,6 +3,7 @@ import functools
 import json
 import re
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import rigidity as R
 import rigidity.pipeline as P
-from rigidity import isotypics, sdpfeas
+from rigidity import check, isotypics, sdpfeas, spectra
 
 import fixtures as fx
 
@@ -132,7 +133,7 @@ class TestStatuses:
             return real(A)
 
         monkeypatch.setattr("rigidity.spectra.eig_sym", spy)
-        monkeypatch.setattr("rigidity.certify.eig_sym", spy)
+        monkeypatch.setattr("rigidity.check.eig_sym", spy)
         assert _run(g).status is R.PipelineStatus.DISPROVED
         assert sum(uniform) == 2
 
@@ -199,7 +200,9 @@ class TestStatuses:
         assert R.route_is_valid(rep.route)
 
     def test_inconclusive_solver_ambiguous_cluster(self, monkeypatch):
-        rep = _run_with(monkeypatch, "CLUSTER_TOL", 10.0, fx.c5())
+        with monkeypatch.context() as mp:
+            mp.setattr(spectra, "CLUSTER_TOL", 10.0)
+            rep = _run(fx.c5())
         assert rep.status is R.PipelineStatus.INCONCLUSIVE_SOLVER
         assert "AMBIGUOUS_CLUSTER" in rep.flags
 
@@ -398,12 +401,12 @@ class TestStageTimings:
         (fx.c4, UPPER, {}),
         (fx.z12, UPPER, {}),
         (fx.c5, LOWER, {"group": R.GroupGenerators(fx.c5(), ())}),
-        (fx.c5, LOWER, {"CLUSTER_TOL": 10.0}),  # a rigidity.pipeline constant
+        (fx.c5, LOWER, {"CLUSTER_TOL": 10.0}),  # a rigidity.spectra constant
     ])
     def test_every_stage_timed_and_sum_is_wall_time(self, make, target, kw,
                                                     monkeypatch):
         for name in filter(str.isupper, kw):
-            monkeypatch.setattr(P, name, kw[name])
+            monkeypatch.setattr(spectra, name, kw[name])
         config = {k: v for k, v in kw.items() if not k.isupper()}
         graph, cfg = make(), R.PipelineConfig(**config)
         t0 = time.perf_counter()
@@ -537,7 +540,7 @@ class TestReverification:
     def test_failed_eigensolve_is_rejected(self, monkeypatch, battery_reports,
                                            name, key):
         payload = json.loads(R.emit_report(battery_reports[key], "JSON"))
-        monkeypatch.setattr(P, name, _eigensolve_fails)
+        monkeypatch.setattr(check, name, _eigensolve_fails)
         assert R.reverify_report(payload) is False
 
     def test_one_uniform_eigensolve_per_certificate(self, monkeypatch,
@@ -553,7 +556,7 @@ class TestReverification:
             return real(A)
 
         monkeypatch.setattr("rigidity.spectra.eig_sym", spy)
-        monkeypatch.setattr("rigidity.certify.eig_sym", spy)
+        monkeypatch.setattr("rigidity.check.eig_sym", spy)
         assert R.reverify_report(payload)
         assert len(calls) == 1
 
@@ -572,7 +575,7 @@ class TestReverification:
             return real(A)
 
         monkeypatch.setattr("rigidity.spectra.eig_sym", spy)
-        monkeypatch.setattr("rigidity.certify.eig_sym", spy)
+        monkeypatch.setattr("rigidity.check.eig_sym", spy)
         assert R.reverify_report(payload)
         assert sum(uniform) == 1
 
@@ -606,7 +609,11 @@ class TestReverification:
         "disproof_w_missing", "disproof_not_a_mapping",
         "disproof_orbit_label_huge", "disproof_orbit_label_overflows",
         "disproof_achieved_not_a_number", "disproof_margin_off",
-        "disproof_baseline_off", "disproof_lambda_off", "graph6_malformed",
+        "disproof_baseline_off", "disproof_lambda_off", "disproof_lambda_huge",
+        "disproof_achieved_huge", "disproof_baseline_huge", "disproof_margin_huge",
+        "certificate_top_lambda_huge", "exact_status_and_flag",
+        "exact_status_and_flag_a_string", "exact_flag_only",
+        "z12_coefficients_floats", "z12_flagged_unavailable", "graph6_malformed",
         "graph6_null", "target_unknown", "status_missing",
     ])
     def test_malformed_payload_is_rejected(self, change, battery_reports,
@@ -616,7 +623,7 @@ class TestReverification:
             rep = _run(fx.c5(), group=R.GroupGenerators(fx.c5(), ()))
         elif kind in ("disproof", "graph6", "target", "status"):
             rep = battery_reports[("barbell", LOWER)]
-        elif change == "extra_coefficient":
+        elif change == "extra_coefficient" or kind == "z12":
             rep = z12_exact_report
         else:
             rep = battery_reports[("circulant(5,{1})", LOWER)]
@@ -667,6 +674,18 @@ class TestReverification:
             disp["baseline"] = -5.0
         elif change == "disproof_lambda_off":
             payload["lambda"] = 123.0
+        elif change in ("disproof_lambda_huge", "certificate_top_lambda_huge"):
+            payload["lambda"] = 10**400  # valid JSON, too large for a float
+        elif change.endswith("_huge"):
+            disp[change.split("_")[1]] = 10**400
+        elif change.startswith("exact_"):  # claims more than C5's numeric report
+            if "status" in change:
+                payload["status"] = payload["route"][-1] = "CERTIFIED_EXACT"
+            cert["exact"] = "yes" if change.endswith("a_string") else True
+        elif change == "z12_coefficients_floats":
+            cert["a"] = [float(Fraction(a)) for a in cert["a"]]
+        elif change == "z12_flagged_unavailable":
+            cert["flags"] = ["EXACT_UNAVAILABLE"]
         elif change == "graph6_malformed":
             payload["graph6"] = "!!"
         elif change == "graph6_null":
@@ -735,7 +754,9 @@ class TestReverification:
         {"group_order": 1}, {"orbit_sizes": [5]}, {"orbit_of": [0] * 5},
     ], ids=["order", "sizes", "labels"])
     def test_run_stopped_before_orbits_claims_none(self, monkeypatch, change):
-        rep = _run_with(monkeypatch, "CLUSTER_TOL", 10.0, fx.c5())
+        with monkeypatch.context() as mp:
+            mp.setattr(spectra, "CLUSTER_TOL", 10.0)
+            rep = _run(fx.c5())
         payload = json.loads(R.emit_report(rep, "JSON"))
         assert payload["route"] == ["spectrum", "cluster", "INCONCLUSIVE_SOLVER"]
         assert R.reverify_report(payload)

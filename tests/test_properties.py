@@ -1,6 +1,8 @@
 """Randomized invariant checks over generated connected graphs."""
 
+import functools
 import json
+import math
 
 import networkx as nx
 import numpy as np
@@ -166,7 +168,7 @@ def test_symmetrization_is_monotone(g, data):
 def test_cluster_projector_properties(g):
     dec = R.laplacian_spectrum(g, R.WeightVector.uniform(g))
     try:
-        cl = R.cluster_eigenspace(dec, R.Which.SECOND)
+        cl = R.cluster_eigenspace(dec, R.TargetKind.LOWER)
     except R.AmbiguousCluster:
         assume(False)
     B = cl.basis
@@ -239,6 +241,50 @@ def test_pipeline_ends_in_a_report_that_reverifies(g):
         assert R.reverify_report(json.loads(R.emit_report(rep, "JSON"))), rep.route
 
 
+@functools.cache
+def _reverify_payloads():
+    """Barbell LOWER (disproved), C5 LOWER (numeric) and Z12 exact, as JSON text."""
+    z12 = fx.z12()
+    reports = (R.run_pipeline(fx.barbell(), R.TargetKind.LOWER),
+               R.run_pipeline(fx.c5(), R.TargetKind.LOWER),
+               R.run_pipeline(z12, R.TargetKind.LOWER,
+                              R.PipelineConfig(group=fx.rotation_gens(z12, 12))))
+    return tuple(R.emit_report(rep, "JSON") for rep in reports)
+
+
+# Any JSON value. Leaves include integers too large for a float, NaN and the
+# infinities, which a report never holds; the first branch draws them often.
+_hostile = st.sampled_from([10**400, -10**400, math.nan, math.inf, -math.inf])
+_json_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                         st.text(max_size=6), _hostile)
+_json_values = st.one_of(
+    _hostile,
+    st.recursive(_json_leaves, lambda kids: st.one_of(
+        st.lists(kids, max_size=3),
+        st.dictionaries(st.text(max_size=6), kids, max_size=3)), max_leaves=6))
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=500)
+def test_reverify_report_never_raises(data):
+    doc = json.loads(data.draw(st.sampled_from(_reverify_payloads())))
+    # Walk from the root; at each container stop (None) or enter one child.
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node:
+        k = data.draw(st.sampled_from(
+            [None, *(sorted(node) if isinstance(node, dict) else range(len(node)))]))
+        if k is None:
+            break
+        parent, key, node = node, k, node[k]
+    value = data.draw(_json_values)
+    if parent is None:
+        doc = value
+    else:
+        parent[key] = value
+    result = R.reverify_report(doc)
+    assert result is True or result is False
+
+
 def _knapsack_optimum(g, size):
     """max g.y s.t. <size, y> = 0, |y|_inf <= 1, by Dantzig's greedy rule.
 
@@ -264,7 +310,7 @@ def test_simple_eigenvalue_direction_is_optimal(g):
     simple = 0
     for kind in (R.TargetKind.LOWER, R.TargetKind.UPPER):
         try:
-            basis = R.cluster_eigenspace(dec, kind.which).basis
+            basis = R.cluster_eigenspace(dec, kind).basis
         except R.AmbiguousCluster:
             continue
         if basis.shape[1] != 1:
@@ -285,7 +331,7 @@ def _disproof_or_error(g, kind):
     """find_disproof on the trivial partition, or the type of what it raised."""
     part = R.edge_orbits(g, R.GroupGenerators(g, ()))
     dec = R.laplacian_spectrum(g, R.WeightVector.uniform(g))
-    cluster = R.cluster_eigenspace(dec, kind.which)
+    cluster = R.cluster_eigenspace(dec, kind)
     try:
         return R.find_disproof(g, cluster, part, kind, spectrum=dec)
     except R.LineSearchFailed as exc:
@@ -324,7 +370,7 @@ def test_cone_and_sdp_agree_at_multiplicity_one(g):
     checked = 0
     for kind in (R.TargetKind.LOWER, R.TargetKind.UPPER):
         try:
-            cluster = R.cluster_eigenspace(dec, kind.which)
+            cluster = R.cluster_eigenspace(dec, kind)
         except R.AmbiguousCluster:
             continue
         iso = R.isotypic_decompose(cluster, gens)
@@ -351,7 +397,7 @@ def test_isotypic_decomposition_is_exact_and_seed_free(g, group):
     spectrum = R.laplacian_spectrum(g, R.WeightVector.uniform(g))
     for kind in (R.TargetKind.LOWER, R.TargetKind.UPPER):
         try:
-            cluster = R.cluster_eigenspace(spectrum, kind.which)
+            cluster = R.cluster_eigenspace(spectrum, kind)
         except R.AmbiguousCluster:
             continue
         B = cluster.basis

@@ -7,7 +7,7 @@ from rigidity import sdpfeas
 import fixtures as fx
 
 
-def _cluster(g, which=R.Which.SECOND):
+def _cluster(g, which=R.TargetKind.LOWER):
     dec = R.laplacian_spectrum(g, R.WeightVector.uniform(g))
     return R.cluster_eigenspace(dec, which)
 
@@ -16,7 +16,7 @@ def _orbit_part(g):
     return R.edge_orbits(g, R.automorphism_generators(g))
 
 
-def _compress(g, which=R.Which.SECOND, orbits=True):
+def _compress(g, which=R.TargetKind.LOWER, orbits=True):
     part = _orbit_part(g) if orbits else R.edge_orbits(g, R.GroupGenerators(g, ()))
     return R.compress_operators(_cluster(g, which), g, part)
 
@@ -25,15 +25,15 @@ def _operator_case(case):
     """(graph, target eigenspace, partition) for an operator comparison."""
     if case == "c5-trivial":
         g = fx.c5()
-        return g, R.Which.SECOND, R.edge_orbits(g, R.GroupGenerators(g, ()))
+        return g, R.TargetKind.LOWER, R.edge_orbits(g, R.GroupGenerators(g, ()))
     if case == "z12-orbits":  # d = 2
         g = fx.z12()
-        return g, R.Which.LARGEST, _orbit_part(g)
+        return g, R.TargetKind.UPPER, _orbit_part(g)
     if case == "petersen-largest":  # d = 4
         g = fx.petersen()
-        return g, R.Which.LARGEST, _orbit_part(g)
+        return g, R.TargetKind.UPPER, _orbit_part(g)
     g = fx.gnp(30, 0.2, seed=0)
-    return g, R.Which.SECOND, R.edge_orbits(g, R.GroupGenerators(g, ()))
+    return g, R.TargetKind.LOWER, R.edge_orbits(g, R.GroupGenerators(g, ()))
 
 
 def _gram_pinv(ops):
@@ -42,11 +42,11 @@ def _gram_pinv(ops):
 
 
 # Every graph and eigenspace that TestSolveFeasibility solves.
-SOLVE_BATTERY = [(fx.k4, R.Which.SECOND), (fx.c5, R.Which.SECOND),
-                 (fx.c7, R.Which.SECOND), (fx.petersen, R.Which.SECOND),
-                 (fx.petersen, R.Which.LARGEST), (fx.barbell, R.Which.SECOND),
-                 (fx.f3, R.Which.LARGEST), (fx.z12, R.Which.SECOND),
-                 (fx.z12, R.Which.LARGEST)]
+SOLVE_BATTERY = [(fx.k4, R.TargetKind.LOWER), (fx.c5, R.TargetKind.LOWER),
+                 (fx.c7, R.TargetKind.LOWER), (fx.petersen, R.TargetKind.LOWER),
+                 (fx.petersen, R.TargetKind.UPPER), (fx.barbell, R.TargetKind.LOWER),
+                 (fx.f3, R.TargetKind.UPPER), (fx.z12, R.TargetKind.LOWER),
+                 (fx.z12, R.TargetKind.UPPER)]
 
 
 class TestCompressOperators:
@@ -114,8 +114,8 @@ class TestSolveFeasibility:
 
     def test_feasible_solution_sound(self):
         # FEASIBLE must come with a PSD Z meeting every constraint
-        for make, which in ((fx.c5, R.Which.SECOND), (fx.z12, R.Which.SECOND),
-                            (fx.petersen, R.Which.LARGEST)):
+        for make, which in ((fx.c5, R.TargetKind.LOWER), (fx.z12, R.TargetKind.LOWER),
+                            (fx.petersen, R.TargetKind.UPPER)):
             g = make()
             co = _compress(g, which)
             res = R.solve_feasibility(co)
@@ -143,7 +143,7 @@ class TestSolveFeasibility:
 
     def test_f3_upper_infeasible(self):
         g = fx.f3()
-        res = R.solve_feasibility(_compress(g, R.Which.LARGEST))
+        res = R.solve_feasibility(_compress(g, R.TargetKind.UPPER))
         assert res.status is R.SdpStatus.LIKELY_INFEASIBLE
 
     def test_inconsistent_system_detected_without_iterating(self):
@@ -160,10 +160,10 @@ class TestSolveFeasibility:
 
     def test_orbit_and_per_edge_agree(self):
         # same feasibility verdict whether or not symmetry reduction is used
-        battery = [(fx.k4, R.Which.SECOND), (fx.c5, R.Which.SECOND),
-                   (fx.c7, R.Which.SECOND), (fx.petersen, R.Which.SECOND),
-                   (fx.barbell, R.Which.SECOND), (fx.f3, R.Which.LARGEST),
-                   (fx.z12, R.Which.SECOND), (fx.z12, R.Which.LARGEST)]
+        battery = [(fx.k4, R.TargetKind.LOWER), (fx.c5, R.TargetKind.LOWER),
+                   (fx.c7, R.TargetKind.LOWER), (fx.petersen, R.TargetKind.LOWER),
+                   (fx.barbell, R.TargetKind.LOWER), (fx.f3, R.TargetKind.UPPER),
+                   (fx.z12, R.TargetKind.LOWER), (fx.z12, R.TargetKind.UPPER)]
         for make, which in battery:
             g = make()
             a = R.solve_feasibility(_compress(g, which, orbits=True))
@@ -174,7 +174,8 @@ class TestSolveFeasibility:
     @pytest.mark.parametrize("orbits", [True, False], ids=["orbits", "edges"])
     @pytest.mark.parametrize(
         "make,which", SOLVE_BATTERY,
-        ids=[f"{make.__name__}-{which.value}" for make, which in SOLVE_BATTERY])
+        ids=[f"{make.__name__}-{'second' if which is R.TargetKind.LOWER else 'largest'}"
+             for make, which in SOLVE_BATTERY])
     def test_pseudo_inverse_matches_gram_form(self, make, which, orbits,
                                               monkeypatch):
         co = _compress(make(), which, orbits)

@@ -56,14 +56,14 @@ class TestKnownSpectra:
     def test_z12_lambda2_multiplicity_six(self):
         g = fx.z12()
         dec = _uniform_spectrum(g)
-        cl = R.cluster_eigenspace(dec, R.Which.SECOND)
+        cl = R.cluster_eigenspace(dec, R.TargetKind.LOWER)
         assert abs(cl.value - 3.0) <= 1e-8
         assert cl.basis.shape == (12, 6)
 
     def test_z12_lambda_max_multiplicity_two(self):
         g = fx.z12()
         dec = _uniform_spectrum(g)
-        cl = R.cluster_eigenspace(dec, R.Which.LARGEST)
+        cl = R.cluster_eigenspace(dec, R.TargetKind.UPPER)
         assert abs(cl.value - 7.0) <= 1e-8
         assert cl.basis.shape == (12, 2)
 
@@ -108,7 +108,7 @@ class TestScaling:
 class TestCluster:
     def test_second_skips_kernel(self):
         dec = _uniform_spectrum(fx.k4())
-        cl = R.cluster_eigenspace(dec, R.Which.SECOND)
+        cl = R.cluster_eigenspace(dec, R.TargetKind.LOWER)
         assert cl.basis.shape == (4, 3)
         # the basis spans eigenvectors 1-3, never the kernel vector 0
         V = dec.eigenvectors[:, 1:4]
@@ -116,7 +116,7 @@ class TestCluster:
 
     def test_largest_cluster(self):
         dec = _uniform_spectrum(fx.c4())
-        cl = R.cluster_eigenspace(dec, R.Which.LARGEST)
+        cl = R.cluster_eigenspace(dec, R.TargetKind.UPPER)
         assert cl.basis.shape == (4, 1)
         assert abs(cl.value - 4.0) <= 1e-10
 
@@ -125,19 +125,19 @@ class TestCluster:
         g = R.Graph(3, ((0, 1), (1, 2)))
         dec = _uniform_spectrum(g)
         with pytest.raises(R.AmbiguousCluster):
-            R.cluster_eigenspace(dec, R.Which.SECOND, tol=10.0)
+            R.cluster_eigenspace(dec, R.TargetKind.LOWER, tol=10.0)
 
     def test_basis_spans_eigenspace(self):
         g = fx.z12()
         dec = _uniform_spectrum(g)
-        cl = R.cluster_eigenspace(dec, R.Which.SECOND)
+        cl = R.cluster_eigenspace(dec, R.TargetKind.LOWER)
         L = R.laplacian(g, R.WeightVector.uniform(g))
         assert np.max(np.abs(L @ cl.basis - cl.value * cl.basis)) <= 1e-8
 
     def test_projector_invariant_under_reparametrization(self, rng):
         g = fx.z12()
         dec = _uniform_spectrum(g)
-        cl = R.cluster_eigenspace(dec, R.Which.SECOND)
+        cl = R.cluster_eigenspace(dec, R.TargetKind.LOWER)
         P = cl.basis @ cl.basis.T
         assert np.max(np.abs(P - P.T)) <= 1e-12
         assert np.max(np.abs(P @ P - P)) <= 1e-10

@@ -25,6 +25,7 @@ What a report that re-verifies still takes on trust:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -54,6 +55,11 @@ from .spectra import (
 # so every witness found also verifies.
 VERIFY_TOL = 1e-8  # certificate re-check, relative to the spectrum's scale
 MARGIN = 1e-7
+# An exact coefficient as str(Fraction) writes it, with no zero denominator.
+# At most EXACT_COEFF_CHARS characters, so its numerator stays below 1e308
+# and Fraction never expands an exponent such as "1e10000000".
+EXACT_COEFF = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
+EXACT_COEFF_CHARS = 300
 
 
 class PipelineStatus(Enum):
@@ -201,10 +207,17 @@ def verify_disproof(graph: Graph, d: Disproof, kind: TargetKind,
 # ---------------------------------------------------------------------------
 
 def _finite_array(values, shape: tuple[int, ...]) -> np.ndarray | None:
-    """values as a float array of the given shape, or None if it is not one."""
+    """values as a float array of the given shape, or None if it is not one.
+
+    `shape` is () or (k,). Every entry must be a JSON number, an int or a
+    float; a bool or a numeric string is not one, though numpy converts both.
+    """
+    entries = [values] if shape == () else values
+    if type(entries) is not list or not all(type(x) in (int, float) for x in entries):
+        return None
     try:
         arr = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         return None
     if arr.shape != shape or not np.all(np.isfinite(arr)):
         return None
@@ -236,7 +249,10 @@ def reverify_report(payload: dict) -> bool:
     orbit labels outside 0..m-1, certificate vectors that are not n finite
     numbers, coefficients that are not finite or not one per vector, an
     eigenvalue, achieved, baseline or margin that is not a finite number,
-    and disproof weights that are not m finite nonnegative numbers.
+    and disproof weights that are not m finite nonnegative numbers. Each of
+    these numbers must be a JSON number, not a bool or a numeric string,
+    except exact coefficients, which must be written as str(Fraction)
+    writes them (EXACT_COEFF) in at most EXACT_COEFF_CHARS characters.
     A payload that is not a report (a missing key, a value of the wrong type,
     a bad graph6 string, an unknown target) is rejected too, and so is one
     whose check fails to converge: this returns False and never raises.
@@ -306,14 +322,16 @@ def _reverify(payload: dict) -> bool:
         ):
             return False
         part = EdgeOrbitPartition(graph, tuple(labels), tuple(sizes))
-        try:
-            coeffs = [Fraction(a) if isinstance(a, str) else float(a)
-                      for a in cert["a"]]
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-            return False
         phis = [_finite_array(v, (n,)) for v in cert["vectors"]]
+        if exact:
+            if not all(len(a) <= EXACT_COEFF_CHARS and EXACT_COEFF.fullmatch(a)
+                       for a in cert["a"]):
+                return False
+            coeffs = [Fraction(a) for a in cert["a"]]
+        else:
+            coeffs = _finite_array(cert["a"], (len(phis),))
         lam, top = (_finite_array(x, ()) for x in (cert["lambda"], payload["lambda"]))
-        if (_finite_array(coeffs, (len(phis),)) is None or lam is None
+        if (coeffs is None or len(coeffs) != len(phis) or lam is None
                 or top is None or any(phi is None for phi in phis)):
             return False
         lam = float(lam)

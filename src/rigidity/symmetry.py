@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -77,7 +78,12 @@ class GroupGenerators:
 
 @dataclass(frozen=True)
 class GroupClosure:
-    """A fully enumerated subgroup of Aut(G)."""
+    """A fully enumerated subgroup of Aut(G).
+
+    `elements` starts with the identity and then follows close_group's
+    breadth-first order; each element is a Permutation, built once after
+    the closure is complete.
+    """
 
     graph: Graph
     elements: tuple[Permutation, ...]
@@ -305,29 +311,36 @@ def automorphism_generators(
 def close_group(gens: GroupGenerators, cap: int = CLOSURE_CAP_DEFAULT) -> GroupClosure:
     """Breadth-first closure of the generated subgroup.
 
+    Each frontier element e, in BFS order, is multiplied by every generator
+    g in turn to give g∘e. Elements stay plain image tuples during the loop:
+    `itemgetter(*e)` is built once per e, and applied to g's image it gives
+    the image of g.compose(e) without building a Permutation per product.
+    `seen`, an insertion-ordered dict, is the only store; its keys become
+    the closure's Permutations once, after the loop.
+
     Raises CapExceeded when the subgroup grows past `cap`; callers should
     fall back to a smaller generating set.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    n = gens.graph.n
-    ident = Permutation.identity(n)
-    elements = [ident]
-    seen = {ident.image}
+    images = [g.image for g in gens.gens]
+    ident = tuple(range(gens.graph.n))
+    seen = {ident: None}
     frontier = [ident]
     while frontier:
         nxt = []
         for e in frontier:
-            for g in gens.gens:
-                h = g.compose(e)
-                if h.image not in seen:
-                    if len(elements) + 1 > cap:
+            # Graph has n >= 2, so itemgetter with n indices returns a tuple.
+            after_e = itemgetter(*e)
+            for g in images:
+                h = after_e(g)
+                if h not in seen:
+                    if len(seen) + 1 > cap:
                         raise CapExceeded(f"group closure exceeded cap {cap}")
-                    seen.add(h.image)
-                    elements.append(h)
+                    seen[h] = None
                     nxt.append(h)
         frontier = nxt
-    return GroupClosure(gens.graph, tuple(elements))
+    return GroupClosure(gens.graph, tuple(map(Permutation, seen)))
 
 
 def edge_permutation(graph: Graph, sigma: Permutation) -> np.ndarray:

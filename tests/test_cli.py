@@ -123,6 +123,12 @@ class TestOrbits:
         for size in ("1", "2", "4"):
             assert size in out
 
+    def test_k6_group_order(self, tmp_path, capsys):
+        gfile = tmp_path / "k6.txt"
+        gfile.write_text(R.format_edge_list(R.circulant(6, (1, 2, 3))))
+        assert main(["orbits", str(gfile)]) == 0
+        assert "group order 720" in capsys.readouterr().out
+
 
 class TestDisprove:
     def test_witness_written(self, barbell_file, tmp_path, capsys):

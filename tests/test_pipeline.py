@@ -615,6 +615,8 @@ class TestReverification:
         "exact_status_and_flag_a_string", "exact_flag_only",
         "z12_coefficients_floats", "z12_flagged_unavailable", "graph6_malformed",
         "graph6_null", "target_unknown", "status_missing",
+        "certificate_numbers_as_strings", "coefficient_bool",
+        "disproof_w_strings", "disproof_margin_string",
     ])
     def test_malformed_payload_is_rejected(self, change, battery_reports,
                                            z12_exact_report):
@@ -686,6 +688,15 @@ class TestReverification:
             cert["a"] = [float(Fraction(a)) for a in cert["a"]]
         elif change == "z12_flagged_unavailable":
             cert["flags"] = ["EXACT_UNAVAILABLE"]
+        elif change == "certificate_numbers_as_strings":  # numpy reads them
+            payload["lambda"] = str(payload["lambda"])
+            cert["vectors"] = [[str(x) for x in v] for v in cert["vectors"]]
+        elif change == "coefficient_bool":
+            cert["a"][0] = True
+        elif change == "disproof_w_strings":
+            disp["w"] = [str(x) for x in disp["w"]]
+        elif change == "disproof_margin_string":
+            disp["margin"] = str(disp["margin"])
         elif change == "graph6_malformed":
             payload["graph6"] = "!!"
         elif change == "graph6_null":
@@ -695,6 +706,23 @@ class TestReverification:
         else:
             del payload["status"]
         assert R.reverify_report(payload) is False
+
+    # Z12's coefficients are "1/3", "1", "0". Each respelling keeps the value
+    # that Fraction reads, but only str(Fraction)'s own spelling is accepted.
+    @pytest.mark.parametrize("index,coefficient", [
+        (2, "1e10000000"), (0, " 1/3"), (1, "+1"), (1, "1.0"), (1, "1e0"),
+        (1, "01"), (1, "1_0/1_0"), (1, "1" + "0" * 300 + "/1" + "0" * 300),
+        (0, "1/0"),
+    ], ids=["huge_exponent", "space", "plus", "decimal", "exponent",
+            "leading_zero", "underscores", "overlong", "zero_denominator"])
+    def test_exact_coefficient_outside_the_fraction_grammar_is_rejected(
+            self, index, coefficient, z12_exact_report):
+        payload = json.loads(R.emit_report(z12_exact_report, "JSON"))
+        payload["certificate"]["a"][index] = coefficient
+        start = time.perf_counter()
+        assert R.reverify_report(payload) is False
+        # Fraction("1e10000000") alone takes seconds: it is never called.
+        assert time.perf_counter() - start < 0.5
 
     # Petersen's lambda_2 eigenspace is one 5-dimensional irreducible of S5.
     @pytest.mark.parametrize("isotypics", [

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import networkx as nx
@@ -96,6 +97,46 @@ class TestSearch:
             assert fx.inverse(s) in elems
             for t in clo.elements:
                 assert s.compose(t) in elems
+
+
+def _compose_closure(gens):
+    """Breadth-first closure spelled out with Permutation.compose."""
+    ident = R.Permutation.identity(gens.graph.n)
+    elements, frontier = [ident], [ident]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in gens.gens:
+                h = g.compose(e)
+                if h not in elements:
+                    elements.append(h)
+                    nxt.append(h)
+        frontier = nxt
+    return elements
+
+
+@st.composite
+def complete_graph_generators(draw):
+    """Up to three random permutations of K_n, n <= 6: all are automorphisms."""
+    n = draw(st.integers(2, 6))
+    perms = draw(st.lists(st.permutations(range(n)), max_size=3))
+    graph = R.Graph(n, tuple(itertools.combinations(range(n), 2)))
+    return R.GroupGenerators(graph, tuple(R.Permutation(tuple(p)) for p in perms))
+
+
+class TestClosure:
+    @settings(deadline=None, max_examples=60)
+    @given(complete_graph_generators())
+    def test_matches_compose_closure(self, gens):
+        # Same elements in the same breadth-first order.
+        assert list(R.close_group(gens).elements) == _compose_closure(gens)
+
+    @pytest.mark.parametrize("make,order", [(fx.c5, 10), (fx.petersen, 120)])
+    def test_cap_boundary(self, make, order):
+        gens = R.automorphism_generators(make())
+        assert R.close_group(gens, cap=order).size == order
+        with pytest.raises(R.CapExceeded):
+            R.close_group(gens, cap=order - 1)
 
 
 def _rescan_refine(neighbors, cells):

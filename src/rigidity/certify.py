@@ -211,7 +211,7 @@ def _cone(part: EdgeOrbitPartition, units: Iterable[np.ndarray]) -> ConeModel:
     """
     graph = part.graph
     reps = tuple(phi * np.sqrt(graph.n / 2.0) for phi in units)
-    gens = tuple(orbit_energy(graph, part, phi) for phi in reps)
+    gens = tuple(orbit_energy(part, phi) for phi in reps)
     if any(np.max(g) <= 0 for g in gens):
         raise ValueError("zero orbit-energy generator; eigenvector is constant")
     return ConeModel(gens, reps, part)
@@ -303,7 +303,7 @@ def assemble_certificate(
             raise ResidualTooLarge("negative cone coefficient")
         if af > 0:
             phi = phi + np.sqrt(af) * rep
-    en = orbit_energy(graph, cone.part, phi)
+    en = orbit_energy(cone.part, phi)
     target = cone.part.size_vector
     orbit_residual = float(np.max(np.abs(en - target)))
     scale = float(np.max(np.abs(target)))
@@ -329,7 +329,6 @@ def assemble_certificate(
 # ---------------------------------------------------------------------------
 
 def _cutting_plane_direction(
-    graph: Graph,
     part: EdgeOrbitPartition,
     basis: np.ndarray,
     kind: TargetKind,
@@ -338,9 +337,9 @@ def _cutting_plane_direction(
     """Best perturbation direction y in orbit space and its guarantee t.
 
     Solves max t s.t. <y, l_Psi(phi)> >= t for all unit eigenspace phi
-    (reversed sign for UPPER), <y, O> = 0, |y|_inf <= 1, generating the
-    worst-case phi by an eigenvector oracle on the compressed perturbation
-    operator sum_i y_i L~^i.
+    (both sides times kind.sign, so reversed for UPPER), <y, O> = 0,
+    |y|_inf <= 1, generating the worst-case phi by an eigenvector oracle on
+    the compressed perturbation operator sum_i y_i L~^i.
 
     For a one-column basis b (a simple eigenvalue) the unit eigenspace
     vectors are +-b, and both have the orbit energies g of the first cut.
@@ -354,10 +353,10 @@ def _cutting_plane_direction(
     """
     s = part.s
     d = basis.shape[1]
-    sign = 1.0 if kind is TargetKind.LOWER else -1.0
+    sign = kind.sign
 
     if d == 1:
-        cut = orbit_energy(graph, part, basis[:, 0])
+        cut = orbit_energy(part, basis[:, 0])
         res = linprog(
             c=-sign * cut,
             A_eq=part.size_vector[None, :],
@@ -371,10 +370,10 @@ def _cutting_plane_direction(
         return res.x, sign * float(cut @ res.x)
 
     def orbit_vec(x: np.ndarray) -> np.ndarray:
-        return orbit_energy(graph, part, basis @ x)
+        return orbit_energy(part, basis @ x)
 
     cuts = [orbit_vec(np.eye(d)[:, j]) for j in range(d)]
-    ops = [basis.T @ orbit_laplacian(graph, part, o) @ basis for o in range(s)]
+    ops = [basis.T @ orbit_laplacian(part, o) @ basis for o in range(s)]
     for _ in range(2):
         x = rng.standard_normal(d)
         cuts.append(orbit_vec(x / np.linalg.norm(x)))
@@ -401,10 +400,8 @@ def _cutting_plane_direction(
             return y, t
         M = sum(float(y[o]) * ops[o] for o in range(s))
         lam, V = np.linalg.eigh(M)
-        if kind is TargetKind.LOWER:
-            worst, xw = float(lam[0]), V[:, 0]
-        else:
-            worst, xw = float(-lam[-1]), V[:, -1]
+        k = 0 if sign > 0 else -1  # where sign * lam is least
+        worst, xw = sign * float(lam[k]), V[:, k]
         if worst >= t - 1e-9 * max(1.0, abs(t)):
             return y, t
         cuts.append(orbit_vec(xw))
@@ -432,13 +429,11 @@ def _interlacing_rejects(
     deg = np.bincount(np.concatenate((us, vs)), np.concatenate((w, w)),
                       minlength=graph.n)
     slack = 1e-9 * max(1.0, float(np.sqrt(deg @ deg + 2.0 * (w @ w))))
-    if kind is TargetKind.LOWER:
-        return float(mu[1]) < thr - slack
-    return float(mu[-1]) > thr + slack
+    sign = kind.sign
+    return sign * float(mu[kind.index]) < sign * thr - slack
 
 
 def find_disproof(
-    graph: Graph,
     cluster: EigenspaceCluster,
     part: EdgeOrbitPartition,
     kind: TargetKind,
@@ -477,28 +472,27 @@ def find_disproof(
     the caller already computed; otherwise it is computed here.
     """
     rng = np.random.default_rng(seed)
+    graph = part.graph
     m = graph.m
     us, vs = graph.endpoints
     uniform = np.ones(m)
-    lower = kind is TargetKind.LOWER
-    idx = 1 if lower else -1
-    ritz = slice(None, RITZ_DIM) if lower else slice(-RITZ_DIM, None)
+    idx, sign = kind.index, kind.sign
+    ritz = slice(None, RITZ_DIM) if sign > 0 else slice(-RITZ_DIM, None)
     dec = spectrum if spectrum is not None else eig_sym(laplacian(graph, uniform))
     lam_base = float(dec.eigenvalues[idx])
-    better = (lambda a, b: a > b) if lower else (lambda a, b: a < b)
 
     w = uniform.copy()
     lam_cur = lam_base
     basis = cluster.basis
 
     for round_no in range(MAX_ROUNDS):
-        y, t = _cutting_plane_direction(graph, part, basis, kind, rng)
+        y, t = _cutting_plane_direction(part, basis, kind, rng)
         if t <= EPS:
             break
         dy = y[part.labels]
         Q = dec.eigenvectors[:, ritz]
         D = Q[us] - Q[vs]
-        thr = lam_cur + MARGIN if lower else lam_cur - MARGIN
+        thr = lam_cur + sign * MARGIN
         accepted = None
         delta = DELTA_MAX
         while delta >= DELTA_MIN:
@@ -513,7 +507,7 @@ def find_disproof(
                 continue
             trial = eig_sym(laplacian(graph, cand))
             lam_c = float(trial.eigenvalues[idx])
-            if better(lam_c, thr):
+            if sign * lam_c > sign * thr:
                 accepted = (cand, lam_c, trial)
                 break
             delta *= 0.5
@@ -535,7 +529,7 @@ def find_disproof(
             # Fall back to the single extreme eigenvector.
             basis = dec.eigenvectors[:, [idx]]
 
-    margin = lam_cur - lam_base if lower else lam_base - lam_cur
+    margin = sign * (lam_cur - lam_base)
     if margin <= MARGIN:
         return None  # no step was accepted
     wv = WeightVector(w * (m / float(w.sum())), normalized=True)

@@ -127,7 +127,6 @@ class VerificationReport:
 
 
 def verify_certificate(
-    graph: Graph,
     part: EdgeOrbitPartition,
     vectors: Sequence[tuple[float, np.ndarray]],
     lam: float,
@@ -136,13 +135,15 @@ def verify_certificate(
 ) -> VerificationReport:
     """Re-check a certificate from scratch, using nothing downstream.
 
-    Clauses: (i) every phi_j is a lam-eigenvector of the uniform Laplacian;
-    (ii) lam is the second-smallest (LOWER) or largest (UPPER) eigenvalue;
-    (iii) sum a_j l_Psi(phi_j) = c * O for a fitted c > 0; (iv) all a_j >= 0.
+    Clauses: (i) every phi_j is a lam-eigenvector of the uniform Laplacian
+    of part.graph; (ii) lam is the second-smallest (LOWER) or largest
+    (UPPER) eigenvalue; (iii) sum a_j l_Psi(phi_j) = c * O for a fitted
+    c > 0; (iv) all a_j >= 0.
     Per-edge certificates pass through as the all-singleton-orbit case.
     spectrum, when given, is the uniform Laplacian's eigendecomposition that
     the caller computed from the graph itself; otherwise it is computed here.
     """
+    graph = part.graph
     L = laplacian(graph, WeightVector.uniform(graph))
     lam_all = (spectrum if spectrum is not None else eig_sym(L)).eigenvalues
     scale = max(1.0, float(lam_all[-1]))
@@ -153,7 +154,7 @@ def verify_certificate(
         if r > VERIFY_TOL * scale * max(1.0, float(np.linalg.norm(phi))):
             return VerificationReport(False, 0.0, "eigenvector")
 
-    ref = float(lam_all[1]) if kind is TargetKind.LOWER else float(lam_all[-1])
+    ref = float(lam_all[kind.index])
     if abs(lam - ref) > VERIFY_TOL * scale:
         return VerificationReport(False, 0.0, "eigenvalue_position")
 
@@ -162,7 +163,7 @@ def verify_certificate(
         af = float(a)
         if af < -VERIFY_TOL:
             return VerificationReport(False, 0.0, "nonnegative_coefficients")
-        combo += af * orbit_energy(graph, part, phi)
+        combo += af * orbit_energy(part, phi)
     target = part.size_vector
     c = float(combo @ target) / float(target @ target)
     resid = float(np.max(np.abs(combo - c * target)))
@@ -191,9 +192,8 @@ def verify_disproof(graph: Graph, d: Disproof, kind: TargetKind,
     lam_w = eig_sym(laplacian(graph, w)).eigenvalues
     lam_u = (spectrum if spectrum is not None
              else eig_sym(laplacian(graph, WeightVector.uniform(graph)))).eigenvalues
-    idx = 1 if kind is TargetKind.LOWER else -1
-    achieved, baseline = float(lam_w[idx]), float(lam_u[idx])
-    gain = achieved - baseline if kind is TargetKind.LOWER else baseline - achieved
+    achieved, baseline = float(lam_w[kind.index]), float(lam_u[kind.index])
+    gain = kind.sign * (achieved - baseline)
     tol = VERIFY_TOL * max(1.0, float(lam_w[-1]), float(lam_u[-1]))
     return gain > MARGIN and all(
         abs(claimed - true) <= tol
@@ -321,7 +321,7 @@ def _reverify(payload: dict) -> bool:
             and cert["flags"] == ([] if exact else ["EXACT_UNAVAILABLE"])
         ):
             return False
-        part = EdgeOrbitPartition(graph, tuple(labels), tuple(sizes))
+        part = EdgeOrbitPartition(graph, tuple(labels))
         phis = [_finite_array(v, (n,)) for v in cert["vectors"]]
         if exact:
             if not all(len(a) <= EXACT_COEFF_CHARS and EXACT_COEFF.fullmatch(a)
@@ -337,7 +337,7 @@ def _reverify(payload: dict) -> bool:
         lam = float(lam)
         vectors = list(zip(coeffs, phis))
         return (abs(float(top) - lam) <= VERIFY_TOL * max(1.0, abs(lam))
-                and verify_certificate(graph, part, vectors, lam, kind, dec).ok)
+                and verify_certificate(part, vectors, lam, kind, dec).ok)
     if status == "DISPROVED":
         disp = payload.get("disproof")
         if disp is None:

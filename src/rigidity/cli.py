@@ -130,11 +130,7 @@ def _config(group: GroupGenerators | tuple[int, ...], seed: int = 0) -> Pipeline
 
 
 def _targets(spec: str) -> tuple[TargetKind, ...]:
-    if spec == "lower":
-        return (TargetKind.LOWER,)
-    if spec == "upper":
-        return (TargetKind.UPPER,)
-    return (TargetKind.LOWER, TargetKind.UPPER)
+    return tuple(TargetKind) if spec == "both" else (TargetKind(spec.upper()),)
 
 
 def _verdict_exit(reports: list[CertificationReport]) -> int:
@@ -187,8 +183,8 @@ def _cmd_orbits(args) -> int:
         print(f"group order {closure.size}")
     except CapExceeded as exc:
         print(f"group closure capped: {exc}")
-    epart = edge_orbits(graph, gens)
-    vpart = vertex_orbits(graph, gens)
+    epart = edge_orbits(gens)
+    vpart = vertex_orbits(gens)
     vsizes = tuple(len(o) for o in vpart.orbits)
     print(f"edge orbits: {epart.s} with sizes {tuple(epart.sizes)}")
     print(f"vertex orbits: {len(vpart.orbits)} with sizes {vsizes}")
@@ -200,7 +196,7 @@ def _cmd_orbits(args) -> int:
 
 def _cmd_disprove(args) -> int:
     graph = _load_graph(args.graph)
-    kind = TargetKind.LOWER if args.target == "lower" else TargetKind.UPPER
+    kind = TargetKind(args.target.upper())
     cfg = _config(_group_config(args.group, graph), args.seed)
     dec = laplacian_spectrum(graph, WeightVector.uniform(graph))
     try:
@@ -211,9 +207,9 @@ def _cmd_disprove(args) -> int:
     gens, flags = acquire_group(graph, cfg)
     if flags:
         print("automorphism search budget exceeded; using trivial group")
-    part = edge_orbits(graph, gens)
+    part = edge_orbits(gens)
     try:
-        d = find_disproof(graph, cluster, part, kind, cfg.seed, dec)
+        d = find_disproof(cluster, part, kind, cfg.seed, dec)
         verified = d is not None and verify_disproof(graph, d, kind)
     except LineSearchFailed as exc:
         print(f"line search failed: {exc}")

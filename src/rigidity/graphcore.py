@@ -63,7 +63,9 @@ class Graph:
         if self.n < 2:
             raise ValueError("graph needs at least 2 vertices")
         object.__setattr__(self, "edges", _normalize_edges(self.n, self.edges))
-        if not self._is_connected():
+        # Fewer than n - 1 edges cannot connect n vertices; say so before
+        # building the O(n) adjacency that the search would need.
+        if self.m < self.n - 1 or not self._is_connected():
             raise DisconnectedGraph(f"graph on {self.n} vertices is not connected")
 
     @property
@@ -368,7 +370,7 @@ def edge_energy(graph: Graph, phi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EdgeOrbitPartition:
-    """Edge orbit labels plus the orbit-size vector O.
+    """Edge orbit labels of a graph; their counts are the orbit-size vector O.
 
     Orbit ids are assigned in order of the smallest edge index each orbit
     contains, so reports are stable across runs.
@@ -376,7 +378,11 @@ class EdgeOrbitPartition:
 
     graph: Graph
     orbit_of: tuple[int, ...]
-    sizes: tuple[int, ...]
+
+    @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        """Edges per orbit: the bincount of orbit_of."""
+        return tuple(np.bincount(self.labels).tolist())
 
     @property
     def s(self) -> int:
@@ -397,6 +403,6 @@ class EdgeOrbitPartition:
         return tuple(i for i, o in enumerate(self.orbit_of) if o == orbit_id)
 
 
-def orbit_energy(graph: Graph, part: EdgeOrbitPartition, phi) -> np.ndarray:
+def orbit_energy(part: EdgeOrbitPartition, phi) -> np.ndarray:
     """Per-orbit sums of (phi(u) - phi(v))^2."""
-    return np.bincount(part.labels, edge_energy(graph, phi), minlength=part.s)
+    return np.bincount(part.labels, edge_energy(part.graph, phi), minlength=part.s)

@@ -247,8 +247,8 @@ def representative_vector(
 
     phi = draw()
     other = draw()
-    e1 = orbit_energy(part.graph, part, phi)
-    e2 = orbit_energy(part.graph, part, other)
+    e1 = orbit_energy(part, phi)
+    e2 = orbit_energy(part, other)
     scale = max(1.0, float(np.max(np.abs(e1))))
     if np.max(np.abs(e1 - e2)) > 1e-9 * scale:
         raise UnstableSplit(

@@ -240,7 +240,7 @@ def run_pipeline(
             rep.group_order = 1
 
         run.stage("orbits")
-        part = edge_orbits(graph, gens)
+        part = edge_orbits(gens)
         rep.orbit_of, rep.orbit_sizes = part.orbit_of, part.sizes
 
         run.stage("isotypics")
@@ -256,7 +256,7 @@ def run_pipeline(
         full = all_multiplicity_one(iso)
         if not full:
             run.stage("sdp")
-            co = compress_operators(cluster, graph, part)
+            co = compress_operators(cluster, part)
             sdp = solve_feasibility(co)
             rep.residuals["sdp"] = sdp.max_residual
             rep.residuals["sdp_iterations"] = float(sdp.iterations)
@@ -304,7 +304,7 @@ def run_pipeline(
         cert = assemble_certificate(cone, sol, cluster)
         run.stage("verify")
         vectors = list(zip(cert.coeffs, cert.reps))
-        ver = verify_certificate(graph, part, vectors, cert.lam, target)
+        ver = verify_certificate(part, vectors, cert.lam, target)
         rep.residuals["certificate_orbit"] = cert.orbit_residual
         rep.residuals["certificate_eigen"] = cert.eigen_residual
         if not ver.ok:
@@ -327,7 +327,7 @@ def _disproof_stage(run: _Run, dec, cluster, part, seed: int,
                     reason: str) -> CertificationReport:
     rep = run.report
     run.stage("disproof")
-    d = find_disproof(rep.graph, cluster, part, rep.target, seed, dec)
+    d = find_disproof(cluster, part, rep.target, seed, dec)
     if d is None or not verify_disproof(rep.graph, d, rep.target):
         return run.finish(
             PipelineStatus.INCONCLUSIVE_SOLVER,

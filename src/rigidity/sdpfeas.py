@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphcore import EdgeOrbitPartition, Graph, laplacian
+from .graphcore import EdgeOrbitPartition, laplacian
 from .spectra import EigenspaceCluster
 
 SDP_TOL = 1e-9
@@ -60,14 +60,13 @@ class SdpResult:
     iterations: int
 
 
-def orbit_laplacian(graph: Graph, part: EdgeOrbitPartition, orbit_id: int) -> np.ndarray:
+def orbit_laplacian(part: EdgeOrbitPartition, orbit_id: int) -> np.ndarray:
     """Laplacian of the subgraph formed by one edge orbit, n x n and dense."""
-    return laplacian(graph, part.labels == orbit_id)
+    return laplacian(part.graph, part.labels == orbit_id)
 
 
 def compress_operators(
     cluster: EigenspaceCluster,
-    graph: Graph,
     part: EdgeOrbitPartition,
 ) -> CompressedOperators:
     """Compress constraint Laplacians into the eigenspace: B^T L^i B.
@@ -79,7 +78,7 @@ def compress_operators(
     and no n x n matrix.
     """
     B = cluster.basis
-    us, vs = graph.endpoints
+    us, vs = part.graph.endpoints
     D = B[us] - B[vs]
     ops = np.zeros((part.s, B.shape[1], B.shape[1]))
     np.add.at(ops, part.labels, D[:, :, None] * D[:, None, :])

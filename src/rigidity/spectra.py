@@ -30,8 +30,18 @@ class AmbiguousCluster(ValueError):
 
 
 class TargetKind(Enum):
-    LOWER = "LOWER"
-    UPPER = "UPPER"
+    LOWER = "LOWER"  # raise lambda_2
+    UPPER = "UPPER"  # lower lambda_max
+
+    @property
+    def index(self) -> int:
+        """Position of the target eigenvalue in an ascending spectrum."""
+        return 1 if self is TargetKind.LOWER else -1
+
+    @property
+    def sign(self) -> float:
+        """+1.0 if a larger target eigenvalue is better, else -1.0."""
+        return 1.0 if self is TargetKind.LOWER else -1.0
 
 
 @dataclass(frozen=True)
@@ -93,13 +103,9 @@ def cluster_eigenspace(
         raise ValueError("need at least a 2x2 spectrum")
     scale = max(1.0, float(lam[-1]))
     eff = tol * scale
-    if kind is TargetKind.LOWER:
-        ref = float(lam[1])
-        # Index 0 is the Laplacian kernel; it never joins the cluster.
-        members = [k for k in range(1, n) if abs(lam[k] - ref) <= eff]
-    else:
-        ref = float(lam[-1])
-        members = [k for k in range(n) if abs(lam[k] - ref) <= eff]
+    ref = float(lam[kind.index])
+    # Index 0 is the Laplacian kernel; it never joins the cluster.
+    members = [k for k in range(1, n) if abs(lam[k] - ref) <= eff]
     members_set = set(members)
     gaps = [abs(float(lam[k]) - ref) for k in range(n) if k not in members_set]
     gap = min(gaps) if gaps else np.inf

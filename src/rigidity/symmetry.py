@@ -249,7 +249,8 @@ def automorphism_generators(
     expanded; supply generators externally in that case.
     """
     n = graph.n
-    fixed = [int(v) for v in fixed]
+    # Fixing a vertex twice is fixing it once; keep first-seen order.
+    fixed = list(dict.fromkeys(int(v) for v in fixed))
     if any(v < 0 or v >= n for v in fixed):
         raise ValueError("fixed vertices out of range")
     nbrs = graph.neighbors
@@ -354,24 +355,22 @@ def edge_permutation(graph: Graph, sigma: Permutation) -> np.ndarray:
     return out
 
 
-def edge_orbits(graph: Graph, gens: GroupGenerators) -> EdgeOrbitPartition:
-    """Edge orbits under generator action (no full closure needed)."""
+def edge_orbits(gens: GroupGenerators) -> EdgeOrbitPartition:
+    """Edge orbits of gens.graph under generator action (no full closure needed)."""
+    graph = gens.graph
     uf = _UnionFind(graph.m)
     for g in gens.gens:
         ep = edge_permutation(graph, g)
         for i in range(graph.m):
             uf.union(i, int(ep[i]))
-    orbit_of = tuple(uf.labels())
-    sizes = [0] * (max(orbit_of) + 1)
-    for o in orbit_of:
-        sizes[o] += 1
-    return EdgeOrbitPartition(graph, orbit_of, tuple(sizes))
+    return EdgeOrbitPartition(graph, tuple(uf.labels()))
 
 
-def vertex_orbits(graph: Graph, gens: GroupGenerators) -> VertexOrbitPartition:
-    uf = _UnionFind(graph.n)
+def vertex_orbits(gens: GroupGenerators) -> VertexOrbitPartition:
+    n = gens.graph.n
+    uf = _UnionFind(n)
     for g in gens.gens:
-        for v in range(graph.n):
+        for v in range(n):
             uf.union(v, g.image[v])
     orbit_of = tuple(uf.labels())
     groups: list[list[int]] = [[] for _ in range(max(orbit_of) + 1)]
@@ -391,11 +390,13 @@ def generators_from_json(graph: Graph, text: str) -> GroupGenerators:
         raise ValueError("generator file must be a JSON array of image arrays")
     gens = []
     for entry in data:
-        if not isinstance(entry, list) or len(entry) != graph.n:
+        # JSON integers only: int() would round 0.9, and read "1" or true as 1.
+        if (not isinstance(entry, list) or len(entry) != graph.n
+                or not all(type(x) is int for x in entry)):
             raise ValueError(
-                f"each generator must be an image array of length {graph.n}"
+                f"each generator must be an image array of {graph.n} integers"
             )
-        sigma = Permutation(tuple(int(x) for x in entry))
+        sigma = Permutation(tuple(entry))
         if not verify_automorphism(graph, sigma):
             raise ValueError(f"permutation {entry} is not an automorphism")
         gens.append(sigma)

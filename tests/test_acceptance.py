@@ -83,15 +83,15 @@ def test_criterion_03_z21_certified_both_targets(battery_reports):
             assert len(rep.certificate.coeffs) == 1
             assert tuple(rep.orbit_sizes) == (21, 21)
         # harmonic eigen-pairs verify with the known per-orbit constants
-        part = R.edge_orbits(g, fx.rotation_gens(g, 21))
+        part = R.edge_orbits(fx.rotation_gens(g, 21))
         t = 2 * np.pi * np.arange(21) / 21
         vr = R.verify_certificate(
-            g, part, [(1.0, np.cos(3 * t)), (1.0, np.sin(3 * t))],
+            part, [(1.0, np.cos(3 * t)), (1.0, np.sin(3 * t))],
             _cluster(g).value, LOWER)
         assert vr.ok
         assert abs(vr.c - 2 * (1 - math.cos(2 * math.pi / 7))) <= 1e-6
         vr = R.verify_certificate(
-            g, part, [(1.0, np.cos(9 * t)), (1.0, np.sin(9 * t))],
+            part, [(1.0, np.cos(9 * t)), (1.0, np.sin(9 * t))],
             _cluster(g, R.TargetKind.UPPER).value, UPPER)
         assert vr.ok
         assert abs(vr.c - 2 * (1 - math.cos(6 * math.pi / 7))) <= 1e-6
@@ -108,7 +108,7 @@ def test_criterion_04_z12_exact_certificate(z12_exact_report):
         assert tuple(rep.isotypics) == ((2, 1, 2),) * 3
         rot = fx.rotation_gens(g, 12)
         iso = R.isotypic_decompose(cl, rot)
-        part = R.edge_orbits(g, rot)
+        part = R.edge_orbits(rot)
         cone = R.build_cone(iso, part)
         gens = [tuple(np.round(gv, 8)) for gv in cone.generators]
         assert sorted(gens) == [(6.0, 12.0), (6.0, 12.0), (18.0, 0.0)]
@@ -131,13 +131,13 @@ def test_criterion_05_crossing_number_6b():
         cl = _cluster(g)
         assert abs(cl.value - 1.0) <= 1e-8
         assert cl.basis.shape[1] == 3
-        part = R.edge_orbits(g, R.automorphism_generators(g))
+        part = R.edge_orbits(R.automorphism_generators(g))
         assert sorted(part.sizes) == [6, 12, 12]
         phi = ((1 - math.sqrt(2) / 2) * fx.CN6B_PHI1
                + 2 * fx.CN6B_PHI2 - 2 * fx.CN6B_PHI3)
-        vr = R.verify_certificate(g, part, [(1.0, phi)], cl.value, LOWER)
+        vr = R.verify_certificate(part, [(1.0, phi)], cl.value, LOWER)
         assert vr.ok
-        oe = np.asarray(R.orbit_energy(g, part, phi))
+        oe = np.asarray(R.orbit_energy(part, phi))
         assert np.max(np.abs(oe - np.asarray(part.sizes, float))) <= 1e-8
         rep = R.run_pipeline(g, UPPER, R.PipelineConfig())
         assert rep.status is R.PipelineStatus.CERTIFIED_EXACT
@@ -157,7 +157,7 @@ def test_criterion_06_twenty_ten_numeric_certificate(tensegrity_report):
         assert cl.basis.shape[1] == 7
         gens = R.automorphism_generators(g)
         iso = R.isotypic_decompose(cl, gens)
-        part = R.edge_orbits(g, gens)
+        part = R.edge_orbits(gens)
         assert tuple(part.sizes) == (40, 10)
         cone = R.build_cone(iso, part)
         s5 = math.sqrt(5)
@@ -185,17 +185,17 @@ def test_criterion_07_c5_sdp_vs_per_edge(battery_reports):
     with criterion("criterion 07 C5 orbit SDP feasible, per-edge system not"):
         g = fx.c5()
         cl = _cluster(g)
-        part = R.edge_orbits(g, R.automorphism_generators(g))
-        res = R.solve_feasibility(R.compress_operators(cl, g, part))
+        part = R.edge_orbits(R.automorphism_generators(g))
+        res = R.solve_feasibility(R.compress_operators(cl, part))
         assert res.status is R.SdpStatus.FEASIBLE
         assert np.linalg.matrix_rank(res.Z) == 2
         # no single vector solves the per-edge (1-dimensional) system
-        singles = R.edge_orbits(g, R.GroupGenerators(g, ()))
+        singles = R.edge_orbits(R.GroupGenerators(g, ()))
         best = np.inf
         for r in np.linspace(0.2, 3.0, 60):
             for theta in np.linspace(0, 2 * np.pi, 200, endpoint=False):
                 x = r * np.array([np.cos(theta), np.sin(theta)])
-                resid = (R.orbit_energy(g, singles, cl.basis @ x)
+                resid = (R.orbit_energy(singles, cl.basis @ x)
                          - singles.size_vector)
                 best = min(best, float(np.max(np.abs(resid))))
         assert best > 0.01
@@ -224,11 +224,11 @@ def test_criterion_09_symmetry_reduced_constraint_counts():
         prod = R.cartesian_product(fx.desargues(), fx.c5())
         assert prod.n == 100 and prod.m == 250
         gens = fx.lift_product_gens(fx.desargues(), fx.c5(), prod)
-        part = R.edge_orbits(prod, gens)
+        part = R.edge_orbits(gens)
         cl = _cluster(prod)
-        orbit_ops = R.compress_operators(cl, prod, part)
-        singles = R.edge_orbits(prod, R.GroupGenerators(prod, ()))
-        edge_ops = R.compress_operators(cl, prod, singles)
+        orbit_ops = R.compress_operators(cl, part)
+        singles = R.edge_orbits(R.GroupGenerators(prod, ()))
+        edge_ops = R.compress_operators(cl, singles)
         assert len(orbit_ops.ops) <= 10
         assert len(edge_ops.ops) == 250
         r_orbit = R.solve_feasibility(orbit_ops)
@@ -260,7 +260,7 @@ def test_criterion_10_property_battery(battery_reports):
                             @ np.asarray(R.edge_energy(g, phi)))
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
             # symmetrizing never hurts either objective
-            part = R.edge_orbits(g, gens)
+            part = R.edge_orbits(gens)
             for _ in range(100):
                 w = fx.random_weights(g, rng)
                 ws = fx.orbit_mean(w, part)

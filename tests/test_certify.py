@@ -19,14 +19,14 @@ def _cluster(g, which=R.TargetKind.LOWER):
 
 
 def _auto_part(g):
-    return R.edge_orbits(g, R.automorphism_generators(g))
+    return R.edge_orbits(R.automorphism_generators(g))
 
 
 def _z12_cone():
     g = fx.z12()
     gens = fx.rotation_gens(g, 12)
     iso = R.isotypic_decompose(_cluster(g), gens)
-    part = R.edge_orbits(g, gens)
+    part = R.edge_orbits(gens)
     return g, part, _cluster(g), R.build_cone(iso, part)
 
 
@@ -108,7 +108,7 @@ class TestBuildCone:
         g = fx.c5()
         trivial = R.GroupGenerators(g, ())
         iso = R.isotypic_decompose(_cluster(g), trivial)
-        part = R.edge_orbits(g, trivial)
+        part = R.edge_orbits(trivial)
         with pytest.raises(R.MultiplicityNotOne):
             R.build_cone(iso, part)
 
@@ -139,7 +139,7 @@ class TestConeMembership:
         g = fx.gnp(30, 0.2, seed=0)
         trivial = R.GroupGenerators(g, ())
         iso = R.isotypic_decompose(_cluster(g), trivial)
-        cone = R.build_cone(iso, R.edge_orbits(g, trivial))
+        cone = R.build_cone(iso, R.edge_orbits(trivial))
         calls = _count_calls(monkeypatch, "rationalize_tight")
         sol = R.solve_cone_membership(cone)
         assert not sol.exact
@@ -165,7 +165,7 @@ class TestAssemble:
         assert cert.orbit_residual <= 1e-10
         assert cert.eigen_residual <= 1e-8
         # phi already folds the coefficients in (phi = sum sqrt(a_j) phi_j)
-        vr = R.verify_certificate(g, part, [(1.0, cert.phi)],
+        vr = R.verify_certificate(part, [(1.0, cert.phi)],
                                   cl.value, R.TargetKind.LOWER)
         assert vr.ok
 
@@ -190,7 +190,7 @@ class TestBipartiteShortcut:
         g = make()
         cl = _cluster(g, R.TargetKind.UPPER)
         gens = R.automorphism_generators(g)
-        part = R.edge_orbits(g, gens)
+        part = R.edge_orbits(gens)
         cone = R.build_cone(R.isotypic_decompose(cl, gens), part)
         cert = R.assemble_certificate(cone, R.solve_cone_membership(cone), cl)
         assert cert.exact
@@ -198,7 +198,7 @@ class TestBipartiteShortcut:
         assert len(cert.coeffs) == 1
         en = np.asarray(R.edge_energy(g, cert.phi))
         assert np.max(en) - np.min(en) <= 1e-12 * np.max(en)
-        vr = R.verify_certificate(g, part, [(1.0, cert.phi)],
+        vr = R.verify_certificate(part, [(1.0, cert.phi)],
                                   cl.value, R.TargetKind.UPPER)
         assert vr.ok
 
@@ -211,10 +211,10 @@ class TestBipartiteShortcut:
 class TestVerifyCertificate:
     def test_z21_lower_constant(self):
         g = fx.z21()
-        part = R.edge_orbits(g, fx.rotation_gens(g, 21))
+        part = R.edge_orbits(fx.rotation_gens(g, 21))
         t = 2 * np.pi * np.arange(21) / 21
         cl = _cluster(g)
-        vr = R.verify_certificate(g, part, [(1.0, np.cos(3 * t)),
+        vr = R.verify_certificate(part, [(1.0, np.cos(3 * t)),
                                             (1.0, np.sin(3 * t))],
                                   cl.value, R.TargetKind.LOWER)
         assert vr.ok
@@ -222,10 +222,10 @@ class TestVerifyCertificate:
 
     def test_z21_upper_constant(self):
         g = fx.z21()
-        part = R.edge_orbits(g, fx.rotation_gens(g, 21))
+        part = R.edge_orbits(fx.rotation_gens(g, 21))
         t = 2 * np.pi * np.arange(21) / 21
         cl = _cluster(g, R.TargetKind.UPPER)
-        vr = R.verify_certificate(g, part, [(1.0, np.cos(9 * t)),
+        vr = R.verify_certificate(part, [(1.0, np.cos(9 * t)),
                                             (1.0, np.sin(9 * t))],
                                   cl.value, R.TargetKind.UPPER)
         assert vr.ok
@@ -237,24 +237,24 @@ class TestVerifyCertificate:
         cl = _cluster(g)
         phi = cl.basis[:, 0]
 
-        vr = R.verify_certificate(g, part, [(1.0, phi)], cl.value,
+        vr = R.verify_certificate(part, [(1.0, phi)], cl.value,
                                   R.TargetKind.LOWER)
         assert not vr.ok and vr.failing_clause == "orbit_identity"
 
-        vr = R.verify_certificate(g, part, [(1.0, np.ones(6))], cl.value,
+        vr = R.verify_certificate(part, [(1.0, np.ones(6))], cl.value,
                                   R.TargetKind.LOWER)
         assert not vr.ok and vr.failing_clause == "eigenvector"
 
-        vr = R.verify_certificate(g, part, [(-1.0, phi)], cl.value,
+        vr = R.verify_certificate(part, [(-1.0, phi)], cl.value,
                                   R.TargetKind.LOWER)
         assert not vr.ok and vr.failing_clause == "nonnegative_coefficients"
 
-        vr = R.verify_certificate(g, part, [(1.0, np.zeros(6))], cl.value,
+        vr = R.verify_certificate(part, [(1.0, np.zeros(6))], cl.value,
                                   R.TargetKind.LOWER)
         assert not vr.ok and vr.failing_clause == "positive_scale"
 
         # lambda2 eigenvector offered against the UPPER target
-        vr = R.verify_certificate(g, part, [(1.0, phi)], cl.value,
+        vr = R.verify_certificate(part, [(1.0, phi)], cl.value,
                                   R.TargetKind.UPPER)
         assert not vr.ok and vr.failing_clause == "eigenvalue_position"
 
@@ -264,12 +264,12 @@ class TestQuadraticSystem:
         # d = 2: scan coefficient space; no x makes all edge energies 1
         g = fx.c5()
         cl = _cluster(g)
-        part = R.edge_orbits(g, R.GroupGenerators(g, ()))  # singleton orbits
+        part = R.edge_orbits(R.GroupGenerators(g, ()))  # singleton orbits
         best = np.inf
         for r in np.linspace(0.2, 3.0, 60):
             for theta in np.linspace(0, 2 * np.pi, 200, endpoint=False):
                 x = r * np.array([np.cos(theta), np.sin(theta)])
-                resid = R.orbit_energy(g, part, cl.basis @ x) - part.size_vector
+                resid = R.orbit_energy(part, cl.basis @ x) - part.size_vector
                 best = min(best, float(np.max(np.abs(resid))))
         assert best > 0.01
 
@@ -278,7 +278,7 @@ class TestQuadraticSystem:
         cl = _cluster(g)
         part = _auto_part(g)
         x = np.array([math.sqrt(5 / cl.value), 0.0])
-        resid = R.orbit_energy(g, part, cl.basis @ x) - part.size_vector
+        resid = R.orbit_energy(part, cl.basis @ x) - part.size_vector
         assert np.max(np.abs(resid)) <= 1e-8
 
 
@@ -290,8 +290,8 @@ class TestRayleighCompression:
         g = make()
         cl = _cluster(g)
         gens = fx.rotation_gens(g, nrot)
-        part = R.edge_orbits(g, gens)
-        co = R.compress_operators(cl, g, part)
+        part = R.edge_orbits(gens)
+        co = R.compress_operators(cl, part)
         y = rng.uniform(-1.0, 1.0, size=len(co.ops))
         M = np.sum([yi * op for yi, op in zip(y, co.ops)], axis=0)
         lam_min = float(np.linalg.eigvalsh(M)[0])
@@ -302,14 +302,14 @@ class TestRayleighCompression:
             x /= np.linalg.norm(x)
             phi = cl.basis @ x
             best = min(best, float(np.dot(
-                y, R.orbit_energy(g, part, phi))))
+                y, R.orbit_energy(part, phi))))
         assert abs(lam_min - best) <= 1e-6
 
 
 class TestDisproof:
     def test_barbell_lower(self):
         g = fx.barbell()
-        d = R.find_disproof(g, _cluster(g), _auto_part(g), R.TargetKind.LOWER)
+        d = R.find_disproof(_cluster(g), _auto_part(g), R.TargetKind.LOWER)
         assert d is not None
         assert d.achieved >= 0.70
         assert abs(d.baseline - (5 - math.sqrt(17)) / 2) <= 1e-10
@@ -317,7 +317,7 @@ class TestDisproof:
 
     def test_f3_upper(self):
         g = fx.f3()
-        d = R.find_disproof(g, _cluster(g, R.TargetKind.UPPER), _auto_part(g),
+        d = R.find_disproof(_cluster(g, R.TargetKind.UPPER), _auto_part(g),
                             R.TargetKind.UPPER)
         assert d is not None
         assert d.achieved < 7.0
@@ -326,7 +326,7 @@ class TestDisproof:
     def test_rigid_graphs_yield_none(self):
         for make in (fx.k4, fx.c5):
             g = make()
-            assert R.find_disproof(g, _cluster(g), _auto_part(g),
+            assert R.find_disproof(_cluster(g), _auto_part(g),
                                    R.TargetKind.LOWER) is None
 
     def test_line_search_failure(self, monkeypatch):
@@ -334,11 +334,11 @@ class TestDisproof:
         monkeypatch.setattr(certify, "DELTA_MAX", 1e-10)
         monkeypatch.setattr(certify, "DELTA_MIN", 1e-11)
         with pytest.raises(R.LineSearchFailed):
-            R.find_disproof(g, _cluster(g), _auto_part(g), R.TargetKind.LOWER)
+            R.find_disproof(_cluster(g), _auto_part(g), R.TargetKind.LOWER)
 
     def test_verify_disproof_rejects_bad_weights(self):
         g = fx.barbell()
-        d = R.find_disproof(g, _cluster(g), _auto_part(g), R.TargetKind.LOWER)
+        d = R.find_disproof(_cluster(g), _auto_part(g), R.TargetKind.LOWER)
         # uniform weights: no margin over the baseline
         flat = dataclasses.replace(
             d, w=R.WeightVector.uniform(g), achieved=d.baseline)
@@ -350,7 +350,7 @@ class TestDisproof:
 
     def test_disproof_weights_are_normalized(self):
         g = fx.f3()
-        d = R.find_disproof(g, _cluster(g, R.TargetKind.UPPER), _auto_part(g),
+        d = R.find_disproof(_cluster(g, R.TargetKind.UPPER), _auto_part(g),
                             R.TargetKind.UPPER)
         assert np.all(d.w.values >= 0)
         assert abs(d.w.values.sum() - g.m) <= 1e-9 * g.m
@@ -402,7 +402,7 @@ class TestDisproofWork:
 
         monkeypatch.setattr(certify, "laplacian", spy_laplacian)
         monkeypatch.setattr(certify, "cluster_eigenspace", spy_cluster)
-        d = R.find_disproof(g, cluster, _auto_part(g), kind)
+        d = R.find_disproof(cluster, _auto_part(g), kind)
         assert d is not None
         repeats = len(solved) - len(set(solved))
         assert repeats == 0
@@ -415,9 +415,9 @@ class TestDisproofWork:
         cluster, part = _cluster(g, kind), _auto_part(g)
         spectrum = R.laplacian_spectrum(g, R.WeightVector.uniform(g))
         solves = _count_calls(monkeypatch, "eig_sym")
-        own = R.find_disproof(g, cluster, part, kind)
+        own = R.find_disproof(cluster, part, kind)
         own_solves = len(solves)
-        given = R.find_disproof(g, cluster, part, kind, spectrum=spectrum)
+        given = R.find_disproof(cluster, part, kind, spectrum=spectrum)
         assert len(solves) - own_solves == own_solves - 1
         assert own is not None and given is not None
         assert given.w.values.tobytes() == own.w.values.tobytes()
@@ -430,9 +430,9 @@ class TestDisproofWork:
         directions = _count_calls(monkeypatch, "_cutting_plane_direction")
         lps = _count_calls(monkeypatch, "linprog")
         operators = _count_calls(monkeypatch, "orbit_laplacian")
-        assert R.find_disproof(g, _cluster(g, kind), _auto_part(g),
+        assert R.find_disproof(_cluster(g, kind), _auto_part(g),
                                kind) is not None
-        assert all(basis.shape[1] == 1 for _, _, basis, _, _ in directions)
+        assert all(basis.shape[1] == 1 for _, basis, _, _ in directions)
         assert operators == []
         assert len(lps) == len(directions) >= 1
 
@@ -447,7 +447,7 @@ class TestDisproofWork:
         basis = _cluster(g, kind).basis
         assert basis.shape[1] == 1
         sign = 1.0 if kind is R.TargetKind.LOWER else -1.0
-        cut = R.orbit_energy(g, part, basis[:, 0])
+        cut = R.orbit_energy(part, basis[:, 0])
         real, calls = certify.linprog, []
 
         def linprog(*args, **kwargs):
@@ -460,7 +460,7 @@ class TestDisproofWork:
 
         monkeypatch.setattr(certify, "linprog", linprog)
         y, t = certify._cutting_plane_direction(
-            g, part, basis, kind, np.random.default_rng(0))
+            part, basis, kind, np.random.default_rng(0))
         assert len(calls) == 1
         assert t == sign * float(cut @ y)
         assert certify.EPS < t < -calls[0]
@@ -472,9 +472,9 @@ class TestDisproofWork:
         directions = _count_calls(monkeypatch, "_cutting_plane_direction")
         lps = _count_calls(monkeypatch, "linprog")
         operators = _count_calls(monkeypatch, "orbit_laplacian")
-        assert R.find_disproof(g, _cluster(g, kind), _auto_part(g),
+        assert R.find_disproof(_cluster(g, kind), _auto_part(g),
                                kind) is not None
-        assert any(basis.shape[1] > 1 for _, _, basis, _, _ in directions)
+        assert any(basis.shape[1] > 1 for _, basis, _, _ in directions)
         assert operators
         assert len(lps) > len(directions)
 
@@ -484,9 +484,9 @@ class TestDisproofWork:
         # The reference loop solves every trial with eig_sym.
         g, kind = _disproof_case(case)
         cluster, part = _cluster(g, kind), _auto_part(g)
-        d = R.find_disproof(g, cluster, part, kind)
+        d = R.find_disproof(cluster, part, kind)
         monkeypatch.setattr(certify, "_interlacing_rejects", lambda *args: False)
-        ref = R.find_disproof(g, cluster, part, kind)
+        ref = R.find_disproof(cluster, part, kind)
         assert d is not None and ref is not None
         assert d.w.values.tobytes() == ref.w.values.tobytes()
         assert (d.achieved, d.baseline, d.margin) == (
@@ -499,10 +499,10 @@ class TestDisproofWork:
         g, kind = _disproof_case(case)
         cluster, part = _cluster(g, kind), _auto_part(g)
         directions = _count_calls(monkeypatch, "_cutting_plane_direction")
-        d = R.find_disproof(g, cluster, part, kind)
+        d = R.find_disproof(cluster, part, kind)
         stalled = len(directions)
         monkeypatch.setattr(certify, "STALL", 0.0)
-        ref = R.find_disproof(g, cluster, part, kind)
+        ref = R.find_disproof(cluster, part, kind)
         full = len(directions) - stalled
         assert d is not None and ref is not None
         assert R.verify_disproof(g, d, kind) and R.verify_disproof(g, ref, kind)
@@ -515,7 +515,7 @@ class TestDisproofWork:
         g, kind = _disproof_case(case)
         trials = _count_calls(monkeypatch, "_interlacing_rejects")
         solves = _count_calls(monkeypatch, "eig_sym")
-        assert R.find_disproof(g, _cluster(g, kind), _auto_part(g),
+        assert R.find_disproof(_cluster(g, kind), _auto_part(g),
                                kind) is not None
         # One solve at uniform weights, then one per trial not skipped.
         assert 1 <= len(solves) < len(trials)

@@ -270,6 +270,21 @@ class TestUsageErrors:
         capsys.readouterr()
         assert rc == 3
 
+    @pytest.mark.parametrize("entry", [
+        "[null,1,2,3,4]", "[[0],1,2,3,4]", "[0.9,1.2,2.7,3,4]",
+        '["1","2","3","4","0"]', "[true,2,3,4,0]",
+    ], ids=["null", "nested-list", "floats", "strings", "bool"])
+    def test_generator_entries_must_be_integers(self, tmp_path, capsys, entry):
+        gfile = tmp_path / "c5.g6"
+        gfile.write_text(R.to_graph6(fx.c5()) + "\n")
+        gens = tmp_path / "gens.json"
+        gens.write_text(f"[{entry}]")
+        rc = main(["check", str(gfile), "--group", f"file:{gens}"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+
     def test_missing_group_file(self, barbell_file, capsys):
         rc = main(["check", str(barbell_file),
                    "--group", "file:/nonexistent.json"])
@@ -326,6 +341,17 @@ class TestFixedVertexRange:
         assert rc == 3
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["orbits"], ["check", "--json"], ["batch"]],
+                             ids=["orbits", "check", "batch"])
+    def test_repeated_vertex_is_fixed_once(self, barbell_file, capsys, command):
+        where = barbell_file.parent if command[0] == "batch" else barbell_file
+        runs = []
+        for spec in ("fix:0", "fix:0,0"):
+            rc = main([command[0], str(where), *command[1:], "--group", spec])
+            runs.append((rc, capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[1][1].err == ""
 
     def test_batch_skips_graphs_the_list_does_not_fit(self, tmp_path, capsys):
         (tmp_path / "barbell.txt").write_text(R.format_edge_list(fx.barbell()))

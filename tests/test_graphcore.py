@@ -38,6 +38,15 @@ class TestGraph:
         with pytest.raises(R.DisconnectedGraph):
             R.Graph(4, ((0, 1), (2, 3)))
 
+    def test_too_few_edges_rejected_before_the_search(self, monkeypatch):
+        # n - 2 edges cannot connect n vertices; no O(n) adjacency is built.
+        def search(self):
+            raise AssertionError("connectivity search ran")
+
+        monkeypatch.setattr(R.Graph, "_is_connected", search)
+        with pytest.raises(R.DisconnectedGraph):
+            R.Graph(10**6, [(0, 1)])
+
     def test_degrees(self):
         g = fx.barbell()
         assert g.degrees == (2, 2, 3, 3, 2, 2)

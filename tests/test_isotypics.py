@@ -114,12 +114,12 @@ class TestStructuralInvariants:
     def test_block_diagonalization_of_orbit_energy(self, z12_dec, rng):
         # cross terms between isotypics vanish: l_Psi(sum phi_j) = sum l_Psi(phi_j)
         g, gens, dec = z12_dec
-        part = R.edge_orbits(g, gens)
+        part = R.edge_orbits(gens)
         for _ in range(10):
             parts = [c.basis @ rng.standard_normal(c.basis.shape[1])
                      for c in dec.components]
-            combined = R.orbit_energy(g, part, np.sum(parts, axis=0))
-            summed = np.sum([R.orbit_energy(g, part, p) for p in parts],
+            combined = R.orbit_energy(part, np.sum(parts, axis=0))
+            summed = np.sum([R.orbit_energy(part, p) for p in parts],
                             axis=0)
             assert np.max(np.abs(combined - summed)) <= 1e-9 * max(1, combined.max())
 
@@ -144,7 +144,7 @@ class TestRepresentativeVector:
         gens = fx.rotation_gens(g, 21)
         cl = _cluster(g)
         c = R.isotypic_decompose(cl, gens).components[0]
-        phi = R.representative_vector(c, R.edge_orbits(g, gens))
+        phi = R.representative_vector(c, R.edge_orbits(gens))
         L = R.laplacian(g, R.WeightVector.uniform(g))
         lam = cl.value
         assert np.max(np.abs(L @ phi - lam * phi)) <= 1e-8
@@ -156,7 +156,7 @@ class TestRepresentativeVector:
         gens = fx.rotation_gens(g, 21)
         dec = R.isotypic_decompose(_cluster(g), gens)
         c = dec.components[0]
-        part = R.edge_orbits(g, gens)
+        part = R.edge_orbits(gens)
         assert np.array_equal(R.representative_vector(c, part, seed=3),
                               R.representative_vector(c, part, seed=3))
 
@@ -165,7 +165,7 @@ class TestRepresentativeVector:
         trivial = R.GroupGenerators(g, ())
         dec = R.isotypic_decompose(_cluster(g), trivial)
         with pytest.raises(R.MultiplicityNotOne):
-            R.representative_vector(dec.components[0], R.edge_orbits(g, trivial))
+            R.representative_vector(dec.components[0], R.edge_orbits(trivial))
 
 
 class TestIrreducibility:

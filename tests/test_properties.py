@@ -154,7 +154,7 @@ def test_symmetrization_is_monotone(g, data):
         gens = R.automorphism_generators(g, budget=20000)
     except R.SearchBudgetExceeded:
         assume(False)
-    ws = fx.orbit_mean(w.normalize(), R.edge_orbits(g, gens))
+    ws = fx.orbit_mean(w.normalize(), R.edge_orbits(gens))
     lam = R.laplacian_spectrum(g, w.normalize()).eigenvalues
     lams = R.laplacian_spectrum(g, ws).eigenvalues
     slack = 1e-10 * max(1.0, lam[-1])
@@ -191,10 +191,10 @@ def test_orbit_partition_and_energy_totals(g, data):
         gens = R.automorphism_generators(g, budget=20000)
     except R.SearchBudgetExceeded:
         assume(False)
-    part = R.edge_orbits(g, gens)
+    part = R.edge_orbits(gens)
     assert sum(part.sizes) == len(g.edges)
     per_edge = R.edge_energy(g, phi)
-    per_orbit = R.orbit_energy(g, part, phi)
+    per_orbit = R.orbit_energy(part, phi)
     assert np.all(np.asarray(per_orbit) >= 0)
     total = float(np.sum(per_edge))
     assert abs(float(np.sum(per_orbit)) - total) <= 1e-12 * max(1.0, total)
@@ -304,7 +304,7 @@ def _knapsack_optimum(g, size):
 @given(st.one_of(connected_graphs(max_n=8), circulants))
 @settings(deadline=None, max_examples=60)
 def test_simple_eigenvalue_direction_is_optimal(g):
-    part = R.edge_orbits(g, R.automorphism_generators(g))
+    part = R.edge_orbits(R.automorphism_generators(g))
     size = np.asarray(part.size_vector, dtype=float)
     dec = R.laplacian_spectrum(g, R.WeightVector.uniform(g))
     simple = 0
@@ -317,9 +317,9 @@ def test_simple_eigenvalue_direction_is_optimal(g):
             continue
         simple += 1
         sign = 1.0 if kind is R.TargetKind.LOWER else -1.0
-        gain = sign * np.asarray(R.orbit_energy(g, part, basis[:, 0]))
+        gain = sign * np.asarray(R.orbit_energy(part, basis[:, 0]))
         y, t = certify._cutting_plane_direction(
-            g, part, basis, kind, np.random.default_rng(0))
+            part, basis, kind, np.random.default_rng(0))
         best = _knapsack_optimum(gain, size)
         assert abs(t - best) <= 1e-9 * max(1.0, float(np.sum(np.abs(gain))))
         assert float(np.max(np.abs(y))) <= 1.0 + 1e-9
@@ -329,11 +329,11 @@ def test_simple_eigenvalue_direction_is_optimal(g):
 
 def _disproof_or_error(g, kind):
     """find_disproof on the trivial partition, or the type of what it raised."""
-    part = R.edge_orbits(g, R.GroupGenerators(g, ()))
+    part = R.edge_orbits(R.GroupGenerators(g, ()))
     dec = R.laplacian_spectrum(g, R.WeightVector.uniform(g))
     cluster = R.cluster_eigenspace(dec, kind)
     try:
-        return R.find_disproof(g, cluster, part, kind, spectrum=dec)
+        return R.find_disproof(cluster, part, kind, spectrum=dec)
     except R.LineSearchFailed as exc:
         return type(exc)
 
@@ -365,7 +365,7 @@ def test_stall_rule_never_changes_a_verdict(n, p, seed):
 @settings(deadline=None, max_examples=25)
 def test_cone_and_sdp_agree_at_multiplicity_one(g):
     gens = R.automorphism_generators(g)
-    part = R.edge_orbits(g, gens)
+    part = R.edge_orbits(gens)
     dec = R.laplacian_spectrum(g, R.WeightVector.uniform(g))
     checked = 0
     for kind in (R.TargetKind.LOWER, R.TargetKind.UPPER):
@@ -376,7 +376,7 @@ def test_cone_and_sdp_agree_at_multiplicity_one(g):
         iso = R.isotypic_decompose(cluster, gens)
         if not R.all_multiplicity_one(iso):
             continue
-        sdp = R.solve_feasibility(R.compress_operators(cluster, g, part))
+        sdp = R.solve_feasibility(R.compress_operators(cluster, part))
         cone = R.solve_cone_membership(R.build_cone(iso, part))
         assert (sdp.status is R.SdpStatus.FEASIBLE) == cone.feasible, kind
         checked += 1

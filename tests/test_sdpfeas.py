@@ -13,19 +13,19 @@ def _cluster(g, which=R.TargetKind.LOWER):
 
 
 def _orbit_part(g):
-    return R.edge_orbits(g, R.automorphism_generators(g))
+    return R.edge_orbits(R.automorphism_generators(g))
 
 
 def _compress(g, which=R.TargetKind.LOWER, orbits=True):
-    part = _orbit_part(g) if orbits else R.edge_orbits(g, R.GroupGenerators(g, ()))
-    return R.compress_operators(_cluster(g, which), g, part)
+    part = _orbit_part(g) if orbits else R.edge_orbits(R.GroupGenerators(g, ()))
+    return R.compress_operators(_cluster(g, which), part)
 
 
 def _operator_case(case):
     """(graph, target eigenspace, partition) for an operator comparison."""
     if case == "c5-trivial":
         g = fx.c5()
-        return g, R.TargetKind.LOWER, R.edge_orbits(g, R.GroupGenerators(g, ()))
+        return g, R.TargetKind.LOWER, R.edge_orbits(R.GroupGenerators(g, ()))
     if case == "z12-orbits":  # d = 2
         g = fx.z12()
         return g, R.TargetKind.UPPER, _orbit_part(g)
@@ -33,7 +33,7 @@ def _operator_case(case):
         g = fx.petersen()
         return g, R.TargetKind.UPPER, _orbit_part(g)
     g = fx.gnp(30, 0.2, seed=0)
-    return g, R.TargetKind.LOWER, R.edge_orbits(g, R.GroupGenerators(g, ()))
+    return g, R.TargetKind.LOWER, R.edge_orbits(R.GroupGenerators(g, ()))
 
 
 def _gram_pinv(ops):
@@ -56,13 +56,13 @@ class TestCompressOperators:
         # ops[o] is B^T L_o B, with L_o the n x n Laplacian of orbit o.
         g, which, part = _operator_case(case)
         cl = _cluster(g, which)
-        co = R.compress_operators(cl, g, part)
+        co = R.compress_operators(cl, part)
         B = cl.basis
         d = B.shape[1]
         assert co.ops.shape == (part.s, d, d)
         tol = 1e-12 * max(1.0, cl.value)
         for o in range(part.s):
-            ref = B.T @ R.orbit_laplacian(g, part, o) @ B
+            ref = B.T @ R.orbit_laplacian(part, o) @ B
             assert np.max(np.abs(co.ops[o] - ref)) <= tol, o
 
     def test_per_edge_count_and_symmetry(self):
@@ -82,7 +82,7 @@ class TestCompressOperators:
         for make in (fx.c5, fx.z12, fx.cn6b):
             g = make()
             cl = _cluster(g)
-            co = R.compress_operators(cl, g, _orbit_part(g))
+            co = R.compress_operators(cl, _orbit_part(g))
             total = np.sum(co.ops, axis=0)
             d = cl.basis.shape[1]
             assert np.max(np.abs(total - cl.value * np.eye(d))) <= 1e-8
@@ -90,7 +90,7 @@ class TestCompressOperators:
     def test_orbit_laplacians_partition_laplacian(self):
         g = fx.barbell()
         part = _orbit_part(g)
-        total = np.sum([R.orbit_laplacian(g, part, o)
+        total = np.sum([R.orbit_laplacian(part, o)
                         for o in range(len(part.sizes))], axis=0)
         L = R.laplacian(g, R.WeightVector.uniform(g))
         assert np.max(np.abs(total - L)) <= 1e-14
@@ -98,7 +98,7 @@ class TestCompressOperators:
     def test_targets_normalize_per_edge_energy_to_one(self):
         g = fx.z12()
         part = _orbit_part(g)
-        co = R.compress_operators(_cluster(g), g, part)
+        co = R.compress_operators(_cluster(g), part)
         assert np.array_equal(co.targets, np.asarray(part.sizes, dtype=float))
         co_edge = _compress(g, orbits=False)
         assert np.array_equal(co_edge.targets, np.ones(g.m))
@@ -128,7 +128,7 @@ class TestSolveFeasibility:
     def test_expanded_gram_is_eigenspace_embedding(self):
         g = fx.z12()
         cl = _cluster(g)
-        co = R.compress_operators(cl, g, _orbit_part(g))
+        co = R.compress_operators(cl, _orbit_part(g))
         res = R.solve_feasibility(co)
         G = R.expand_gram(co, res.Z)
         L = R.laplacian(g, R.WeightVector.uniform(g))

@@ -86,6 +86,23 @@ class TestKnownSpectra:
         assert cosang >= 1.0 - 1e-8
 
 
+class TestTargetOrientation:
+    @pytest.mark.parametrize("kind", list(R.TargetKind), ids=["lower", "upper"])
+    def test_index_and_sign_on_the_barbell(self, kind):
+        g = fx.barbell()
+        dec = _uniform_spectrum(g)
+        expected = {R.TargetKind.LOWER: (5 - math.sqrt(17)) / 2,
+                    R.TargetKind.UPPER: (5 + math.sqrt(17)) / 2}[kind]
+        assert abs(dec.eigenvalues[kind.index] - expected) <= 1e-10
+        part = R.edge_orbits(R.GroupGenerators(g, ()))
+        d = R.find_disproof(R.cluster_eigenspace(dec, kind), part, kind, spectrum=dec)
+        assert R.verify_disproof(g, d, kind)
+        lam_u = float(dec.eigenvalues[kind.index])
+        for w, better in ((d.w, True), (R.WeightVector.uniform(g), False)):
+            lam_w = float(R.laplacian_spectrum(g, w).eigenvalues[kind.index])
+            assert (kind.sign * (lam_w - lam_u) > 0) is better
+
+
 class TestScaling:
     def test_spectrum_scales_linearly(self, rng):
         g = fx.petersen()

@@ -16,7 +16,8 @@ with
     diff -r /tmp/old /tmp/new
 
 Standard output names the package used, then gives each workload's status
-counts and the number of decided reports that reverify_report rejects. BLAS
+counts and the number of decided reports that reverify_report rejects. The
+exit status is 1 when that number is nonzero for any workload, else 0. BLAS
 is pinned to one thread, so a report's bytes do not depend on the machine's
 core count.
 """
@@ -48,6 +49,7 @@ def main() -> int:
     import workloads
 
     print(f"rigidity from {Path(R.__file__).parent}")
+    failed = 0
     for workload in workloads.WORKLOADS:
         out = Path(args.out) / workload
         out.mkdir(parents=True, exist_ok=True)
@@ -67,7 +69,8 @@ def main() -> int:
         counts = ", ".join(f"{k} {v}" for k, v in sorted(statuses.items()))
         print(f"{workload}: {sum(statuses.values())} reports ({counts}); "
               f"{rejected} decided reports fail reverify_report")
-    return 0
+        failed += rejected
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

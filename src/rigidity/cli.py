@@ -82,10 +82,8 @@ def _load_graph(path: str) -> Graph:
     name = Path(path).stem
     try:
         if len(first) >= 2 and all(t.lstrip("-").isdigit() for t in first[:2]):
-            g = parse_edge_list(text)
-        else:
-            g = parse_graph6(data_lines[0])
-        return Graph(g.n, g.edges, name=name)
+            return parse_edge_list(text, name)
+        return parse_graph6(data_lines[0], name)
     except (MalformedGraph6, DisconnectedGraph, ValueError) as exc:
         raise _UsageError(f"{path}: {exc}") from exc
 

@@ -194,8 +194,8 @@ def _g6_encode_n(n: int) -> str:
     return "~~" + "".join(chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
 
 
-def parse_graph6(text: str) -> Graph:
-    """Decode a graph6 string into a Graph.
+def parse_graph6(text: str, name: str = "") -> Graph:
+    """Decode a graph6 string into a Graph called `name`.
 
     Raises MalformedGraph6 on encoding errors and DisconnectedGraph when the
     decoded graph is not connected.
@@ -227,7 +227,7 @@ def parse_graph6(text: str) -> Graph:
             k = 6 * i + 5 - top
             j = (1 + math.isqrt(8 * k + 1)) // 2
             edges.append((k - j * (j - 1) // 2, j))
-    return Graph(n, edges)
+    return Graph(n, edges, name=name)
 
 
 def to_graph6(graph: Graph) -> str:
@@ -240,11 +240,11 @@ def to_graph6(graph: Graph) -> str:
     return _g6_encode_n(n) + body.translate(_G6_PLUS63).decode("ascii")
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(text: str, name: str = "") -> Graph:
     """Parse the alternate ingestion format: one 0-indexed "u v" pair per line.
 
     Blank lines and lines starting with '#' are skipped; the vertex count is
-    one past the largest index seen.
+    one past the largest index seen. The graph is called `name`.
     """
     edges = []
     top = -1
@@ -265,7 +265,7 @@ def parse_edge_list(text: str) -> Graph:
         edges.append((u, v))
     if not edges:
         raise ValueError("edge list is empty")
-    return Graph(top + 1, edges)
+    return Graph(top + 1, edges, name=name)
 
 
 def format_edge_list(graph: Graph, weights: WeightVector | None = None) -> str:
@@ -399,8 +399,16 @@ class EdgeOrbitPartition:
         arr.setflags(write=False)
         return arr
 
+    @cached_property
+    def _members(self) -> tuple[tuple[int, ...], ...]:
+        """Edge indices of every orbit, grouped in one pass over orbit_of."""
+        groups: list[list[int]] = [[] for _ in self.sizes]
+        for i, o in enumerate(self.orbit_of):
+            groups[o].append(i)
+        return tuple(map(tuple, groups))
+
     def members(self, orbit_id: int) -> tuple[int, ...]:
-        return tuple(i for i, o in enumerate(self.orbit_of) if o == orbit_id)
+        return self._members[orbit_id]
 
 
 def orbit_energy(part: EdgeOrbitPartition, phi) -> np.ndarray:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import cached_property
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -80,17 +81,22 @@ class GroupGenerators:
 class GroupClosure:
     """A fully enumerated subgroup of Aut(G).
 
-    `elements` starts with the identity and then follows close_group's
-    breadth-first order; each element is a Permutation, built once after
-    the closure is complete.
+    `images` holds each element's image in close_group's encoding (bytes for
+    n <= 256, else a tuple of ints), starting with the identity and then in
+    close_group's breadth-first order. `elements` builds the same elements as
+    Permutations on first read; `size` builds none.
     """
 
     graph: Graph
-    elements: tuple[Permutation, ...]
+    images: tuple[bytes | tuple[int, ...], ...]
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.images)
+
+    @cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        return tuple(map(Permutation, self.images))
 
 
 @dataclass(frozen=True)
@@ -313,27 +319,42 @@ def close_group(gens: GroupGenerators, cap: int = CLOSURE_CAP_DEFAULT) -> GroupC
     """Breadth-first closure of the generated subgroup.
 
     Each frontier element e, in BFS order, is multiplied by every generator
-    g in turn to give g∘e. Elements stay plain image tuples during the loop:
-    `itemgetter(*e)` is built once per e, and applied to g's image it gives
-    the image of g.compose(e) without building a Permutation per product.
+    g in turn to give g∘e. Elements stay plain images during the loop, and
     `seen`, an insertion-ordered dict, is the only store; its keys become
-    the closure's Permutations once, after the loop.
+    the closure's `images`. The encoding is picked once, by n:
+    - n <= 256: one byte per vertex. Each generator becomes a 256-byte
+      translation table, its image padded with the identity on n..255, so
+      e.translate(table) is the image of g∘e in one C call. 256 is the limit
+      because a byte, and so a translation table's index, holds 0..255.
+    - n > 256: a tuple of ints. `itemgetter(*e)` is built once per e, and
+      applied to g's image it gives the image of g∘e.
+    No Permutation is built per element; GroupClosure.elements builds them
+    only when read.
 
     Raises CapExceeded when the subgroup grows past `cap`; callers should
     fall back to a smaller generating set.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    images = [g.image for g in gens.gens]
-    ident = tuple(range(gens.graph.n))
+    n = gens.graph.n
+    if n <= 256:
+        pad = bytes(range(n, 256))
+        maps = [bytes(g.image) + pad for g in gens.gens]
+        ident = bytes(range(n))
+        after = attrgetter("translate")
+    else:
+        maps = [g.image for g in gens.gens]
+        ident = tuple(range(n))
+        # Graph has n >= 2, so itemgetter with n indices returns a tuple.
+        def after(e):
+            return itemgetter(*e)
     seen = {ident: None}
     frontier = [ident]
     while frontier:
         nxt = []
         for e in frontier:
-            # Graph has n >= 2, so itemgetter with n indices returns a tuple.
-            after_e = itemgetter(*e)
-            for g in images:
+            after_e = after(e)
+            for g in maps:
                 h = after_e(g)
                 if h not in seen:
                     if len(seen) + 1 > cap:
@@ -341,7 +362,7 @@ def close_group(gens: GroupGenerators, cap: int = CLOSURE_CAP_DEFAULT) -> GroupC
                     seen[h] = None
                     nxt.append(h)
         frontier = nxt
-    return GroupClosure(gens.graph, tuple(map(Permutation, seen)))
+    return GroupClosure(gens.graph, tuple(seen))
 
 
 def edge_permutation(graph: Graph, sigma: Permutation) -> np.ndarray:

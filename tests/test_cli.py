@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import re
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import rigidity as R
-from rigidity.cli import _build_parser, main
+from rigidity.cli import _build_parser, _load_graph, main
 
 import fixtures as fx
 
@@ -128,6 +129,44 @@ class TestOrbits:
         gfile.write_text(R.format_edge_list(R.circulant(6, (1, 2, 3))))
         assert main(["orbits", str(gfile)]) == 0
         assert "group order 720" in capsys.readouterr().out
+
+    def test_member_lists_are_grouped_once(self, tmp_path, capsys, monkeypatch):
+        # A 4,000-edge path with vertex 0 fixed has the trivial group, so
+        # every edge is its own orbit and orbit o lists edge (o, o + 1).
+        m = 4000
+        gfile = tmp_path / "path.txt"
+        gfile.write_text("".join(f"{v} {v + 1}\n" for v in range(m)))
+        grouping = vars(R.EdgeOrbitPartition)["_members"]
+        calls = []
+
+        def counted(part):
+            calls.append(part)
+            return grouping.func(part)
+        spy = functools.cached_property(counted)
+        spy.__set_name__(R.EdgeOrbitPartition, "_members")
+        monkeypatch.setattr(R.EdgeOrbitPartition, "_members", spy)
+        assert main(["orbits", str(gfile), "--group", "fix:0"]) == 0
+        out = capsys.readouterr().out
+        assert len(calls) == 1
+        assert "group order 1\n" in out
+        assert out.endswith("".join(f"  orbit {o}: [({o}, {o + 1})]\n"
+                                    for o in range(m)))
+
+
+class TestLoadGraph:
+    @pytest.mark.parametrize("graph_file", ["barbell_file", "z21_g6_file"])
+    def test_graph_is_built_once(self, graph_file, request, monkeypatch):
+        path = request.getfixturevalue(graph_file)
+        searches = []
+        is_connected = R.Graph._is_connected
+
+        def spy(self):
+            searches.append(self)
+            return is_connected(self)
+        monkeypatch.setattr(R.Graph, "_is_connected", spy)
+        graph = _load_graph(str(path))
+        assert searches == [graph]
+        assert graph.name == path.stem
 
 
 class TestDisprove:

@@ -147,6 +147,31 @@ class TestClosure:
         with pytest.raises(R.CapExceeded):
             R.close_group(gens, cap=order - 1)
 
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_cycle_at_the_byte_limit(self, n):
+        # C256 is the largest graph whose images fit one byte per vertex;
+        # C257 takes the tuple encoding. Both must close in the same order.
+        gens = R.automorphism_generators(R.circulant(n, (1,)))
+        clo = R.close_group(gens)
+        assert clo.size == 2 * n
+        assert list(clo.elements) == _compose_closure(gens)
+
+    def test_closure_builds_no_permutation(self, monkeypatch):
+        gens = R.automorphism_generators(R.circulant(6, (1, 2, 3)))
+        built = []
+        post_init = R.Permutation.__post_init__
+
+        def spy(self):
+            built.append(self)
+            post_init(self)
+        monkeypatch.setattr(R.Permutation, "__post_init__", spy)
+        clo = R.close_group(gens)
+        assert clo.size == 720
+        assert built == []
+        # elements builds every Permutation once, on first read.
+        assert clo.elements is clo.elements
+        assert len(built) == 720
+
 
 def _rescan_refine(neighbors, cells):
     """The refinement rule spelled out: after every split, rescan from cell 0."""

@@ -5,9 +5,9 @@ already optimal: no reweighting of total mass |E| can raise the second
 Laplacian eigenvalue (lower target) or lower the largest one (upper target).
 The package decides this through a pipeline of spectral clustering, symmetry
 reduction, isotypic decomposition, and a polyhedral certificate cone with
-exact rational arithmetic, with an embedding feasibility SDP only where an
-isotypic multiplicity exceeds one, falling back to a perturbation search that
-produces explicit witness weights when rigidity fails.
+exact rational arithmetic (a sub-cone behind the multiplicity bound where an
+isotypic multiplicity exceeds one), falling back to a perturbation search
+that produces explicit witness weights when rigidity fails.
 """
 
 from types import ModuleType as _ModuleType
@@ -70,15 +70,7 @@ from .pipeline import (
     emit_report,
     run_pipeline,
 )
-from .sdpfeas import (
-    CompressedOperators,
-    SdpResult,
-    SdpStatus,
-    compress_operators,
-    expand_gram,
-    orbit_laplacian,
-    solve_feasibility,
-)
+from .sdpfeas import orbit_laplacian
 from .spectra import (
     AmbiguousCluster,
     ConvergenceFailure,

@@ -77,17 +77,14 @@ TRANSITIONS: dict[str, tuple[str, ...]] = {
     "cluster": ("group", PipelineStatus.INCONCLUSIVE_SOLVER.value),
     "group": ("orbits",),
     "orbits": ("isotypics",),
-    "isotypics": ("cone", "sdp", PipelineStatus.INCONCLUSIVE_SOLVER.value),
+    "isotypics": ("cone", "mult_bound", PipelineStatus.INCONCLUSIVE_SOLVER.value),
     "cone": ("assemble", "disproof", PipelineStatus.INCONCLUSIVE_SOLVER.value),
-    "sdp": ("mult_bound", "disproof", PipelineStatus.INCONCLUSIVE_SOLVER.value),
-    "mult_bound": ("subcone", PipelineStatus.INCONCLUSIVE_NO_RANK1.value),
-    "subcone": (
-        "assemble",
-        PipelineStatus.INCONCLUSIVE_MULTIPLICITY.value,
-        PipelineStatus.INCONCLUSIVE_SOLVER.value,
-    ),
+    "mult_bound": ("subcone", "disproof"),
+    "subcone": ("assemble", "disproof", PipelineStatus.INCONCLUSIVE_SOLVER.value),
     "disproof": (
         PipelineStatus.DISPROVED.value,
+        PipelineStatus.INCONCLUSIVE_NO_RANK1.value,
+        PipelineStatus.INCONCLUSIVE_MULTIPLICITY.value,
         PipelineStatus.INCONCLUSIVE_SOLVER.value,
     ),
     "assemble": ("verify", PipelineStatus.INCONCLUSIVE_SOLVER.value),
@@ -99,13 +96,20 @@ TRANSITIONS: dict[str, tuple[str, ...]] = {
 }
 
 
+# The one branch whose disproof search, finding no witness, ends in each status.
+_NO_WITNESS_AFTER = {PipelineStatus.INCONCLUSIVE_NO_RANK1.value: "mult_bound",
+                    PipelineStatus.INCONCLUSIVE_MULTIPLICITY.value: "subcone"}
+
+
 def route_is_valid(route: tuple[str, ...]) -> bool:
-    """Check a report route against the static stage graph."""
+    """Check a report route against TRANSITIONS and _NO_WITNESS_AFTER."""
     if not route or route[0] != "spectrum":
         return False
     for a, b in zip(route, route[1:]):
         if b not in TRANSITIONS.get(a, ()):
             return False
+    if route[-2:-1] == ("disproof",) and route[-1] in _NO_WITNESS_AFTER:
+        return route[-3] == _NO_WITNESS_AFTER[route[-1]]
     return route[-1] in {s.value for s in PipelineStatus}
 
 
@@ -228,13 +232,14 @@ def reverify_report(payload: dict) -> bool:
     """Re-check a loaded report against its graph6 string.
 
     Every report must agree with itself: schema 2, n and m that match the
-    graph, and a route through TRANSITIONS that ends in the status. Past the
-    orbits stage, orbit_of holds one label per edge, orbit_sizes counts them,
-    and group_order is a positive multiple of every orbit size; before it,
-    they are empty and 0. A run that passed the isotypics stage (on to cone or
-    sdp), and any report that lists isotypics, must carry positive integer
-    triples whose irr_dim * mult sum to the dimension of the target
-    eigenspace, and whose endo_dim is 1, 2 or 4 and divides irr_dim. A
+    graph, and a route through TRANSITIONS that ends in the status (a route
+    through the sdp stage that earlier versions ran is no such path). Past
+    the orbits stage, orbit_of holds one label per edge, orbit_sizes counts
+    them, and group_order is a positive multiple of every orbit size; before
+    it, they are empty and 0. A run that passed the isotypics stage (on to
+    cone or mult_bound), and any report that lists isotypics, must carry
+    positive integer triples whose irr_dim * mult sum to the dimension of the
+    target eigenspace, and whose endo_dim is 1, 2 or 4 and divides irr_dim. A
     certified report must then carry a certificate that verify_certificate
     accepts, and a disproved one witness weights that verify_disproof
     accepts, with the achieved, baseline and margin it recomputes. The
@@ -294,7 +299,7 @@ def _reverify(payload: dict) -> bool:
         return False
     iso = payload["isotypics"]
     dec = None  # the uniform spectrum, shared with the checks below
-    if iso or "cone" in route or "sdp" in route:
+    if iso or "cone" in route or "mult_bound" in route:
         # Positive (irr_dim, mult, endo_dim) triples whose irr_dim * mult
         # dimensions add up to the target eigenspace. An irreducible is a
         # vector space over its endomorphism field R, C or H, whose dimension

@@ -2,12 +2,15 @@
 
 Subcommands: check (full pipeline), orbits, spectrum, disprove, batch.
 Exit codes: 0 certified / informational success, 1 disproved, 2 inconclusive
-(a failed eigensolve or an internal error included), 3 bad input or usage.
+(a failed eigensolve, an internal error, or output not delivered because the
+reader closed standard output early, included), 3 bad input or usage.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 import traceback
 from collections import Counter
@@ -146,13 +149,20 @@ def _cmd_check(args) -> int:
     reports = [
         run_pipeline(graph, t, cfg, graph_id=graph.name) for t in _targets(args.target)
     ]
+    blob = _json_reports(reports)
     if args.report:
-        blob = b"".join(emit_report(r, "JSON") for r in reports)
         Path(args.report).write_bytes(blob)
-    for r in reports:
-        out = emit_report(r, "JSON" if args.json else "TEXT")
-        sys.stdout.write(out.decode())
+    text = blob if args.json else b"".join(emit_report(r, "TEXT") for r in reports)
+    sys.stdout.write(text.decode())
     return _verdict_exit(reports)
+
+
+def _json_reports(reports: list[CertificationReport]) -> bytes:
+    """One report as emit_report writes it; several as one JSON array of them."""
+    if len(reports) == 1:
+        return emit_report(reports[0], "JSON")
+    payloads = [r.to_json_dict() for r in reports]  # as emit_report formats one
+    return (json.dumps(payloads, sort_keys=True, indent=2) + "\n").encode()
 
 
 def _cmd_spectrum(args) -> int:
@@ -322,7 +332,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout: output not delivered
+        # fd 1 goes to devnull, so the interpreter's last flush cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _EXIT_INCONCLUSIVE
     except (_UsageError, MalformedGraph6, DisconnectedGraph) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

@@ -2,8 +2,10 @@
 
 A run walks a fixed stage graph: spectrum -> cluster -> group -> orbits ->
 isotypics. When every multiplicity is one, cone membership (exact first)
-decides; otherwise SDP feasibility, the multiplicity bound and a sub-cone
-follow. The disproof search takes both infeasible branches.
+decides; otherwise the multiplicity bound and a sub-cone follow. Every branch
+that finds no certificate (a cone miss, a failed bound, a sub-cone miss) goes
+to the one disproof search, and a search without a witness ends in the
+undecided status that says why.
 Every outcome is a structured report, whose grammar lives in rigidity.check
 with the verifiers that decide whether a loaded report re-verifies.
 FAILURE_FLAGS is the one table of the module errors that end a run:
@@ -41,7 +43,6 @@ from .isotypics import (
     isotypic_decompose,
     multiplicity_bound_ok,
 )
-from .sdpfeas import SdpStatus, compress_operators, expand_gram, solve_feasibility
 from .spectra import (
     AmbiguousCluster,
     ConvergenceFailure,
@@ -105,7 +106,6 @@ class CertificationReport:
     isotypics: tuple[tuple[int, int, int], ...] = ()
     lam: float | None = None
     certificate: ConicCertificate | None = None
-    embedding_gram: np.ndarray | None = None
     disproof: Disproof | None = None
     residuals: dict = field(default_factory=dict)
     flags: tuple[str, ...] = ()
@@ -133,9 +133,6 @@ class CertificationReport:
                 "baseline": float(self.disproof.baseline),
                 "margin": float(self.disproof.margin),
             }
-        emb = None
-        if self.embedding_gram is not None:
-            emb = [[float(x) for x in row] for row in self.embedding_gram]
         return {
             "schema": 2,
             "graph_id": self.graph_id,
@@ -151,7 +148,6 @@ class CertificationReport:
             "isotypics": [list(t) for t in self.isotypics],
             "lambda": None if self.lam is None else float(self.lam),
             "certificate": cert,
-            "embedding_gram": emb,
             "disproof": disp,
             "residuals": {k: float(v) for k, v in sorted(self.residuals.items())},
             "flags": list(self.flags),
@@ -251,32 +247,16 @@ def run_pipeline(
             rep.flags += ("QUATERNIONIC_COMPONENT_UNTESTED",)
 
         # Multiplicity one everywhere: the full cone decides, and its miss is
-        # a verdict. Otherwise the SDP decides feasibility, and a sub-cone,
-        # whose miss proves nothing, looks for a certificate.
+        # a verdict. Otherwise a sub-cone, whose miss proves nothing, looks
+        # for a certificate where the multiplicity bound holds.
         full = all_multiplicity_one(iso)
         if not full:
-            run.stage("sdp")
-            co = compress_operators(cluster, part)
-            sdp = solve_feasibility(co)
-            rep.residuals["sdp"] = sdp.max_residual
-            rep.residuals["sdp_iterations"] = float(sdp.iterations)
-            if sdp.status is SdpStatus.LIKELY_INFEASIBLE:
-                return _disproof_stage(run, dec, cluster, part, cfg.seed,
-                                       "embedding SDP likely infeasible")
-            if sdp.status is SdpStatus.ITERATION_LIMIT:
-                return run.finish(
-                    PipelineStatus.INCONCLUSIVE_SOLVER,
-                    "SDP hit its iteration limit without a verdict",
-                    flag="SDP_ITERATION_LIMIT",
-                )
             run.stage("mult_bound")
             if not multiplicity_bound_ok(iso):
-                rep.embedding_gram = None if sdp.Z is None else expand_gram(co, sdp.Z)
-                return run.finish(
-                    PipelineStatus.INCONCLUSIVE_NO_RANK1,
+                return _disproof_stage(
+                    run, dec, cluster, part, cfg.seed,
                     "multiplicity bound fails: no single-eigenvector certificate "
-                    "guaranteed",
-                )
+                    "guaranteed", PipelineStatus.INCONCLUSIVE_NO_RANK1)
 
         run.stage("cone" if full else "subcone")
         cone = (build_cone if full else subcone_model)(iso, part, cfg.seed)
@@ -286,11 +266,11 @@ def run_pipeline(
             rep.flags += ("EXACT_UNAVAILABLE",)
         if not sol.feasible:
             if not full:
-                return run.finish(
-                    PipelineStatus.INCONCLUSIVE_MULTIPLICITY,
+                return _disproof_stage(
+                    run, dec, cluster, part, cfg.seed,
                     "multiplicities above one and the representative sub-cone missed "
                     "the target; exact route unavailable",
-                )
+                    PipelineStatus.INCONCLUSIVE_MULTIPLICITY)
             if sol.exact:
                 rep.flags += ("EXACT_CONE_INFEASIBLE",)
                 msg = ("orbit-size vector provably outside the certificate cone; "
@@ -298,7 +278,8 @@ def run_pipeline(
             else:
                 rep.flags += ("NUMERIC_CONE_INFEASIBLE",)
                 msg = "certificate cone membership failed numerically"
-            return _disproof_stage(run, dec, cluster, part, cfg.seed, msg)
+            return _disproof_stage(run, dec, cluster, part, cfg.seed, msg,
+                                   PipelineStatus.INCONCLUSIVE_SOLVER)
 
         run.stage("assemble")
         cert = assemble_certificate(cone, sol, cluster)
@@ -323,17 +304,19 @@ def run_pipeline(
                           f"{rep.route[-1]} stage failed: {exc}", flag=flag)
 
 
-def _disproof_stage(run: _Run, dec, cluster, part, seed: int,
-                    reason: str) -> CertificationReport:
+def _disproof_stage(run: _Run, dec, cluster, part, seed: int, reason: str,
+                    undecided: PipelineStatus) -> CertificationReport:
+    """Search for witness weights; without one, end in `undecided`, which says
+    why the branch before found no certificate."""
     rep = run.report
     run.stage("disproof")
     d = find_disproof(cluster, part, rep.target, seed, dec)
-    if d is None or not verify_disproof(rep.graph, d, rep.target):
-        return run.finish(
-            PipelineStatus.INCONCLUSIVE_SOLVER,
-            f"{reason}; no verified witness weights found",
-            flag=None if d is None else "DISPROOF_VERIFY_FAILED",
-        )
+    no_witness = f"{reason}; no verified witness weights found"
+    if d is None:
+        return run.finish(undecided, no_witness)
+    if not verify_disproof(rep.graph, d, rep.target):
+        return run.finish(PipelineStatus.INCONCLUSIVE_SOLVER, no_witness,
+                          flag="DISPROOF_VERIFY_FAILED")
     lower = rep.target is TargetKind.LOWER
     rep.residuals["disproof_lambda2" if lower else "disproof_lambda_max"] = d.achieved
     rep.disproof = d

@@ -4,13 +4,19 @@ The question "is there an eigenspace embedding whose edge (or orbit) energies
 hit prescribed targets" is a small SDP feasibility problem in the Gram matrix
 Z of the embedding coordinates. It is solved with Dykstra-corrected
 alternating projections between the PSD cone and the affine constraint set;
-no external solver is involved. The pipeline asks it only where an isotypic
-multiplicity exceeds one; elsewhere, by Schur's lemma, the cone LP decides it.
+no external solver is involved. The pipeline never asks it: where every
+isotypic multiplicity is one, the cone LP decides the same question by Schur's
+lemma, and above one the multiplicity bound, the sub-cone and the disproof
+search take its place, since its verdict alone never decided a run.
 
 Its size is that of the eigenspace, not of the graph: s operators of d x d,
 built from the m x d incidence form D = B[us] - B[vs] of the basis B, in
 O(m d^2). One thin pseudo-inverse of the s x d^2 operator matrix, an SVD in
 O(s d^4), then serves every affine projection.
+
+It stays because tests/test_properties.py checks the cone against it,
+perfbench/spans.py::TRACED and its tests name compress_operators,
+solve_feasibility and orbit_laplacian, and certify calls orbit_laplacian.
 """
 
 from __future__ import annotations
@@ -171,9 +177,3 @@ def solve_feasibility(
     c = float(np.sum(co.targets)) / tr if tr > 0 else 1.0
     ops = co.ops.reshape(len(co.ops), -1)
     return _dykstra(ops, co.targets, co.d, SDP_TOL, max_iter, c * np.eye(co.d))
-
-
-def expand_gram(co: CompressedOperators, Z: np.ndarray) -> np.ndarray:
-    """Re-expand a compressed Gram matrix to vertex space: Phi = B Z B^T."""
-    B = co.basis
-    return B @ Z @ B.T

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import rigidity as R
+from rigidity import sdpfeas
 from rigidity.cli import main as cli_main
 
 import fixtures as fx
@@ -186,8 +187,8 @@ def test_criterion_07_c5_sdp_vs_per_edge(battery_reports):
         g = fx.c5()
         cl = _cluster(g)
         part = R.edge_orbits(R.automorphism_generators(g))
-        res = R.solve_feasibility(R.compress_operators(cl, part))
-        assert res.status is R.SdpStatus.FEASIBLE
+        res = sdpfeas.solve_feasibility(sdpfeas.compress_operators(cl, part))
+        assert res.status is sdpfeas.SdpStatus.FEASIBLE
         assert np.linalg.matrix_rank(res.Z) == 2
         # no single vector solves the per-edge (1-dimensional) system
         singles = R.edge_orbits(R.GroupGenerators(g, ()))
@@ -226,13 +227,13 @@ def test_criterion_09_symmetry_reduced_constraint_counts():
         gens = fx.lift_product_gens(fx.desargues(), fx.c5(), prod)
         part = R.edge_orbits(gens)
         cl = _cluster(prod)
-        orbit_ops = R.compress_operators(cl, part)
+        orbit_ops = sdpfeas.compress_operators(cl, part)
         singles = R.edge_orbits(R.GroupGenerators(prod, ()))
-        edge_ops = R.compress_operators(cl, singles)
+        edge_ops = sdpfeas.compress_operators(cl, singles)
         assert len(orbit_ops.ops) <= 10
         assert len(edge_ops.ops) == 250
-        r_orbit = R.solve_feasibility(orbit_ops)
-        r_edge = R.solve_feasibility(edge_ops)
+        r_orbit = sdpfeas.solve_feasibility(orbit_ops)
+        r_edge = sdpfeas.solve_feasibility(edge_ops)
         assert r_orbit.status is r_edge.status
 
 

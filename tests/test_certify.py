@@ -8,7 +8,7 @@ import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 import rigidity as R
-from rigidity import certify
+from rigidity import certify, sdpfeas
 
 import fixtures as fx
 
@@ -291,7 +291,7 @@ class TestRayleighCompression:
         cl = _cluster(g)
         gens = fx.rotation_gens(g, nrot)
         part = R.edge_orbits(gens)
-        co = R.compress_operators(cl, part)
+        co = sdpfeas.compress_operators(cl, part)
         y = rng.uniform(-1.0, 1.0, size=len(co.ops))
         M = np.sum([yi * op for yi, op in zip(y, co.ops)], axis=0)
         lam_min = float(np.linalg.eigvalsh(M)[0])

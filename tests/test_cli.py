@@ -1,7 +1,10 @@
 import argparse
 import functools
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +97,29 @@ class TestCheck:
         assert payload["status"] == "CERTIFIED_EXACT"
         assert sorted(payload["certificate"]["a"]) == ["0", "1", "1/3"]
 
+    def test_both_targets_give_one_json_array(self, tmp_path, capsys):
+        # Two reports back to back would not be one JSON document.
+        p = tmp_path / "c5.g6"
+        p.write_text(R.to_graph6(fx.c5()) + "\n")
+        report = tmp_path / "out.json"
+        assert main(["check", str(p), "--report", str(report), "--json"]) == 0
+        payloads = json.loads(report.read_bytes())
+        assert json.loads(capsys.readouterr().out) == payloads
+        assert [x["target"] for x in payloads] == ["LOWER", "UPPER"]
+        assert all(R.reverify_report(x) for x in payloads)
+
+    def test_one_target_report_is_the_emitted_report(self, tmp_path, capsys):
+        p = tmp_path / "c5.g6"
+        p.write_text(R.to_graph6(fx.c5()) + "\n")
+        report = tmp_path / "out.json"
+        assert main(["check", str(p), "--target", "lower",
+                     "--report", str(report), "--json"]) == 0
+        rep = R.run_pipeline(fx.c5(), R.TargetKind.LOWER, R.PipelineConfig(),
+                             graph_id="c5")
+        blob = R.emit_report(rep, "JSON")
+        assert report.read_bytes() == blob
+        assert capsys.readouterr().out == blob.decode()
+
     def test_both_targets_mixed_verdict(self, tmp_path, capsys):
         g = fx.z12()
         gfile = tmp_path / "z12.txt"
@@ -151,6 +177,32 @@ class TestOrbits:
         assert "group order 1\n" in out
         assert out.endswith("".join(f"  orbit {o}: [({o}, {o + 1})]\n"
                                     for o in range(m)))
+
+
+    def test_reader_closing_early_is_no_internal_error(self, tmp_path):
+        # 5,000 orbit lines overflow the pipe, so the CLI is still writing
+        # when the reader stops after the first line. The identity as the
+        # one generator skips the automorphism search.
+        m = 5000
+        gfile = tmp_path / "path.txt"
+        gfile.write_text("".join(f"{v} {v + 1}\n" for v in range(m)))
+        gens = tmp_path / "identity.json"
+        gens.write_text(json.dumps([list(range(m + 1))]))
+        src = str(Path(R.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (
+                   src, os.environ.get("PYTHONPATH"))))}
+        with subprocess.Popen(
+                [sys.executable, "-m", "rigidity", "orbits", str(gfile),
+                 "--group", f"file:{gens}"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert first == b"group order 1\n"
+        assert code == 2
+        assert "internal error" not in err and "Traceback" not in err
 
 
 class TestLoadGraph:

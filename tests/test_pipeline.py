@@ -29,12 +29,8 @@ def _run_with(monkeypatch, name, value, graph, target=LOWER, **kw):
         return _run(graph, target, **kw)
 
 
-# The SDP stops before its first iteration: status ITERATION_LIMIT.
-_SDP_NO_ITERATIONS = functools.partial(R.solve_feasibility, max_iter=0)
-
-
 def _c5_trivial():
-    """C5 under the trivial group: lambda_2 has multiplicity 2, so the SDP runs."""
+    """C5 under the trivial group: lambda_2 has multiplicity 2 and fails the bound."""
     return fx.c5(), {"group": R.GroupGenerators(fx.c5(), ())}
 
 
@@ -103,6 +99,22 @@ class TestTransitions:
         for rep in battery_reports.values():
             assert R.route_is_valid(rep.route), rep.route
 
+    # A search without a witness ends in the status of the branch before it.
+    @pytest.mark.parametrize("branch,status,valid", [
+        ("cone", "INCONCLUSIVE_SOLVER", True),
+        ("mult_bound", "INCONCLUSIVE_NO_RANK1", True),
+        ("subcone", "INCONCLUSIVE_MULTIPLICITY", True),
+        ("cone", "INCONCLUSIVE_NO_RANK1", False),
+        ("cone", "INCONCLUSIVE_MULTIPLICITY", False),
+        ("mult_bound", "INCONCLUSIVE_MULTIPLICITY", False),
+        ("subcone", "INCONCLUSIVE_NO_RANK1", False),
+    ])
+    def test_undecided_status_names_the_branch_before_the_search(
+            self, branch, status, valid):
+        head = ("spectrum", "cluster", "group", "orbits", "isotypics")
+        head += ("mult_bound",) if branch == "subcone" else ()
+        assert R.route_is_valid(head + (branch, "disproof", status)) is valid
+
     def test_route_is_valid_rejects_gibberish(self):
         assert not R.route_is_valid(("spectrum", "cone"))
         assert not R.route_is_valid(("cluster",))
@@ -163,23 +175,47 @@ class TestStatuses:
         assert rep.certificate is not None and not rep.certificate.exact
 
     def test_inconclusive_no_rank1(self):
+        # The bound fails, and the disproof search finds no witness.
         rep = _run(fx.c5(), group=R.GroupGenerators(fx.c5(), ()))
         assert rep.status is R.PipelineStatus.INCONCLUSIVE_NO_RANK1
-        assert rep.embedding_gram is not None
+        assert rep.route[-3:] == ("mult_bound", "disproof",
+                                  "INCONCLUSIVE_NO_RANK1")
 
     def test_inconclusive_multiplicity(self):
+        # The bound holds, the sub-cone misses, and the search finds no witness.
         c5 = fx.c5()
         prod = R.cartesian_product(c5, c5)
         rep = _run(prod, group=fx.diagonal_gens(c5, prod))
         assert rep.status is R.PipelineStatus.INCONCLUSIVE_MULTIPLICITY
-        assert "subcone" in rep.route
+        assert rep.route[-3:] == ("subcone", "disproof",
+                                  "INCONCLUSIVE_MULTIPLICITY")
 
-    def test_inconclusive_solver_iteration_limit(self, monkeypatch):
-        graph, kw = _c5_trivial()
-        rep = _run_with(monkeypatch, "solve_feasibility", _SDP_NO_ITERATIONS,
-                        graph, **kw)
-        assert rep.status is R.PipelineStatus.INCONCLUSIVE_SOLVER
-        assert "SDP_ITERATION_LIMIT" in rep.flags
+    def test_failed_multiplicity_bound_can_still_be_disproved(self):
+        # atlas-136 of the benchmark: lambda_max's eigenspace is two copies
+        # of one 1-dimensional irreducible, the bound fails, and the search
+        # finds a witness that verifies.
+        rep = _run(R.parse_graph6("E~^G"), UPPER)
+        assert rep.status is R.PipelineStatus.DISPROVED
+        assert rep.route[-3:] == ("mult_bound", "disproof", "DISPROVED")
+        assert R.verify_disproof(rep.graph, rep.disproof, UPPER)
+
+    def test_no_run_solves_the_sdp(self, monkeypatch):
+        calls, real = [], sdpfeas.solve_feasibility
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sdpfeas, "solve_feasibility", spy)
+        c5 = fx.c5()
+        prod = R.cartesian_product(c5, c5)
+        runs = [(g, target, {}) for g in fx.battery() for target in (LOWER, UPPER)]
+        runs += [(c5, LOWER, {"group": R.GroupGenerators(c5, ())}),
+                 (prod, LOWER, {"group": fx.diagonal_gens(c5, prod)}),
+                 (R.parse_graph6("E~^G"), UPPER, {})]
+        routes = [_run(g, target, **kw).route for g, target, kw in runs]
+        assert sum("mult_bound" in route for route in routes) == 3
+        assert calls == []
 
     # c5 builds the full cone; c5 x c5 under its diagonal C5 a sub-cone.
     @pytest.mark.parametrize("name,case", [
@@ -234,14 +270,12 @@ class TestStatuses:
         assert "EIGENSOLVE_FAILED" in rep.flags
         assert R.route_is_valid(rep.route)
 
-    # Petersen LOWER runs the isotypic decomposition; C5 under the trivial
-    # group goes on to the SDP.
+    # Petersen LOWER runs the isotypic decomposition.
     @pytest.mark.parametrize("module,name,stage,case", [
-        (sdpfeas, "_psd_clip", "sdp", _c5_trivial),
         (isotypics, "_commutant", "isotypics", lambda: (fx.petersen(), {})),
         (isotypics, "_split_by_eigenvalues", "isotypics",
          lambda: (fx.petersen(), {})),
-    ], ids=["psd_clip", "commutant", "split"])
+    ], ids=["commutant", "split"])
     def test_lapack_failure_is_inconclusive(self, monkeypatch, module, name,
                                             stage, case):
         monkeypatch.setattr(module, name, _lapack_fails)
@@ -322,12 +356,13 @@ class TestStatuses:
     def test_all_six_statuses_constructible(self, battery_reports,
                                             z12_exact_report, monkeypatch):
         c5, trivial = _c5_trivial()
+        line_search_fails = _raises(R.LineSearchFailed("line search injected"))
         seen = {battery_reports[("barbell", LOWER)].status,
                 battery_reports[("circulant(5,{1})", LOWER)].status,
                 z12_exact_report.status,
                 _run(c5, **trivial).status,
-                _run_with(monkeypatch, "solve_feasibility",
-                          _SDP_NO_ITERATIONS, c5, **trivial).status}
+                _run_with(monkeypatch, "find_disproof", line_search_fails,
+                          fx.barbell()).status}
         prod = R.cartesian_product(c5, c5)
         seen.add(_run(prod, group=fx.diagonal_gens(c5, prod)).status)
         assert seen == set(R.PipelineStatus)
@@ -489,7 +524,7 @@ class TestReportSerialization:
                                     tensegrity_report):
         top = {"schema", "graph_id", "graph6", "n", "m", "target", "route",
                "status", "group_order", "orbit_of", "orbit_sizes", "isotypics",
-               "lambda", "certificate", "embedding_gram", "disproof",
+               "lambda", "certificate", "disproof",
                "residuals", "flags", "message"}
         cert_keys = {"a", "vectors", "lambda", "exact", "eigen_residual",
                      "orbit_residual", "flags"}
@@ -524,14 +559,24 @@ class TestReverification:
     def test_gram_matrix_is_no_certificate(self):
         rep = _run(fx.c5(), group=R.GroupGenerators(fx.c5(), ()))
         payload = json.loads(R.emit_report(rep, "JSON"))
-        assert payload["embedding_gram"] is not None
+        assert payload["route"][-2:] == ["disproof", "INCONCLUSIVE_NO_RANK1"]
         assert R.reverify_report(payload)
         payload["status"] = "CERTIFIED_NUMERIC"
         assert not R.reverify_report(payload)
         # a route that may end in that status does not stand in for a certificate
-        payload["route"][-1:] = ["subcone", "assemble", "verify", "CERTIFIED_NUMERIC"]
+        payload["route"][-2:] = ["subcone", "assemble", "verify", "CERTIFIED_NUMERIC"]
+        assert payload["route"][-5] == "mult_bound"
         assert R.route_is_valid(tuple(payload["route"]))
         assert not R.reverify_report(payload)
+
+    def test_route_through_the_sdp_no_longer_reverifies(self):
+        # Earlier versions disproved atlas-136 UPPER after an infeasible SDP.
+        rep = _run(R.parse_graph6("E~^G"), UPPER)
+        payload = json.loads(R.emit_report(rep, "JSON"))
+        assert R.reverify_report(payload)
+        payload["route"][-3:] = ["sdp", "disproof", "DISPROVED"]
+        assert payload["route"][-4] == "isotypics"
+        assert R.reverify_report(payload) is False
 
     @pytest.mark.parametrize("name,key", [
         ("verify_certificate", ("petersen", LOWER)),
@@ -821,5 +866,5 @@ def _readme_flags() -> set[str]:
 
 class TestReadmeFlagTable:
     def test_table_lists_every_flag_the_pipeline_raises(self):
-        assert len(_pipeline_flags()) == 14
+        assert len(_pipeline_flags()) == 13
         assert _readme_flags() == _pipeline_flags()

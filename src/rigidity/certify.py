@@ -496,12 +496,9 @@ def find_disproof(
         accepted = None
         delta = DELTA_MAX
         while delta >= DELTA_MIN:
+            # Sums to >= m - 1e-7: HiGHS holds <O, y> = 0, and clipping only raises.
             cand = np.clip(w + delta * dy, 0.0, None)
-            ssum = float(cand.sum())
-            if ssum <= 0:
-                delta *= 0.5
-                continue
-            cand *= m / ssum
+            cand *= m / float(cand.sum())
             if _interlacing_rejects(graph, D, cand, thr, kind):
                 delta *= 0.5
                 continue

@@ -218,7 +218,7 @@ def _cmd_disprove(args) -> int:
     part = edge_orbits(gens)
     try:
         d = find_disproof(cluster, part, kind, cfg.seed, dec)
-        verified = d is not None and verify_disproof(graph, d, kind)
+        verified = d is not None and verify_disproof(graph, d, kind, dec)
     except LineSearchFailed as exc:
         print(f"line search failed: {exc}")
         return _EXIT_INCONCLUSIVE

@@ -285,7 +285,7 @@ def run_pipeline(
         cert = assemble_certificate(cone, sol, cluster)
         run.stage("verify")
         vectors = list(zip(cert.coeffs, cert.reps))
-        ver = verify_certificate(part, vectors, cert.lam, target)
+        ver = verify_certificate(part, vectors, cert.lam, target, dec)
         rep.residuals["certificate_orbit"] = cert.orbit_residual
         rep.residuals["certificate_eigen"] = cert.eigen_residual
         if not ver.ok:
@@ -314,7 +314,7 @@ def _disproof_stage(run: _Run, dec, cluster, part, seed: int, reason: str,
     no_witness = f"{reason}; no verified witness weights found"
     if d is None:
         return run.finish(undecided, no_witness)
-    if not verify_disproof(rep.graph, d, rep.target):
+    if not verify_disproof(rep.graph, d, rep.target, dec):
         return run.finish(PipelineStatus.INCONCLUSIVE_SOLVER, no_witness,
                           flag="DISPROOF_VERIFY_FAILED")
     lower = rep.target is TargetKind.LOWER

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import heapq
 import json
+from itertools import accumulate
 from dataclasses import dataclass
-from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
@@ -20,8 +20,8 @@ import numpy as np
 
 from .graphcore import EdgeOrbitPartition, Graph
 
-SEARCH_BUDGET_DEFAULT = 200_000
-CLOSURE_CAP_DEFAULT = 200_000
+SEARCH_BUDGET = 200_000  # refinement nodes automorphism_generators may expand
+CLOSURE_CAP = 200_000    # elements close_group may list
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -29,7 +29,7 @@ class SearchBudgetExceeded(RuntimeError):
 
 
 class CapExceeded(RuntimeError):
-    """Group closure grew past the configured cap."""
+    """Group closure grew past CLOSURE_CAP elements."""
 
 
 @dataclass(frozen=True)
@@ -79,24 +79,9 @@ class GroupGenerators:
 
 @dataclass(frozen=True)
 class GroupClosure:
-    """A fully enumerated subgroup of Aut(G).
+    """The order of a generated subgroup of Aut(G); no element is kept."""
 
-    `images` holds each element's image in close_group's encoding (bytes for
-    n <= 256, else a tuple of ints), starting with the identity and then in
-    close_group's breadth-first order. `elements` builds the same elements as
-    Permutations on first read; `size` builds none.
-    """
-
-    graph: Graph
-    images: tuple[bytes | tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.images)
-
-    @cached_property
-    def elements(self) -> tuple[Permutation, ...]:
-        return tuple(map(Permutation, self.images))
+    size: int
 
 
 @dataclass(frozen=True)
@@ -146,70 +131,90 @@ def _refine(
     (default: all); a caller that changed a few cells of an equitable
     partition passes only those.
 
-    The partition is kept as one vertex array `lab` in which each cell is a
-    run of positions named by its first one. Live cells wait in a heap of
-    those positions, so the first live cell is always the next splitter, and
-    each splitter's neighbor counts go into one reused array.
+    `lab` lists the vertices cell by cell; a cell is an id holding a run of
+    positions, and live cells wait in a heap of their starts. A split swaps
+    the touched vertices into one end of the cell as its sub-cells, so it
+    costs time in proportion to them. After a splitter P, or from the start
+    for a cell not marked live, every cell has one count into P, so for S in
+    P the counts into the rest of P order a cell as those into S, reversed,
+    with untouched vertices last; the smaller of S and that rest (ref: the
+    last such P) is scanned. So a path, where small cells split off a big one
+    at every step, refines in linear time. Output cells are in input order.
     """
     n = len(neighbors)
-    lab: list[int] = []
-    end = [0] * n        # end[p]: one past the cell that starts at position p
-    cell_at = [0] * n    # cell_at[v]: start of the cell holding vertex v
-    starts = []
-    for c in cells:
-        p = len(lab)
-        starts.append(p)
-        lab += c
-        end[p] = len(lab)
-        for v in c:
-            cell_at[v] = p
-    queue = starts if live is None else [starts[i] for i in live]
+    lab = [v for cell in cells for v in cell]
+    end = list(accumulate(map(len, cells)))  # cell c holds positions
+    start = [e - len(c) for e, c in zip(end, cells)]  # start[c] to end[c]
+    at = [0] * n                     # at[p]: the cell that starts at p
+    pos, cell_of = [0] * n, [0] * n  # where vertex v is, and in which cell
+    for c, cell in enumerate(cells):
+        at[start[c]] = c
+        for i, v in enumerate(cell, start[c]):
+            pos[v] = i
+            cell_of[v] = c
+    rank = pos[:]                    # rank[v]: the position of v in the input
+    marked = range(len(cells)) if live is None else set(live)
+    ref = list(zip(start, end))      # an inert cell is its own last splitter
+    for c in marked:
+        ref[c] = None
+    queue = [start[c] for c in marked]
     heapq.heapify(queue)
     queued = set(queue)
     count = [0] * n
     splits = n - len(cells)  # a discrete partition splits no further
     while queue and splits:
-        s = heapq.heappop(queue)
+        c = at[heapq.heappop(queue)]
+        s, e = start[c], end[c]
         queued.remove(s)
+        r = ref[c]
+        flip = r is not None and r[1] - r[0] < 2 * (e - s)
+        ref[c] = (s, e)
         touched = []
-        for u in lab[s:end[s]]:
+        for u in (lab[r[0]:s] + lab[e:r[1]] if flip else lab[s:e]):
             for w in neighbors[u]:
                 if not count[w]:
                     touched.append(w)
                 count[w] += 1
-        for p in {cell_at[w] for w in touched}:
-            q = end[p]
-            if q - p == 1:
-                continue
+        by_cell: dict[int, list[int]] = {}
+        for w in touched:
+            x = cell_of[w]
+            if end[x] - start[x] > 1:
+                by_cell.setdefault(x, []).append(w)
+        for x, moved in by_cell.items():
             groups: dict[int, list[int]] = {}
-            for v in lab[p:q]:
+            for v in moved:
                 groups.setdefault(count[v], []).append(v)
-            if len(groups) == 1:
+            rest = end[x] - start[x] - len(moved)  # untouched vertices
+            if not rest and len(groups) == 1:
                 continue
-            splits -= len(groups) - 1
-            for key in sorted(groups):
-                part = groups[key]
-                e = p + len(part)
-                lab[p:e] = part
-                end[p] = e
-                for v in part:
-                    cell_at[v] = p
+            splits -= len(groups) - (not rest)
+            if flip:
+                t, start[x] = start[x], start[x] + len(moved)
+            else:
+                t = end[x] = end[x] - len(moved)
+            subs = []
+            if rest:
+                at[start[x]] = x
+                subs.append(start[x])
+            for key in sorted(groups, reverse=flip):
+                y = at[t] = len(start)
+                subs.append(t)
+                start.append(t)
+                end.append(t + len(groups[key]))
+                ref.append(ref[x])
+                for v in groups[key]:  # swap v into t, and what was at t out
+                    u, i = lab[t], pos[v]
+                    lab[i], pos[u] = u, i
+                    lab[t], pos[v], cell_of[v] = v, t, y
+                    t += 1
+            for p in subs:
                 if p not in queued:
                     queued.add(p)
                     heapq.heappush(queue, p)
-                p = e
         for w in touched:
             count[w] = 0
-    return [lab[p:end[p]] for p in sorted(set(cell_at))]
-
-
-def _target_cell(cells: list[list[int]]) -> int:
-    best = -1
-    best_size = None
-    for i, cell in enumerate(cells):
-        if len(cell) > 1 and (best_size is None or len(cell) < best_size):
-            best, best_size = i, len(cell)
-    return best
+    out = [lab[p:end[at[p]]] for p in sorted({start[c] for c in set(cell_of)})]
+    return [sorted(c, key=rank.__getitem__) if len(c) > 1 else c for c in out]
 
 
 class _UnionFind:
@@ -240,7 +245,6 @@ class _UnionFind:
 def automorphism_generators(
     graph: Graph,
     fixed: Iterable[int] = (),
-    budget: int = SEARCH_BUDGET_DEFAULT,
 ) -> GroupGenerators:
     """Generators of the subgroup of Aut(G) pointwise-fixing `fixed`.
 
@@ -251,7 +255,7 @@ def automorphism_generators(
     refines the seed partition with every cell live. A child node differs
     from its equitable parent only in the two cells that individualizing a
     vertex creates, so it refines with just those two live. Raises
-    SearchBudgetExceeded when more than `budget` refinement nodes are
+    SearchBudgetExceeded when more than SEARCH_BUDGET refinement nodes are
     expanded; supply generators externally in that case.
     """
     n = graph.n
@@ -275,9 +279,9 @@ def automorphism_generators(
                 live: tuple[int, int] | None = None) -> None:
         nonlocal nodes, base
         nodes += 1
-        if nodes > budget:
+        if nodes > SEARCH_BUDGET:
             raise SearchBudgetExceeded(
-                f"automorphism search exceeded {budget} refinement nodes"
+                f"automorphism search exceeded {SEARCH_BUDGET} refinement nodes"
             )
         cells = _refine(nbrs, cells, live)
         shape = tuple(len(c) for c in cells)
@@ -300,7 +304,8 @@ def automorphism_generators(
                 for v in range(n):
                     orbits.union(v, sigma.image[v])
             return
-        t = _target_cell(cells)
+        # Branch on the first of the smallest cells that are not singletons.
+        t = min((i for i, c in enumerate(cells) if len(c) > 1), key=lambda i: len(cells[i]))
         tried: list[int] = []
         for v in sorted(cells[t]):
             if depth == 0 and any(orbits.same(v, u) for u in tried):
@@ -315,27 +320,23 @@ def automorphism_generators(
     return GroupGenerators(graph, tuple(gens))
 
 
-def close_group(gens: GroupGenerators, cap: int = CLOSURE_CAP_DEFAULT) -> GroupClosure:
-    """Breadth-first closure of the generated subgroup.
+def close_group(gens: GroupGenerators) -> GroupClosure:
+    """Order of the generated subgroup, by breadth-first closure.
 
     Each frontier element e, in BFS order, is multiplied by every generator
     g in turn to give g∘e. Elements stay plain images during the loop, and
-    `seen`, an insertion-ordered dict, is the only store; its keys become
-    the closure's `images`. The encoding is picked once, by n:
+    the set `seen` is the only store; only its size is returned. The
+    encoding is picked once, by n:
     - n <= 256: one byte per vertex. Each generator becomes a 256-byte
       translation table, its image padded with the identity on n..255, so
       e.translate(table) is the image of g∘e in one C call. 256 is the limit
       because a byte, and so a translation table's index, holds 0..255.
     - n > 256: a tuple of ints. `itemgetter(*e)` is built once per e, and
       applied to g's image it gives the image of g∘e.
-    No Permutation is built per element; GroupClosure.elements builds them
-    only when read.
+    No Permutation is built per element.
 
-    Raises CapExceeded when the subgroup grows past `cap`; callers should
-    fall back to a smaller generating set.
+    Raises CapExceeded when the subgroup grows past CLOSURE_CAP.
     """
-    if cap < 1:
-        raise ValueError("cap must be positive")
     n = gens.graph.n
     if n <= 256:
         pad = bytes(range(n, 256))
@@ -348,7 +349,7 @@ def close_group(gens: GroupGenerators, cap: int = CLOSURE_CAP_DEFAULT) -> GroupC
         # Graph has n >= 2, so itemgetter with n indices returns a tuple.
         def after(e):
             return itemgetter(*e)
-    seen = {ident: None}
+    seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
@@ -357,12 +358,12 @@ def close_group(gens: GroupGenerators, cap: int = CLOSURE_CAP_DEFAULT) -> GroupC
             for g in maps:
                 h = after_e(g)
                 if h not in seen:
-                    if len(seen) + 1 > cap:
-                        raise CapExceeded(f"group closure exceeded cap {cap}")
-                    seen[h] = None
+                    if len(seen) >= CLOSURE_CAP:
+                        raise CapExceeded(f"group closure exceeded cap {CLOSURE_CAP}")
+                    seen.add(h)
                     nxt.append(h)
         frontier = nxt
-    return GroupClosure(gens.graph, tuple(seen))
+    return GroupClosure(len(seen))
 
 
 def edge_permutation(graph: Graph, sigma: Permutation) -> np.ndarray:

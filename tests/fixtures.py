@@ -155,6 +155,24 @@ def inverse(sigma):
     return R.Permutation(tuple(int(v) for v in np.argsort(sigma.image)))
 
 
+def compose_closure(gens):
+    """Every element of the generated group, by breadth-first closure spelled
+    out with Permutation.compose: the identity first, then each frontier
+    element e times every generator g, as g.compose(e)."""
+    ident = R.Permutation.identity(gens.graph.n)
+    elements, frontier = [ident], [ident]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in gens.gens:
+                h = g.compose(e)
+                if h not in elements:
+                    elements.append(h)
+                    nxt.append(h)
+        frontier = nxt
+    return elements
+
+
 def orbit_mean(w, part):
     """w with each edge replaced by the mean over its orbit.
 

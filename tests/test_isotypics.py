@@ -203,7 +203,7 @@ class TestCommutant:
         B, d = cl.basis, cl.basis.shape[1]
         N = I._commutant(I._generator_action(cl, gens), d)
         X = rng.standard_normal((d, d))
-        elements = R.close_group(gens).elements
+        elements = fx.compose_closure(gens)
         avg = np.zeros((d, d))
         for sigma in elements:
             PB = np.empty_like(B)

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import json
 import re
 import time
@@ -11,7 +10,7 @@ import pytest
 
 import rigidity as R
 import rigidity.pipeline as P
-from rigidity import check, isotypics, sdpfeas, spectra
+from rigidity import check, isotypics, sdpfeas, spectra, symmetry
 
 import fixtures as fx
 
@@ -133,10 +132,9 @@ class TestStatuses:
             assert rep.disproof is not None
             assert R.verify_disproof(rep.graph, rep.disproof, target)
 
-    def test_disproof_reuses_the_uniform_spectrum(self, monkeypatch):
-        # find_disproof takes the spectrum stage's decomposition; only
-        # verify_disproof, the independent check, solves L(1) again.
-        g = fx.barbell()
+    @staticmethod
+    def _solves(g, monkeypatch):
+        """The run's status, its eig_sym calls, and those on the uniform L."""
         L = R.laplacian(g, R.WeightVector.uniform(g))
         uniform, real = [], R.eig_sym
 
@@ -144,10 +142,20 @@ class TestStatuses:
             uniform.append(np.array_equal(A, L))
             return real(A)
 
-        monkeypatch.setattr("rigidity.spectra.eig_sym", spy)
-        monkeypatch.setattr("rigidity.check.eig_sym", spy)
-        assert _run(g).status is R.PipelineStatus.DISPROVED
-        assert sum(uniform) == 2
+        for module in ("spectra", "check", "certify"):
+            monkeypatch.setattr(f"rigidity.{module}.eig_sym", spy)
+        return _run(g).status, len(uniform), sum(uniform)
+
+    def test_disproof_reuses_the_uniform_spectrum(self, monkeypatch):
+        # find_disproof and verify_disproof take the spectrum stage's
+        # decomposition; the other 7 solves are of trials and the witness.
+        assert self._solves(fx.barbell(), monkeypatch) == (
+            R.PipelineStatus.DISPROVED, 8, 1)
+
+    def test_certificate_reuses_the_uniform_spectrum(self, monkeypatch):
+        # verify_certificate takes the spectrum stage's decomposition.
+        assert self._solves(fx.petersen(), monkeypatch) == (
+            R.PipelineStatus.CERTIFIED_EXACT, 1, 1)
 
     def test_certified_battery(self, battery_reports):
         certified = {R.PipelineStatus.CERTIFIED_EXACT,
@@ -370,15 +378,14 @@ class TestStatuses:
 
 class TestGroupHandling:
     def test_cap_exceeded_falls_back_to_trivial(self, monkeypatch):
-        rep = _run_with(monkeypatch, "close_group",
-                        functools.partial(R.close_group, cap=5), fx.petersen())
+        monkeypatch.setattr(symmetry, "CLOSURE_CAP", 5)
+        rep = _run(fx.petersen())
         assert "GROUP_CAP_EXCEEDED" in rep.flags
         assert rep.group_order == 1
 
     def test_budget_exceeded_falls_back_to_trivial(self, monkeypatch):
-        rep = _run_with(monkeypatch, "automorphism_generators",
-                        functools.partial(R.automorphism_generators, budget=1),
-                        fx.petersen())
+        monkeypatch.setattr(symmetry, "SEARCH_BUDGET", 1)
+        rep = _run(fx.petersen())
         assert "GROUP_SEARCH_BUDGET_EXCEEDED" in rep.flags
         assert rep.group_order == 1
 

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import rigidity as R
-from rigidity import certify, sdpfeas
+from rigidity import certify, sdpfeas, symmetry
 
 import fixtures as fx
 
@@ -151,7 +152,8 @@ def test_symmetrization_is_monotone(g, data):
                               min_size=m, max_size=m))
     w = R.WeightVector(tuple(vals))
     try:
-        gens = R.automorphism_generators(g, budget=20000)
+        with mock.patch.object(symmetry, "SEARCH_BUDGET", 20000):
+            gens = R.automorphism_generators(g)
     except R.SearchBudgetExceeded:
         assume(False)
     ws = fx.orbit_mean(w.normalize(), R.edge_orbits(gens))
@@ -188,7 +190,8 @@ def test_orbit_partition_and_energy_totals(g, data):
     phi = np.array(data.draw(
         st.lists(st.floats(-2, 2, allow_nan=False), min_size=g.n, max_size=g.n)))
     try:
-        gens = R.automorphism_generators(g, budget=20000)
+        with mock.patch.object(symmetry, "SEARCH_BUDGET", 20000):
+            gens = R.automorphism_generators(g)
     except R.SearchBudgetExceeded:
         assume(False)
     part = R.edge_orbits(gens)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import networkx as nx
 import numpy as np
@@ -21,8 +22,8 @@ def _vf2_automorphism_count(g):
     return sum(1 for _ in gm.isomorphisms_iter())
 
 
-def _closure(g, **kw):
-    return R.close_group(R.automorphism_generators(g, **kw))
+def _closure(g):
+    return R.close_group(R.automorphism_generators(g))
 
 
 class TestPermutation:
@@ -76,9 +77,9 @@ class TestSearch:
     def test_fixed_vertex_stabilizer(self):
         g = fx.c5()
         st = R.automorphism_generators(g, fixed=(0,))
-        clo = R.close_group(st)
-        assert clo.size == 2
-        assert all(s(0) == 0 for s in clo.elements)
+        assert R.close_group(st).size == 2
+        elements = fx.compose_closure(st)
+        assert len(elements) == 2 and all(s(0) == 0 for s in elements)
 
     @pytest.mark.parametrize("make,order", [(fx.petersen, 12), (fx.barbell, 2)])
     def test_repeated_fixed_vertex_is_fixed_once(self, make, order):
@@ -89,39 +90,16 @@ class TestSearch:
         rep = R.run_pipeline(g, R.TargetKind.LOWER, R.PipelineConfig(group=(0, 0)))
         assert rep.group_order == order
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
+        monkeypatch.setattr(symmetry, "SEARCH_BUDGET", 1)
         with pytest.raises(R.SearchBudgetExceeded):
-            R.automorphism_generators(fx.petersen(), budget=1)
+            R.automorphism_generators(fx.petersen())
 
-    def test_cap_exceeded(self):
+    def test_cap_exceeded(self, monkeypatch):
         gens = R.automorphism_generators(fx.petersen())
+        monkeypatch.setattr(symmetry, "CLOSURE_CAP", 5)
         with pytest.raises(R.CapExceeded):
-            R.close_group(gens, cap=5)
-
-    def test_closure_group_axioms(self):
-        clo = _closure(fx.barbell())
-        elems = set(clo.elements)
-        assert R.Permutation.identity(6) in elems
-        for s in clo.elements:
-            assert fx.inverse(s) in elems
-            for t in clo.elements:
-                assert s.compose(t) in elems
-
-
-def _compose_closure(gens):
-    """Breadth-first closure spelled out with Permutation.compose."""
-    ident = R.Permutation.identity(gens.graph.n)
-    elements, frontier = [ident], [ident]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens.gens:
-                h = g.compose(e)
-                if h not in elements:
-                    elements.append(h)
-                    nxt.append(h)
-        frontier = nxt
-    return elements
+            R.close_group(gens)
 
 
 @st.composite
@@ -137,24 +115,23 @@ class TestClosure:
     @settings(deadline=None, max_examples=60)
     @given(complete_graph_generators())
     def test_matches_compose_closure(self, gens):
-        # Same elements in the same breadth-first order.
-        assert list(R.close_group(gens).elements) == _compose_closure(gens)
+        assert R.close_group(gens).size == len(fx.compose_closure(gens))
 
     @pytest.mark.parametrize("make,order", [(fx.c5, 10), (fx.petersen, 120)])
-    def test_cap_boundary(self, make, order):
+    def test_cap_boundary(self, make, order, monkeypatch):
         gens = R.automorphism_generators(make())
-        assert R.close_group(gens, cap=order).size == order
+        monkeypatch.setattr(symmetry, "CLOSURE_CAP", order)
+        assert R.close_group(gens).size == order
+        monkeypatch.setattr(symmetry, "CLOSURE_CAP", order - 1)
         with pytest.raises(R.CapExceeded):
-            R.close_group(gens, cap=order - 1)
+            R.close_group(gens)
 
     @pytest.mark.parametrize("n", [256, 257])
     def test_cycle_at_the_byte_limit(self, n):
         # C256 is the largest graph whose images fit one byte per vertex;
         # C257 takes the tuple encoding. Both must close in the same order.
         gens = R.automorphism_generators(R.circulant(n, (1,)))
-        clo = R.close_group(gens)
-        assert clo.size == 2 * n
-        assert list(clo.elements) == _compose_closure(gens)
+        assert R.close_group(gens).size == len(fx.compose_closure(gens)) == 2 * n
 
     def test_closure_builds_no_permutation(self, monkeypatch):
         gens = R.automorphism_generators(R.circulant(6, (1, 2, 3)))
@@ -168,9 +145,6 @@ class TestClosure:
         clo = R.close_group(gens)
         assert clo.size == 720
         assert built == []
-        # elements builds every Permutation once, on first read.
-        assert clo.elements is clo.elements
-        assert len(built) == 720
 
 
 def _rescan_refine(neighbors, cells):
@@ -229,6 +203,33 @@ class TestRefine:
         moved = R.Graph(g.n, tuple((pi[u], pi[v]) for u, v in g.edges))
         assert symmetry._refine(moved.neighbors, relabel(cells)) == relabel(out)
 
+    @pytest.mark.parametrize("spine,legs", [
+        (2, ()), (3, ()), (8, ()), (31, ()), (60, ()),
+        (5, (1,)), (12, (2, 0, 1)), (20, (1, 1, 0, 2)), (15, (3, 0)), (20, (0, 2)),
+    ], ids=lambda x: str(x).replace(" ", ""))
+    @pytest.mark.parametrize("individualized", [False, True])
+    def test_paths_and_caterpillars_match_the_rescan(self, spine, legs,
+                                                     individualized):
+        # A spine path with legs[i % len(legs)] leaves on its i-th vertex,
+        # at most 60 vertices, labelled in a shuffled order. Small cells
+        # split off a big one again and again, so refining by the rest of
+        # the big cell's parent is exercised at every step.
+        edges = [(i, i + 1) for i in range(spine - 1)]
+        n = spine
+        for i in range(spine):
+            for _ in range(legs[i % len(legs)] if legs else 0):
+                edges.append((i, n))
+                n += 1
+        assert n <= 60
+        label = list(range(n))
+        random.Random(n).shuffle(label)
+        g = R.Graph(n, tuple((label[u], label[v]) for u, v in edges))
+        cells = [list(range(n))]
+        if individualized:
+            v = label[spine // 3]
+            cells = [[v], [u for u in range(n) if u != v]]
+        assert symmetry._refine(g.neighbors, cells) == _rescan_refine(g.neighbors, cells)
+
     @pytest.mark.parametrize("make", [
         fx.petersen,
         lambda: R.cartesian_product(fx.q3(), R.Graph(2, ((0, 1),))),
@@ -267,12 +268,12 @@ class TestOrbits:
         for make in (fx.barbell, fx.f3, fx.c5, fx.z12):
             g = make()
             gens = R.automorphism_generators(g)
-            clo = R.close_group(gens)
+            elements = fx.compose_closure(gens)
             part = R.edge_orbits(gens)
             index = {e: i for i, e in enumerate(g.edges)}
             for i, (u, v) in enumerate(g.edges):
                 orbit = set()
-                for s in clo.elements:
+                for s in elements:
                     a, b = s(u), s(v)
                     orbit.add(index[(a, b) if a < b else (b, a)])
                 assert orbit == set(part.members(part.orbit_of[i]))

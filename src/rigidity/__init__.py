@@ -92,7 +92,6 @@ from .symmetry import (
     automorphism_generators,
     close_group,
     edge_orbits,
-    edge_permutation,
     generators_from_json,
     verify_automorphism,
     vertex_orbits,

@@ -16,7 +16,6 @@ holds a nonzero map between them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -60,25 +59,32 @@ class IsotypicDecomposition:
     residual: float
 
 
-def _generator_action(cluster: EigenspaceCluster, gens: GroupGenerators) -> list[np.ndarray]:
-    """R_g = B^T P_g B for every generator; checks the eigenspace is invariant."""
+def _generator_action(cluster: EigenspaceCluster, gens: GroupGenerators) -> np.ndarray:
+    """R_g = B^T P_g B for every generator, as one (k, d, d) array.
+
+    P_g B, the basis moved by g, is one scatter of B's rows for all k
+    generators at once, and the R_g and the invariance residuals
+    ||P_g B - B R_g|| are stacked matmuls. Raises UnstableSplit, naming the
+    first generator's residual that is too large, when the eigenspace is not
+    invariant.
+    """
     B = cluster.basis
-    d = B.shape[1]
-    mats = []
-    for sigma in gens.gens:
-        PB = np.empty_like(B)
-        PB[list(sigma.image), :] = B
-        R = B.T @ PB
-        resid = float(np.linalg.norm(PB - B @ R))
-        if resid > 1e-8 * max(1.0, np.sqrt(d)):
-            raise UnstableSplit(
-                f"eigenspace is not invariant under the group (residual {resid:.3e})"
-            )
-        mats.append(R)
-    return mats
+    n, d = B.shape
+    k = len(gens.gens)
+    PB = np.empty((k, n, d))
+    PB[np.arange(k)[:, None], gens.images] = B
+    R = B.T @ PB
+    PB -= B @ R
+    resid = np.linalg.norm(PB, axis=(1, 2))
+    bad = np.flatnonzero(resid > 1e-8 * max(1.0, np.sqrt(d)))
+    if bad.size:
+        raise UnstableSplit(
+            f"eigenspace is not invariant under the group (residual {resid[bad[0]]:.3e})"
+        )
+    return R
 
 
-def _commutant(mats: Sequence[np.ndarray], d: int) -> np.ndarray:
+def _commutant(mats: np.ndarray, d: int) -> np.ndarray:
     """Orthonormal basis of the d x d matrices commuting with every R in mats.
 
     Columns are column-stacked matrices. The span starts as every matrix and
@@ -120,7 +126,7 @@ def _split_by_eigenvalues(M: np.ndarray, tol: float = 1e-7) -> list[np.ndarray]:
     return blocks
 
 
-def _endomorphism_field(mats: Sequence[np.ndarray], Q: np.ndarray) -> int:
+def _endomorphism_field(mats: np.ndarray, Q: np.ndarray) -> int:
     """Dimension of the commutant of the action restricted to Q's columns.
 
     By Schur's lemma the summand is irreducible exactly when this commutant
@@ -131,7 +137,7 @@ def _endomorphism_field(mats: Sequence[np.ndarray], Q: np.ndarray) -> int:
     least 1, where 0.5 is the threshold.
     """
     k = Q.shape[1]
-    E = _commutant([Q.T @ R @ Q for R in mats], k)
+    E = _commutant(Q.T @ mats @ Q, k)
     X = E.T.reshape(-1, k, k)
     S = 0.5 * (X + X.transpose(0, 2, 1))
     S -= np.trace(S, axis1=1, axis2=2)[:, None, None] * (np.eye(k) / k)

@@ -82,11 +82,12 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        # type() and not isinstance(): True is an int but no seed or vertex.
+        if not (type(self.seed) is int and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.group, GroupGenerators) and not (
             isinstance(self.group, tuple)
-            and all(isinstance(v, int) for v in self.group)
+            and all(type(v) is int for v in self.group)
         ):
             raise ValueError("group must be GroupGenerators or a tuple of vertices")
 

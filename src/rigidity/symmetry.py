@@ -13,6 +13,7 @@ import heapq
 import json
 from itertools import accumulate
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
@@ -22,6 +23,7 @@ from .graphcore import EdgeOrbitPartition, Graph
 
 SEARCH_BUDGET = 200_000  # refinement nodes automorphism_generators may expand
 CLOSURE_CAP = 200_000    # elements close_group may list
+EDGE_BLOCK = 1 << 14     # (generator, edge) pairs _edge_action maps per pass
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -66,15 +68,27 @@ class Permutation:
 
 @dataclass(frozen=True)
 class GroupGenerators:
-    """Verified automorphism generators bound to their graph."""
+    """Verified automorphism generators bound to their graph.
+
+    All generators are checked at once: each edge's image under each
+    generator must be an edge, looked up in the sorted edge keys.
+    """
 
     graph: Graph
     gens: tuple[Permutation, ...]
 
     def __post_init__(self):
-        for g in self.gens:
-            if not verify_automorphism(self.graph, g):
-                raise ValueError("generator is not an automorphism of the bound graph")
+        if (any(g.n != self.graph.n for g in self.gens)
+                or (_edge_action(self.graph, self.images) < 0).any()):
+            raise ValueError("generator is not an automorphism of the bound graph")
+
+    @cached_property
+    def images(self) -> np.ndarray:
+        """Read-only k x n array of the k generators' images, row r = gens[r].image."""
+        arr = np.array([g.image for g in self.gens], dtype=np.intp).reshape(
+            len(self.gens), self.graph.n)
+        arr.setflags(write=False)
+        return arr
 
 
 @dataclass(frozen=True)
@@ -366,35 +380,61 @@ def close_group(gens: GroupGenerators) -> GroupClosure:
     return GroupClosure(len(seen))
 
 
-def edge_permutation(graph: Graph, sigma: Permutation) -> np.ndarray:
-    """Index map of the edge action: entry i is the index of sigma(e_i)."""
-    idx = graph.edge_index
-    out = np.empty(graph.m, dtype=np.int64)
-    img = sigma.image
-    for i, (u, v) in enumerate(graph.edges):
-        a, b = img[u], img[v]
-        out[i] = idx[(a, b) if a < b else (b, a)]
+def _edge_action(graph: Graph, images: np.ndarray) -> np.ndarray:
+    """Entry [r, i]: the index of edge i's image under the permutation in row
+    r of images, or -1 where that image is not an edge.
+
+    Edge (u, v), u < v, has key u*n + v; the keys ascend with the edge
+    order, so a binary search finds each image. Unlike an n x n table, this
+    needs memory only in proportion to the edges. Rows are taken EDGE_BLOCK
+    (row, edge) pairs at a time, so the temporaries stay small however many
+    generators there are.
+    """
+    n, m = graph.n, graph.m
+    us, vs = graph.endpoints
+    table = us * n + vs
+    out = np.empty((len(images), m), dtype=np.int32)
+    step = max(1, EDGE_BLOCK // m)
+    for r in range(0, len(images), step):
+        a, b = images[r:r + step, us], images[r:r + step, vs]
+        keys = np.minimum(a, b) * n + np.maximum(a, b)
+        idx = np.searchsorted(table, keys)
+        out[r:r + step] = np.where(table.take(idx, mode="clip") == keys, idx, -1)
     return out
+
+
+def _orbit_labels(images: np.ndarray) -> tuple[int, ...]:
+    """Orbit labels of the points 0..N-1 under the permutations in the rows
+    of a k x N image array, numbered in order of each orbit's first point.
+
+    Min-label propagation: every point points at a smaller point of its
+    orbit, at first itself. Each round hooks the larger of the two roots of
+    every pair (p, image of p) that disagree under the smaller one, then
+    jumps pointers until each points at a root. When no pair disagrees, each
+    orbit's root is its smallest point.
+    """
+    lab = np.arange(images.shape[1], dtype=images.dtype)
+    while True:
+        a, b = np.broadcast_to(lab, images.shape), lab[images]
+        differ = a != b
+        if not differ.any():
+            break
+        a, b = a[differ], b[differ]
+        np.minimum.at(lab, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(nxt := lab[lab], lab):
+            lab = nxt
+    roots = lab == np.arange(lab.size)
+    return tuple((np.cumsum(roots) - 1)[lab].tolist())
 
 
 def edge_orbits(gens: GroupGenerators) -> EdgeOrbitPartition:
     """Edge orbits of gens.graph under generator action (no full closure needed)."""
     graph = gens.graph
-    uf = _UnionFind(graph.m)
-    for g in gens.gens:
-        ep = edge_permutation(graph, g)
-        for i in range(graph.m):
-            uf.union(i, int(ep[i]))
-    return EdgeOrbitPartition(graph, tuple(uf.labels()))
+    return EdgeOrbitPartition(graph, _orbit_labels(_edge_action(graph, gens.images)))
 
 
 def vertex_orbits(gens: GroupGenerators) -> VertexOrbitPartition:
-    n = gens.graph.n
-    uf = _UnionFind(n)
-    for g in gens.gens:
-        for v in range(n):
-            uf.union(v, g.image[v])
-    orbit_of = tuple(uf.labels())
+    orbit_of = _orbit_labels(gens.images)
     groups: list[list[int]] = [[] for _ in range(max(orbit_of) + 1)]
     for v, o in enumerate(orbit_of):
         groups[o].append(v)

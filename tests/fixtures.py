@@ -155,18 +155,29 @@ def inverse(sigma):
     return R.Permutation(tuple(int(v) for v in np.argsort(sigma.image)))
 
 
+def edge_permutation(graph, sigma):
+    """Index map of sigma's edge action: entry i is the index of sigma(e_i)."""
+    idx = graph.edge_index
+    out = np.empty(graph.m, dtype=np.int64)
+    for i, (u, v) in enumerate(graph.edges):
+        a, b = sigma(u), sigma(v)
+        out[i] = idx[(a, b) if a < b else (b, a)]
+    return out
+
+
 def compose_closure(gens):
     """Every element of the generated group, by breadth-first closure spelled
     out with Permutation.compose: the identity first, then each frontier
     element e times every generator g, as g.compose(e)."""
     ident = R.Permutation.identity(gens.graph.n)
-    elements, frontier = [ident], [ident]
+    elements, frontier, seen = [ident], [ident], {ident}
     while frontier:
         nxt = []
         for e in frontier:
             for g in gens.gens:
                 h = g.compose(e)
-                if h not in elements:
+                if h not in seen:
+                    seen.add(h)
                     elements.append(h)
                     nxt.append(h)
         frontier = nxt

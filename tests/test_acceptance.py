@@ -243,7 +243,7 @@ def test_criterion_10_property_battery(battery_reports):
         for g in fx.battery():
             gens = R.automorphism_generators(g)
             # equivariance of edge energies under every generator
-            perms = [(s, R.edge_permutation(g, s)) for s in gens.gens]
+            perms = [(s, fx.edge_permutation(g, s)) for s in gens.gens]
             for _ in range(50):
                 phi = rng.standard_normal(g.n)
                 base = np.asarray(R.edge_energy(g, phi))

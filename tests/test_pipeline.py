@@ -70,7 +70,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("kw", [
         {"group": "trivial"}, {"group": [0]}, {"group": (0.5,)}, {"seed": -1},
-    ], ids=["kw2", "kw5", "kw6", "kw7"])
+        {"seed": True}, {"group": (True,)},
+    ], ids=["kw2", "kw5", "kw6", "kw7", "kw8", "kw9"])
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):
             R.PipelineConfig(**kw)

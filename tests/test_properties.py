@@ -219,6 +219,33 @@ def test_automorphism_generators_never_repeat(g, data):
     assert all(sigma(v) == v for sigma in gens for v in fixed)
 
 
+@given(st.one_of(connected_graphs(max_n=7), circulants), st.data())
+@settings(deadline=None, max_examples=60)
+def test_orbits_match_the_compose_closure(g, data):
+    # Orbits, and their numbering by first member, as every element of the
+    # generated group moves the points.
+    fixed = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2, unique=True))
+    gens = R.automorphism_generators(g, fixed)
+    # The reference closure composes every element with every generator.
+    assume(R.close_group(gens).size * len(gens.gens) <= 20_000)
+    elements = fx.compose_closure(gens)
+
+    def orbit_of(orbits):
+        first = {}
+        return tuple(first.setdefault(min(o), len(first)) for o in orbits)
+
+    vertex = [{s(v) for s in elements} for v in range(g.n)]
+    vo = R.vertex_orbits(gens)
+    assert vo.orbit_of == orbit_of(vertex)
+    assert [set(vo.orbits[o]) for o in vo.orbit_of] == vertex
+    index = g.edge_index
+    edge = [{index[tuple(sorted((s(u), s(v))))] for s in elements}
+            for u, v in g.edges]
+    part = R.edge_orbits(gens)
+    assert part.orbit_of == orbit_of(edge)
+    assert [set(part.members(o)) for o in part.orbit_of] == edge
+
+
 @given(connected_graphs(), st.data())
 @settings(deadline=None, max_examples=60)
 def test_edge_energy_zero_iff_constant(g, data):

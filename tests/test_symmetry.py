@@ -60,6 +60,20 @@ class TestVerifyAutomorphism:
         with pytest.raises(ValueError):
             R.GroupGenerators(fx.c5(), (R.Permutation((1, 0, 2, 3, 4)),))
 
+    @pytest.mark.parametrize("at", [0, 11, 23])
+    @pytest.mark.parametrize("bad", [
+        R.Permutation((1, 0) + tuple(range(2, 10))),  # moves edge (1, 2) off
+        R.Permutation.identity(9),
+        R.Permutation.identity(11),
+    ], ids=["not_automorphism", "short", "long"])
+    def test_one_bad_generator_among_many_rejected(self, at, bad):
+        g = fx.petersen()
+        good = R.automorphism_generators(g).gens
+        assert len(good) == 23
+        R.GroupGenerators(g, good)
+        with pytest.raises(ValueError, match="not an automorphism"):
+            R.GroupGenerators(g, good[:at] + (bad,) + good[at:])
+
 
 class TestSearch:
     @pytest.mark.parametrize("make,order", [
@@ -283,7 +297,7 @@ class TestOrbits:
         gens = R.automorphism_generators(g)
         part = R.edge_orbits(gens)
         for s in gens.gens:
-            perm = R.edge_permutation(g, s)
+            perm = fx.edge_permutation(g, s)
             for i in range(g.m):
                 assert part.orbit_of[perm[i]] == part.orbit_of[i]
 
@@ -295,11 +309,11 @@ class TestOrbits:
 
 class TestEquivariance:
     def test_edge_energy_equivariance(self, rng):
-        # l(sigma.phi) = sigma.l(phi) for 50 random phi; edge_permutation
+        # l(sigma.phi) = sigma.l(phi) for 50 random phi; fx.edge_permutation
         # maps edge index i to the index of the image edge sigma(e_i)
         g = fx.petersen()
         gens = R.automorphism_generators(g)
-        perms = [R.edge_permutation(g, s) for s in gens.gens]
+        perms = [fx.edge_permutation(g, s) for s in gens.gens]
         for _ in range(50):
             phi = rng.standard_normal(g.n)
             base = R.edge_energy(g, phi)

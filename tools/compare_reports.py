@@ -2,8 +2,9 @@
 
     python3 tools/compare_reports.py OLD NEW
 
-For each workload directory, prints how many reports changed status (with
-each old -> new pair) and how many exist on one side only. Then prints, for
+For each workload directory, prints how many reports are byte-identical on
+both sides, how many changed status (with each old -> new pair) and how many
+exist on one side only. Then prints, for
 each top-level report field, how many reports differ in it, per workload and
 in total, the largest absolute difference between two float leaves of the
 field, and how many reports differ in a non-float leaf: a string, an int, a
@@ -20,9 +21,8 @@ from collections import Counter
 from pathlib import Path
 
 
-def _load(tree: Path, workload: str) -> dict[str, dict]:
-    return {p.name: json.loads(p.read_bytes())
-            for p in sorted((tree / workload).glob("*.json"))}
+def _load(tree: Path, workload: str) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted((tree / workload).glob("*.json"))}
 
 
 def _walk(a, b, gaps: list[float]) -> bool:
@@ -53,9 +53,13 @@ def main() -> int:
     for workload in workloads:
         old, new = _load(args.old, workload), _load(args.new, workload)
         one_side = len(old.keys() ^ new.keys())
+        both = sorted(old.keys() & new.keys())
+        identical = sum(old[name] == new[name] for name in both)
         moves: Counter[str] = Counter()
-        for name in sorted(old.keys() & new.keys()):
-            a, b = old[name], new[name]
+        for name in both:
+            if old[name] == new[name]:
+                continue
+            a, b = json.loads(old[name]), json.loads(new[name])
             if a["status"] != b["status"]:
                 moves[f"{a['status']} -> {b['status']}"] += 1
             for key in sorted(a.keys() | b.keys()):
@@ -65,8 +69,9 @@ def main() -> int:
                     non_float[key] += _walk(a.get(key), b.get(key), gaps)
                     largest[key] = max(largest[key], *gaps, 0.0)
         changed += sum(moves.values()) + one_side
-        print(f"{workload}: {len(old.keys() & new.keys())} reports on both sides, "
-              f"{sum(moves.values())} status changes, {one_side} on one side only")
+        print(f"{workload}: {len(both)} reports on both sides, {identical} "
+              f"byte-identical, {sum(moves.values())} status changes, "
+              f"{one_side} on one side only")
         for move, count in sorted(moves.items()):
             print(f"  {move}: {count}")
     print("reports that differ, per field:")

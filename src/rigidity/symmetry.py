@@ -1,8 +1,9 @@
 """Graph automorphisms and orbit structure.
 
 Automorphism generators come from an equitable-partition refinement search
-with individualization backtracking; callers with big graphs can supply
-generators externally (JSON) and skip the search. Orbits of edges and
+with individualization backtracking, which refines one partition in place
+from the root to each leaf (a child copies its parent's); callers with big
+graphs can supply generators externally (JSON) and skip the search. Orbits of edges and
 vertices live here too; the edge-orbit partition they fill in, and its
 orbit energies, live in graphcore.
 """
@@ -14,7 +15,7 @@ import json
 from itertools import accumulate
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, sub
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -121,114 +122,161 @@ def verify_automorphism(graph: Graph, sigma: Permutation) -> bool:
 # Equitable-partition refinement search
 # ---------------------------------------------------------------------------
 
-def _refine(
-    neighbors: Sequence[Sequence[int]],
-    cells: list[list[int]],
-    live: Iterable[int] | None = None,
-) -> list[list[int]]:
-    """Equitable refinement: split cells by neighbor counts into every cell.
+class _Partition:
+    """An ordered partition of the vertices 0..n-1, refined in place.
 
-    Take the first cell that can still split anything, split every cell by
-    the neighbor counts of its vertices into that splitter, and start over
-    until no cell splits any other. Sub-cells replace their parent in place,
-    ordered by ascending count with vertices kept in their order, which keeps
-    the cell order isomorphism-invariant. `cells` is not modified.
-
-    A cell that split nothing stays inert until it is itself split. Cells
-    only get finer, and the vertices of any finer cell still share their
-    count into an unchanged cell, so an inert cell can never split anything
-    later. Skipping inert cells therefore picks the same splitters in the
-    same order as rescanning from cell 0 after every split would, so the
-    partition, and with it the search tree and its generators, does not
-    depend on which cells are marked live as long as every unmarked cell is
-    inert. `live` holds the indices of the cells not known to be inert
-    (default: all); a caller that changed a few cells of an equitable
-    partition passes only those.
-
-    `lab` lists the vertices cell by cell; a cell is an id holding a run of
-    positions, and live cells wait in a heap of their starts. A split swaps
-    the touched vertices into one end of the cell as its sub-cells, so it
-    costs time in proportion to them. After a splitter P, or from the start
-    for a cell not marked live, every cell has one count into P, so for S in
-    P the counts into the rest of P order a cell as those into S, reversed,
-    with untouched vertices last; the smaller of S and that rest (ref: the
-    last such P) is scanned. So a path, where small cells split off a big one
-    at every step, refines in linear time. Output cells are in input order.
+    `lab` lists the vertices cell by cell. A cell is an id holding the run
+    of positions start[c] to end[c] of lab, and cells are ordered by their
+    starts; the vertices within a cell are in no particular order. pos[v] is
+    where vertex v is and cell_of[v] its cell. Cells only ever split, and a
+    split keeps a sub-cell at the parent's start, so a position that starts
+    a cell starts one for good, and cell_of[lab[p]] is the cell starting at p.
     """
-    n = len(neighbors)
-    lab = [v for cell in cells for v in cell]
-    end = list(accumulate(map(len, cells)))  # cell c holds positions
-    start = [e - len(c) for e, c in zip(end, cells)]  # start[c] to end[c]
-    at = [0] * n                     # at[p]: the cell that starts at p
-    pos, cell_of = [0] * n, [0] * n  # where vertex v is, and in which cell
-    for c, cell in enumerate(cells):
-        at[start[c]] = c
-        for i, v in enumerate(cell, start[c]):
-            pos[v] = i
-            cell_of[v] = c
-    rank = pos[:]                    # rank[v]: the position of v in the input
-    marked = range(len(cells)) if live is None else set(live)
-    ref = list(zip(start, end))      # an inert cell is its own last splitter
-    for c in marked:
-        ref[c] = None
-    queue = [start[c] for c in marked]
-    heapq.heapify(queue)
-    queued = set(queue)
-    count = [0] * n
-    splits = n - len(cells)  # a discrete partition splits no further
-    while queue and splits:
-        c = at[heapq.heappop(queue)]
-        s, e = start[c], end[c]
-        queued.remove(s)
-        r = ref[c]
-        flip = r is not None and r[1] - r[0] < 2 * (e - s)
-        ref[c] = (s, e)
-        touched = []
-        for u in (lab[r[0]:s] + lab[e:r[1]] if flip else lab[s:e]):
-            for w in neighbors[u]:
-                if not count[w]:
-                    touched.append(w)
-                count[w] += 1
-        by_cell: dict[int, list[int]] = {}
-        for w in touched:
-            x = cell_of[w]
-            if end[x] - start[x] > 1:
-                by_cell.setdefault(x, []).append(w)
-        for x, moved in by_cell.items():
-            groups: dict[int, list[int]] = {}
-            for v in moved:
-                groups.setdefault(count[v], []).append(v)
-            rest = end[x] - start[x] - len(moved)  # untouched vertices
-            if not rest and len(groups) == 1:
-                continue
-            splits -= len(groups) - (not rest)
-            if flip:
-                t, start[x] = start[x], start[x] + len(moved)
-            else:
-                t = end[x] = end[x] - len(moved)
-            subs = []
-            if rest:
-                at[start[x]] = x
-                subs.append(start[x])
-            for key in sorted(groups, reverse=flip):
-                y = at[t] = len(start)
-                subs.append(t)
-                start.append(t)
-                end.append(t + len(groups[key]))
-                ref.append(ref[x])
-                for v in groups[key]:  # swap v into t, and what was at t out
-                    u, i = lab[t], pos[v]
-                    lab[i], pos[u] = u, i
-                    lab[t], pos[v], cell_of[v] = v, t, y
-                    t += 1
-            for p in subs:
-                if p not in queued:
-                    queued.add(p)
-                    heapq.heappush(queue, p)
-        for w in touched:
-            count[w] = 0
-    out = [lab[p:end[at[p]]] for p in sorted({start[c] for c in set(cell_of)})]
-    return [sorted(c, key=rank.__getitem__) if len(c) > 1 else c for c in out]
+
+    __slots__ = ("lab", "pos", "cell_of", "start", "end")
+
+    def __init__(self, cells: Sequence[Sequence[int]]):
+        self.lab = [v for cell in cells for v in cell]
+        self.end = list(accumulate(map(len, cells)))
+        self.start = [e - len(c) for e, c in zip(self.end, cells)]
+        self.pos, self.cell_of = [0] * len(self.lab), [0] * len(self.lab)
+        for c, cell in enumerate(cells):
+            for i, v in enumerate(cell, self.start[c]):
+                self.pos[v] = i
+                self.cell_of[v] = c
+
+    def copy(self) -> "_Partition":
+        new = object.__new__(_Partition)
+        new.lab, new.pos, new.cell_of = self.lab[:], self.pos[:], self.cell_of[:]
+        new.start, new.end = self.start[:], self.end[:]
+        return new
+
+    def individualize(self, v: int) -> tuple[int, int]:
+        """Split v off the front of its cell as a cell of its own.
+
+        Returns the ids of v's new cell and of the rest of the old one, which
+        keeps the old id.
+        """
+        lab, pos, start = self.lab, self.pos, self.start
+        c = self.cell_of[v]
+        s = start[c]
+        u, i = lab[s], pos[v]
+        lab[i], pos[u] = u, i
+        lab[s], pos[v] = v, s
+        y = self.cell_of[v] = len(start)
+        start.append(s)
+        self.end.append(s + 1)
+        start[c] = s + 1
+        return y, c
+
+    def refine(
+        self,
+        neighbors: Sequence[Sequence[int]],
+        live: Iterable[int],
+        within: tuple[int, int] | None = None,
+    ) -> None:
+        """Equitable refinement: split cells by neighbor counts into every cell.
+
+        Take the first cell that can still split anything, split every cell
+        by the neighbor counts of its vertices into that splitter, and start
+        over until no cell splits any other. Sub-cells replace their parent
+        in place, ordered by ascending count, which keeps the cell order
+        isomorphism-invariant.
+
+        A cell that split nothing stays inert until it is itself split. Cells
+        only get finer, and the vertices of any finer cell still share their
+        count into an unchanged cell, so an inert cell can never split
+        anything later. Skipping inert cells therefore picks the same
+        splitters in the same order as rescanning from cell 0 after every
+        split would, so the partition, and with it the search tree and its
+        generators, does not depend on which cells are marked live as long as
+        every unmarked cell is inert. `live` holds the ids of the cells not
+        known to be inert; a caller that changed a few cells of an equitable
+        partition passes only those.
+
+        Live cells wait in a heap of their starts. A split swaps the touched
+        vertices into one end of the cell as its sub-cells, so it costs time
+        in proportion to them. After a splitter P every cell has one count
+        into P, so for S in P the counts into the rest of P order a cell as
+        those into S, reversed, with untouched vertices last; the smaller of
+        S and that rest is scanned (ref: the last such P). An inert cell is
+        its own P. `within`, when given, is the run of positions of an inert
+        cell that the live cells were cut from, which serves as their P: a
+        child of the search, whose live cells are an individualized vertex
+        and the rest of its cell, scans only that vertex's neighbors for the
+        rest. So a path, where small cells split off a big one at every
+        step, refines in linear time.
+        """
+        lab, pos, cell_of, start, end = (self.lab, self.pos, self.cell_of,
+                                         self.start, self.end)
+        n = len(lab)
+        ref = list(zip(start, end))
+        queue = []
+        for c in live:
+            ref[c] = within
+            queue.append(start[c])
+        heapq.heapify(queue)
+        queued = set(queue)
+        count = [0] * n
+        splits = n - len(start)  # a discrete partition splits no further
+        while queue and splits:
+            s = heapq.heappop(queue)
+            queued.remove(s)
+            c = cell_of[lab[s]]
+            e = end[c]
+            r = ref[c]
+            flip = r is not None and r[1] - r[0] < 2 * (e - s)
+            ref[c] = (s, e)
+            by_cell: dict[int, list[int]] = {}  # touched vertices by cell
+            for u in (lab[r[0]:s] + lab[e:r[1]] if flip else lab[s:e]):
+                for w in neighbors[u]:
+                    if count[w]:
+                        count[w] += 1
+                    else:
+                        x = cell_of[w]
+                        if end[x] - start[x] > 1:  # singletons never split
+                            count[w] = 1
+                            if x in by_cell:
+                                by_cell[x].append(w)
+                            else:
+                                by_cell[x] = [w]
+            for x, moved in by_cell.items():
+                rest = end[x] - start[x] - len(moved)  # untouched vertices
+                if len(moved) == 1:
+                    count[moved[0]] = 0
+                    groups = {0: moved}
+                else:
+                    groups = {}
+                    for v in moved:
+                        groups.setdefault(count[v], []).append(v)
+                        count[v] = 0
+                    if not rest and len(groups) == 1:
+                        continue
+                splits -= len(groups) - (not rest)
+                if flip:
+                    t, start[x] = start[x], start[x] + len(moved)
+                else:
+                    t = end[x] = end[x] - len(moved)
+                subs = [start[x]] if rest else []
+                for key in sorted(groups, reverse=flip):
+                    if rest:
+                        y = len(start)
+                        start.append(t)
+                        end.append(t + len(groups[key]))
+                        ref.append(ref[x])
+                    else:  # every vertex moved: x takes the first sub-cell,
+                        y = x  # and the rest get new ids
+                        start[x], end[x], rest = t, t + len(groups[key]), 1
+                    subs.append(t)
+                    for v in groups[key]:  # swap v into t, and what was at t out
+                        u, i = lab[t], pos[v]
+                        lab[i], pos[u] = u, i
+                        lab[t], pos[v], cell_of[v] = v, t, y
+                        t += 1
+                for p in subs:
+                    if p not in queued:
+                        queued.add(p)
+                        heapq.heappush(queue, p)
 
 
 class _UnionFind:
@@ -263,14 +311,20 @@ def automorphism_generators(
     """Generators of the subgroup of Aut(G) pointwise-fixing `fixed`.
 
     Individualization-refinement backtracking: the first discrete leaf is the
-    base labeling, every other leaf with a matching refinement trace yields a
-    candidate permutation that is kept if it verifies. Vertices already in
-    the orbit of an explored branch are skipped at the root. The root
-    refines the seed partition with every cell live. A child node differs
-    from its equitable parent only in the two cells that individualizing a
-    vertex creates, so it refines with just those two live. Raises
-    SearchBudgetExceeded when more than SEARCH_BUDGET refinement nodes are
-    expanded; supply generators externally in that case.
+    base labeling, every other leaf with a matching refinement trace (the
+    cell sizes in order at each depth) yields a candidate permutation, the
+    one mapping each vertex to what the leaf holds at its base position,
+    that is kept if it verifies. Vertices already in the orbit of an explored
+    branch are skipped at the root.
+
+    One _Partition is carried from the root to each leaf. The root builds it
+    from the seed cells (the fixed vertices, then the rest) and refines it
+    with every cell live. A child copies its parent's equitable partition,
+    individualizes its vertex at the front of the parent's first smallest
+    non-singleton cell, and refines in place with just the two cells that
+    creates live, both cut from that inert cell. Raises SearchBudgetExceeded
+    when more than SEARCH_BUDGET refinement nodes are expanded; supply
+    generators externally in that case.
     """
     n = graph.n
     # Fixing a vertex twice is fixing it once; keep first-seen order.
@@ -278,57 +332,57 @@ def automorphism_generators(
     if any(v < 0 or v >= n for v in fixed):
         raise ValueError("fixed vertices out of range")
     nbrs = graph.neighbors
-    rest = [v for v in range(n) if v not in set(fixed)]
+    pinned = set(fixed)
+    rest = [v for v in range(n) if v not in pinned]
     seed: list[list[int]] = [[v] for v in fixed]
     if rest:
         seed.append(rest)
 
     nodes = 0
-    base: tuple[int, ...] | None = None  # the first leaf
+    base = None  # base(lab): what a leaf holds where the first leaf holds 0..n-1
     trace: list[tuple[int, ...]] = []
     gens: list[Permutation] = []
     orbits = _UnionFind(n)
 
-    def explore(cells: list[list[int]], depth: int,
-                live: tuple[int, int] | None = None) -> None:
+    def explore(part: _Partition, depth: int, live: Iterable[int],
+                within: tuple[int, int] | None = None) -> None:
         nonlocal nodes, base
         nodes += 1
         if nodes > SEARCH_BUDGET:
             raise SearchBudgetExceeded(
                 f"automorphism search exceeded {SEARCH_BUDGET} refinement nodes"
             )
-        cells = _refine(nbrs, cells, live)
-        shape = tuple(len(c) for c in cells)
+        part.refine(nbrs, live, within)
+        starts = sorted(part.start)
+        shape = tuple(map(sub, starts[1:] + [n], starts))
         if base is None:
             trace.append(shape)
-        else:
-            if depth >= len(trace) or shape != trace[depth]:
-                return
-        if all(len(c) == 1 for c in cells):
-            leaf = tuple(c[0] for c in cells)
+        elif depth >= len(trace) or shape != trace[depth]:
+            return
+        if len(starts) == n:
             if base is None:
-                base = leaf
+                base = itemgetter(*part.pos)  # n >= 2, so it returns a tuple
                 return
-            image = [0] * n
-            for k in range(n):
-                image[base[k]] = leaf[k]
-            sigma = Permutation(tuple(image))
+            sigma = Permutation(base(part.lab))
             if not sigma.is_identity() and verify_automorphism(graph, sigma):
                 gens.append(sigma)
-                for v in range(n):
-                    orbits.union(v, sigma.image[v])
+                for v, w in enumerate(sigma.image):
+                    if v != w:
+                        orbits.union(v, w)
             return
         # Branch on the first of the smallest cells that are not singletons.
-        t = min((i for i, c in enumerate(cells) if len(c) > 1), key=lambda i: len(cells[i]))
+        t = min((i for i, k in enumerate(shape) if k > 1), key=shape.__getitem__)
+        s = starts[t]
+        e = s + shape[t]
         tried: list[int] = []
-        for v in sorted(cells[t]):
+        for v in sorted(part.lab[s:e]):
             if depth == 0 and any(orbits.same(v, u) for u in tried):
                 continue
             tried.append(v)
-            child = cells[:t] + [[v], [u for u in cells[t] if u != v]] + cells[t + 1:]
-            explore(child, depth + 1, (t, t + 1))
+            child = part.copy()
+            explore(child, depth + 1, child.individualize(v), (s, e))
 
-    explore(seed, 0)
+    explore(_Partition(seed), 0, range(len(seed)))
     # No image repeats: refinement only splits cells in place, so two leaves
     # hold different vertices at the position where their branches parted.
     return GroupGenerators(graph, tuple(gens))

@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import json
 import random
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -24,6 +26,64 @@ def _vf2_automorphism_count(g):
 
 def _closure(g):
     return R.close_group(R.automorphism_generators(g))
+
+
+def _complete(n):
+    return R.circulant(n, range(1, n // 2 + 1))
+
+
+def _hypercube(d):
+    g = R.Graph(2, ((0, 1),))
+    for _ in range(d - 1):
+        g = R.cartesian_product(g, R.Graph(2, ((0, 1),)))
+    return g
+
+
+def _product(*factors):
+    g = factors[0]
+    for f in factors[1:]:
+        g = R.cartesian_product(g, f)
+    return g
+
+
+def _c3_cubed():
+    return _product(*[R.circulant(3, (1,))] * 3)
+
+
+# The symmetric benchmark graphs (perfbench/workloads.py) other than Q6,
+# built the same way.
+SYMMETRIC = {
+    "K5": lambda: _complete(5),
+    "K6": lambda: _complete(6),
+    "K7": lambda: _complete(7),
+    "Q3": lambda: _hypercube(3),
+    "Q4": lambda: _hypercube(4),
+    "Q5": lambda: _hypercube(5),
+    "petersen": fx.petersen,
+    "desargues": fx.desargues,
+    "cn6b": fx.cn6b,
+    "tensegrity20": fx.tensegrity20,
+    "C3xC3xC3": _c3_cubed,
+    "C7xC7": lambda: _product(R.circulant(7, (1,)), R.circulant(7, (1,))),
+    "C10(1,2)xC5": lambda: _product(R.circulant(10, (1, 2)), R.circulant(5, (1,))),
+    "C60(1,11,17)": lambda: R.circulant(60, (1, 11, 17)),
+    "C90(1,4,13)": lambda: R.circulant(90, (1, 4, 13)),
+    "C120(1,11,17)": lambda: R.circulant(120, (1, 11, 17)),
+    "C200(1,7,31)": lambda: R.circulant(200, (1, 7, 31)),
+}
+
+ATLAS_G6 = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "atlas.g6"
+
+
+def _images_bytes(gens):
+    """The shape and images of the generators as little-endian 8-byte integers."""
+    images = gens.images
+    return (np.array(images.shape, dtype="<i8").tobytes()
+            + np.ascontiguousarray(images, dtype="<i8").tobytes())
+
+
+def _digest(gens):
+    return hashlib.sha256(_images_bytes(gens)).hexdigest()
 
 
 class TestPermutation:
@@ -104,16 +164,86 @@ class TestSearch:
         rep = R.run_pipeline(g, R.TargetKind.LOWER, R.PipelineConfig(group=(0, 0)))
         assert rep.group_order == order
 
-    def test_budget_exceeded(self, monkeypatch):
-        monkeypatch.setattr(symmetry, "SEARCH_BUDGET", 1)
+    @pytest.mark.parametrize("make,nodes", [
+        (fx.petersen, 45), (SYMMETRIC["K6"], 413), (_c3_cubed, 159),
+    ], ids=["petersen", "K6", "C3xC3xC3"])
+    def test_budget_exceeded(self, make, nodes, monkeypatch):
+        # Each search expands exactly `nodes` refinement nodes, so a budget
+        # of `nodes` passes and one node less raises.
+        g = make()
+        monkeypatch.setattr(symmetry, "SEARCH_BUDGET", nodes)
+        R.automorphism_generators(g)
+        monkeypatch.setattr(symmetry, "SEARCH_BUDGET", nodes - 1)
         with pytest.raises(R.SearchBudgetExceeded):
-            R.automorphism_generators(fx.petersen())
+            R.automorphism_generators(g)
+
+    def test_half_fixed_long_path_has_no_generators(self):
+        # Every other vertex of a 20,000-vertex path fixed: the seed
+        # partition refines to a discrete one at the root.
+        n = 20_000
+        g = R.Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+        assert R.automorphism_generators(g, fixed=range(0, n, 2)).gens == ()
 
     def test_cap_exceeded(self, monkeypatch):
         gens = R.automorphism_generators(fx.petersen())
         monkeypatch.setattr(symmetry, "CLOSURE_CAP", 5)
         with pytest.raises(R.CapExceeded):
             R.close_group(gens)
+
+
+SYMMETRIC_PINS = {
+    "K5": "8d003637643bf19d1bb1d0e1ee464c4f9ceeb2bf690cac27564f7477eb627b9b",
+    "K6": "19d9dd978cf8d3f21b6a30a541bdee6697f98c95feba8bcdc16de258eeab6b89",
+    "K7": "8cd259c646ce2228450707b43817f5b9d1fec4dbba80a8c2ec85a5c3e3d26a73",
+    "Q3": "e27e83a363caf931fb101ff5ebf37bc8f15f52c304945885b83e274c8fc9529f",
+    "Q4": "731521f14541780ebbe6ec7c1752ff61f94f6086d454daae7da32dc337b802bb",
+    "Q5": "ac05bf7ddce2fa71691d4a41f7a07a9dfb4b35926254f01724bdbea2238f3fda",
+    "petersen": "520c2d30fd6b06efe1940821e1e9aa92fa6c751316c4b23d679c897c6b4ceab3",
+    "desargues": "ea99493eebb8a6d0825dcd72a783e9e22ef2916b010f3aab43c135811269fd57",
+    "cn6b": "9302a51179bc3f1f488d581ba9ab7932157530868df520ae292ba7f3c6b6429c",
+    "tensegrity20": "6c883facad5c0bc4419da67aa91660389936b7e2f7c67afd4fe32b8c429561b7",
+    "C3xC3xC3": "f1b57931f12783b693269e051681bf3610ece535351f48952482f17ab25e4ae9",
+    "C7xC7": "9e705616d3edaac2881e8c5bfbbb17e5da983a0f708954a01c373d53972f08e5",
+    "C10(1,2)xC5": "58930d056ea7842e85405ca2a683acc258789ee967379fdef7c9aa7869cb9904",
+    "C60(1,11,17)": "3468cfc273611769bf0283cbc3eac62e2df0dd537c9dff859e434bb67f3d3bfd",
+    "C90(1,4,13)": "7d03975cdf877bb508654a90a50414933a67101d3cbb0b42ae4ae0cab3e189a1",
+    "C120(1,11,17)": "5454813e938f999883978f53fc06e485e872f7439c04ebc548b0c85b2ea06a3b",
+    "C200(1,7,31)": "a7673f0c40d1640350b6c51f9840542cf73f9f2fd783c4e47f9e32bdda492fcd",
+}
+
+
+class TestGeneratorPins:
+    """Pinned SHA-256 digests of the searches' generator images. Isotypic
+    report bytes depend on the generator order, so a faster search must
+    return the same tuples, the same permutations in the same order."""
+
+    def test_atlas(self):
+        digest = hashlib.sha256()
+        for line in ATLAS_G6.read_text().split():
+            digest.update(_images_bytes(R.automorphism_generators(R.parse_graph6(line))))
+        assert digest.hexdigest() == \
+            "1094848b36a4eb4d26af6f346e776ab2b7899ac877e2080adb89ad2196cbd82b"
+
+    @pytest.mark.parametrize("name", SYMMETRIC_PINS)
+    def test_symmetric(self, name):
+        assert _digest(R.automorphism_generators(SYMMETRIC[name]())) == SYMMETRIC_PINS[name]
+
+    @pytest.mark.parametrize("make,fixed,pin", [
+        (fx.petersen, (0,),
+         "0b0a1958153885bb8560d75f9a981722baf366f064956cbd626f3ef6db719910"),
+        (fx.c5, (0, 0),
+         "f164ab1018a2e885e2e648b82aa9c02a78e09d5c59f6e3b172c14af4f4699f6a"),
+        (SYMMETRIC["K6"], (0, 1),
+         "a197bd5ca62a74b99f25485fa0b29c640be5b0493c8fe0713cea35c61a9ad896"),
+        (SYMMETRIC["Q4"], (3,),
+         "63fbbea5333f1e87caedcbedc8dc43353c5eb1c65fc6124d3e9e03226ce6d395"),
+        (_c3_cubed, (0, 13),
+         "43e797d675ff18a4a2661b1e132562ddd09cc6e6706fa3cca5e82679a2c6aca7"),
+        (fx.barbell, (2,),
+         "e98ded46b6a14406ddc617d29010cab8df99c49baa639d74ffd2e83a7cccca2d"),
+    ], ids=["petersen-0", "c5-0-0", "K6-0-1", "Q4-3", "C3xC3xC3-0-13", "barbell-2"])
+    def test_fixed(self, make, fixed, pin):
+        assert _digest(R.automorphism_generators(make(), fixed)) == pin
 
 
 @st.composite
@@ -181,6 +311,46 @@ def _rescan_refine(neighbors, cells):
             return cells
 
 
+def _cells(part):
+    """The cells of a symmetry._Partition in order, after checking that its
+    arrays agree: lab is a permutation, pos its inverse, the cells are
+    nonempty runs that tile lab in order, and cell_of names each vertex's."""
+    lab, pos, cell_of, start, end = part.lab, part.pos, part.cell_of, part.start, part.end
+    assert sorted(lab) == list(range(len(lab)))
+    assert all(pos[v] == i for i, v in enumerate(lab))
+    assert len(start) == len(end) and all(a < b for a, b in zip(start, end))
+    order = sorted(range(len(start)), key=start.__getitem__)
+    assert [start[c] for c in order] == [0] + [end[c] for c in order[:-1]]
+    assert end[order[-1]] == len(lab)
+    assert all(cell_of[v] == c for c in order for v in lab[start[c]:end[c]])
+    return [lab[start[c]:end[c]] for c in order]
+
+
+def _refine(neighbors, cells):
+    """Refine a _Partition of `cells` with every cell live. Vertices within
+    a cell are in no particular order there, so each cell is listed in the
+    order of `cells`."""
+    part = symmetry._Partition(cells)
+    part.refine(neighbors, range(len(cells)))
+    rank = {v: i for i, v in enumerate(v for c in cells for v in c)}
+    return [sorted(c, key=rank.__getitem__) for c in _cells(part)]
+
+
+def _caterpillar(spine, legs):
+    """A spine path with legs[i % len(legs)] leaves on its i-th vertex, at
+    most 60 vertices, labelled in a shuffled order."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    n = spine
+    for i in range(spine):
+        for _ in range(legs[i % len(legs)] if legs else 0):
+            edges.append((i, n))
+            n += 1
+    assert n <= 60
+    label = list(range(n))
+    random.Random(n).shuffle(label)
+    return R.Graph(n, tuple((label[u], label[v]) for u, v in edges)), label
+
+
 @st.composite
 def graphs_with_seed_partitions(draw):
     """A connected graph, an ordered partition of its vertices, a relabelling."""
@@ -197,7 +367,7 @@ class TestRefine:
     @settings(deadline=None, max_examples=150)
     def test_refinement_is_equitable_in_place_and_equivariant(self, case):
         g, cells, pi = case
-        out = symmetry._refine(g.neighbors, cells)
+        out = _refine(g.neighbors, cells)
         assert out == _rescan_refine(g.neighbors, cells)
         # equitable: a cell's vertices share their count into every cell
         for splitter in map(set, out):
@@ -215,7 +385,7 @@ class TestRefine:
             return [[pi[v] for v in c] for c in part]
 
         moved = R.Graph(g.n, tuple((pi[u], pi[v]) for u, v in g.edges))
-        assert symmetry._refine(moved.neighbors, relabel(cells)) == relabel(out)
+        assert _refine(moved.neighbors, relabel(cells)) == relabel(out)
 
     @pytest.mark.parametrize("spine,legs", [
         (2, ()), (3, ()), (8, ()), (31, ()), (60, ()),
@@ -224,45 +394,47 @@ class TestRefine:
     @pytest.mark.parametrize("individualized", [False, True])
     def test_paths_and_caterpillars_match_the_rescan(self, spine, legs,
                                                      individualized):
-        # A spine path with legs[i % len(legs)] leaves on its i-th vertex,
-        # at most 60 vertices, labelled in a shuffled order. Small cells
-        # split off a big one again and again, so refining by the rest of
-        # the big cell's parent is exercised at every step.
-        edges = [(i, i + 1) for i in range(spine - 1)]
-        n = spine
-        for i in range(spine):
-            for _ in range(legs[i % len(legs)] if legs else 0):
-                edges.append((i, n))
-                n += 1
-        assert n <= 60
-        label = list(range(n))
-        random.Random(n).shuffle(label)
-        g = R.Graph(n, tuple((label[u], label[v]) for u, v in edges))
+        # Small cells split off a big one again and again, so refining by
+        # the rest of the big cell's parent is exercised at every step.
+        g, label = _caterpillar(spine, legs)
+        n = g.n
         cells = [list(range(n))]
         if individualized:
             v = label[spine // 3]
             cells = [[v], [u for u in range(n) if u != v]]
-        assert symmetry._refine(g.neighbors, cells) == _rescan_refine(g.neighbors, cells)
+        assert _refine(g.neighbors, cells) == _rescan_refine(g.neighbors, cells)
 
     @pytest.mark.parametrize("make", [
         fx.petersen,
         lambda: R.cartesian_product(fx.q3(), R.Graph(2, ((0, 1),))),
         lambda: fx.gnp(30, 0.08, 3),
-    ], ids=["petersen", "q4", "gnp30"])
+        lambda: _caterpillar(20, (1, 1, 0, 2))[0],
+    ], ids=["petersen", "q4", "gnp30", "caterpillar"])
     def test_search_nodes_need_only_the_new_cells_live(self, make, monkeypatch):
-        real = symmetry._refine
+        # Each node refines its partition in place with only the cells the
+        # search marks live; the result must be the partition that refining
+        # a fresh copy of the node's cells with every cell live gives.
+        real = symmetry._Partition.refine
         live_sets = []
 
-        def spy(neighbors, cells, live=None):
-            out = real(neighbors, cells, live)
-            assert out == real(neighbors, cells)
-            live_sets.append(live)
-            return out
+        def spy(self, neighbors, live, within=None):
+            live = list(live)
+            cells = _cells(self)
+            if within is not None:  # the live cells tile the inert run `within`
+                s, e = within
+                assert sorted(v for c in live for v in self.lab[self.start[c]:self.end[c]]) \
+                    == sorted(self.lab[s:e])
+            real(self, neighbors, live, within)
+            fresh = symmetry._Partition(cells)
+            real(fresh, neighbors, range(len(cells)))
+            assert [sorted(c) for c in _cells(self)] == [sorted(c) for c in _cells(fresh)]
+            live_sets.append((live, within))
 
-        monkeypatch.setattr(symmetry, "_refine", spy)
+        monkeypatch.setattr(symmetry._Partition, "refine", spy)
         R.automorphism_generators(make())
-        assert live_sets[0] is None
-        assert len(live_sets) > 1 and all(len(live) == 2 for live in live_sets[1:])
+        assert live_sets[0] == ([0], None)
+        assert len(live_sets) > 1
+        assert all(len(live) == 2 and within is not None for live, within in live_sets[1:])
 
 
 class TestOrbits:

@@ -16,7 +16,8 @@ from itertools import takewhile
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog, nnls
+from scipy.optimize import OptimizeResult, nnls
+from scipy.optimize._highspy import _core as highs
 
 from .check import MARGIN, Disproof
 # Bound here only because perfbench/spans.py::TRACED names them as certify's.
@@ -91,7 +92,6 @@ STALL = 0.01  # least share of the margin so far that a round must gain to go on
 DELTA_MAX = 0.5  # line-search step range, halved from DELTA_MAX to DELTA_MIN
 DELTA_MIN = 1e-6
 RITZ_DIM = 8  # eigenvectors of the current weights that bound a line-search trial
-LP_OPTIONS = {"presolve": False}  # HiGHS presolve costs more than it saves here
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +325,83 @@ def assemble_certificate(
 
 
 # ---------------------------------------------------------------------------
+# One HiGHS solve per LP
+# ---------------------------------------------------------------------------
+
+# scipy.optimize.linprog's HiGHS settings for method="highs" with presolve
+# off: dual simplex, no output. On a dense LP with one equality row or a few
+# cut rows, presolve costs more than it saves.
+HIGHS_OPTIONS = highs.HighsOptions()
+HIGHS_OPTIONS.presolve = "off"
+HIGHS_OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+HIGHS_OPTIONS.log_to_console = False
+HIGHS_OPTIONS.output_flag = False
+HIGHS_OPTIONS.simplex_strategy = int(
+    highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+LP_TOL = 10 * np.sqrt(1e-9)  # scipy's check of a solution against its LP
+
+
+def linprog(
+    c: np.ndarray,
+    A_ub: np.ndarray | Sequence = (),
+    b_ub: Sequence[float] = (),
+    A_eq: np.ndarray | Sequence = (),
+    b_eq: Sequence[float] = (),
+    bounds: Sequence = (0.0, None),
+) -> OptimizeResult:
+    """min c.x s.t. A_ub x <= b_ub, A_eq x = b_eq, bounds, by one HiGHS run.
+
+    The LP is the one scipy.optimize.linprog(method="highs", options=
+    {"presolve": False}) hands HiGHS, so x is the same to the bit: the A_ub
+    rows, then the A_eq rows, the matrix column-wise without its zero
+    entries, and None bounds infinite. bounds is one (lo, hi) pair for every
+    column or one pair per column. Each call gets a fresh solver, so no basis
+    carries over from the last LP. scipy's per-call option parsing and input
+    checks are skipped; what certify passes needs neither.
+
+    success is scipy's: HiGHS reports the model optimal, and x is within
+    LP_TOL of its bounds and rows. x and fun are None when HiGHS does not
+    report it optimal.
+    """
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    A = np.vstack([np.reshape(np.asarray(M, dtype=float), (-1, n)) for M in (A_ub, A_eq)])
+    b_ub, b_eq = np.asarray(b_ub, dtype=float), np.asarray(b_eq, dtype=float)
+    k = b_ub.size
+    lhs = np.concatenate([np.full(k, -highs.kHighsInf), b_eq])
+    rhs = np.concatenate([b_ub, b_eq])
+    lb, ub = np.broadcast_to(np.array(bounds, dtype=float), (n, 2)).T  # None: nan
+    lb = np.where(np.isnan(lb), -highs.kHighsInf, lb)
+    ub = np.where(np.isnan(ub), highs.kHighsInf, ub)
+    nonzero = A.T != 0
+
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = rhs.size
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lb, ub
+    lp.row_lower_, lp.row_upper_ = lhs, rhs
+    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
+    lp.a_matrix_.index_ = np.nonzero(nonzero)[1]
+    lp.a_matrix_.value_ = A.T[nonzero]
+    solver, error = highs._Highs(), highs.HighsStatus.kError
+    if (solver.passOptions(HIGHS_OPTIONS) == error or solver.passModel(lp) == error
+            or solver.run() == error
+            or solver.getModelStatus() != highs.HighsModelStatus.kOptimal):
+        return OptimizeResult(x=None, fun=None, success=False)
+    solution = solver.getSolution()
+    x = np.array(solution.col_value)
+    fun = solver.getInfo().objective_function_value
+    slack = rhs - np.array(solution.row_value)  # b - A x, rows in order
+    success = not (
+        np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
+        or (x < lb - LP_TOL).any() or (x > ub + LP_TOL).any()
+        or (slack[:k] < -LP_TOL).any() or (np.abs(slack[k:]) > LP_TOL).any()
+    )
+    return OptimizeResult(x=x, fun=fun, success=success)
+
+
+# ---------------------------------------------------------------------------
 # Disproof search: cutting planes + line search
 # ---------------------------------------------------------------------------
 
@@ -347,9 +424,10 @@ def _cutting_plane_direction(
     one-row LP max sign*g.y s.t. <y, O> = 0, |y|_inf <= 1, with no t column
     and no operator or oracle. Its t is the guarantee y achieves on the cut,
     not the solver's objective, which may exceed it by the solver's
-    tolerance. Both LPs run with HiGHS presolve off (LP_OPTIONS): on a dense
-    LP with one equality row or a few cut rows, presolve costs more than it
-    saves.
+    tolerance. Each LP is one HiGHS dual simplex run without presolve, through
+    this module's linprog. An LP that it does not solve, in either branch,
+    gives the zero direction with guarantee 0, which find_disproof reads as
+    no direction.
     """
     s = part.s
     d = basis.shape[1]
@@ -362,8 +440,6 @@ def _cutting_plane_direction(
             A_eq=part.size_vector[None, :],
             b_eq=[0.0],
             bounds=(-1.0, 1.0),
-            method="highs",
-            options=LP_OPTIONS,
         )
         if not res.success:
             return np.zeros(s), 0.0
@@ -389,8 +465,6 @@ def _cutting_plane_direction(
             A_eq=np.concatenate([part.size_vector, [0.0]])[None, :],
             b_eq=[0.0],
             bounds=[(-1.0, 1.0)] * s + [(None, None)],
-            method="highs",
-            options=LP_OPTIONS,
         )
         if not res.success:
             return np.zeros(s), 0.0

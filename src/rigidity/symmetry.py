@@ -314,8 +314,10 @@ def automorphism_generators(
     base labeling, every other leaf with a matching refinement trace (the
     cell sizes in order at each depth) yields a candidate permutation, the
     one mapping each vertex to what the leaf holds at its base position,
-    that is kept if it verifies. Vertices already in the orbit of an explored
-    branch are skipped at the root.
+    that is kept if it maps every edge to an edge. Vertices already in the
+    orbit of an explored branch are skipped at the root, which is the only
+    place the orbits are read: so the candidates of a root branch are checked
+    together, in one _edge_action pass, when that branch ends.
 
     One _Partition is carried from the root to each leaf. The root builds it
     from the seed cells (the fixed vertices, then the rest) and refines it
@@ -343,6 +345,22 @@ def automorphism_generators(
     trace: list[tuple[int, ...]] = []
     gens: list[Permutation] = []
     orbits = _UnionFind(n)
+    identity = tuple(range(n))
+    candidates: list[tuple[int, ...]] = []  # leaf images not yet checked
+
+    def keep_automorphisms() -> None:
+        """Check the candidates in one _edge_action pass and keep those that
+        map every edge to an edge, in leaf order, joining their orbits."""
+        if not candidates:
+            return
+        mapped = _edge_action(graph, np.array(candidates, dtype=np.intp))
+        for image, ok in zip(candidates, (mapped >= 0).all(axis=1).tolist()):
+            if ok:
+                gens.append(Permutation(image))
+                for v, w in enumerate(image):
+                    if v != w:
+                        orbits.union(v, w)
+        candidates.clear()
 
     def explore(part: _Partition, depth: int, live: Iterable[int],
                 within: tuple[int, int] | None = None) -> None:
@@ -363,12 +381,9 @@ def automorphism_generators(
             if base is None:
                 base = itemgetter(*part.pos)  # n >= 2, so it returns a tuple
                 return
-            sigma = Permutation(base(part.lab))
-            if not sigma.is_identity() and verify_automorphism(graph, sigma):
-                gens.append(sigma)
-                for v, w in enumerate(sigma.image):
-                    if v != w:
-                        orbits.union(v, w)
+            image = base(part.lab)
+            if image != identity:
+                candidates.append(image)
             return
         # Branch on the first of the smallest cells that are not singletons.
         t = min((i for i, k in enumerate(shape) if k > 1), key=shape.__getitem__)
@@ -381,6 +396,8 @@ def automorphism_generators(
             tried.append(v)
             child = part.copy()
             explore(child, depth + 1, child.individualize(v), (s, e))
+            if depth == 0:  # the next root child reads the orbits
+                keep_automorphisms()
 
     explore(_Partition(seed), 0, range(len(seed)))
     # No image repeats: refinement only splits cells in place, so two leaves

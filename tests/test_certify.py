@@ -306,6 +306,76 @@ class TestRayleighCompression:
         assert abs(lam_min - best) <= 1e-6
 
 
+_lp_entries = st.one_of(st.just(0.0), st.floats(0.0, 4.0, allow_subnormal=False))
+
+
+@st.composite
+def _certify_lps(draw):
+    """A random LP of either shape _cutting_plane_direction builds.
+
+    One equality row <O, y> = 0 with box bounds, or cut rows whose entries
+    include zeros, then that row, and a free t column.
+    """
+    s = draw(st.integers(1, 10))
+    sizes = np.array(draw(st.lists(st.integers(1, 12), min_size=s, max_size=s)),
+                     dtype=float)
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    rows = draw(st.integers(0, 6))
+    cuts = np.array(draw(st.lists(st.lists(_lp_entries, min_size=s, max_size=s),
+                                  min_size=max(rows, 1), max_size=max(rows, 1))))
+    if rows == 0:
+        return dict(c=-sign * cuts[0], A_eq=sizes[None, :], b_eq=[0.0],
+                    bounds=(-1.0, 1.0))
+    return dict(c=np.concatenate([np.zeros(s), [-1.0]]),
+                A_ub=np.column_stack([-sign * cuts, np.ones(rows)]),
+                b_ub=np.zeros(rows),
+                A_eq=np.concatenate([sizes, [0.0]])[None, :], b_eq=[0.0],
+                bounds=[(-1.0, 1.0)] * s + [(None, None)])
+
+
+class TestLinprog:
+    """certify.linprog solves the LP scipy's linprog hands HiGHS, to the bit."""
+
+    @given(_certify_lps())
+    @settings(deadline=None, max_examples=150)
+    def test_matches_scipy_linprog(self, lp):
+        got = certify.linprog(**lp)
+        ref = scipy.optimize.linprog(**lp, method="highs",
+                                     options={"presolve": False})
+        assert got.success == ref.success
+        if ref.success:
+            assert got.x.tobytes() == ref.x.tobytes()
+            assert got.fun == ref.fun
+
+    @pytest.mark.parametrize("lp", [
+        dict(c=[0.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=[5.0], bounds=(-1.0, 1.0)),
+        dict(c=[1.0], A_ub=[[1.0]], b_ub=[0.0], bounds=[(None, None)]),
+    ], ids=["infeasible", "unbounded"])
+    def test_unsolved_lp_fails(self, lp):
+        assert not certify.linprog(**lp).success
+        assert not scipy.optimize.linprog(**lp, method="highs").success
+
+    @pytest.mark.parametrize("make,d", [(fx.barbell, 1), (fx.c5, 2)],
+                             ids=["simple", "double"])
+    def test_failed_lp_gives_no_direction(self, make, d, monkeypatch):
+        g, kind = make(), R.TargetKind.LOWER
+        part = _auto_part(g)
+        basis = _cluster(g, kind).basis
+        assert basis.shape[1] == d
+        calls = []
+
+        def linprog(**kwargs):
+            calls.append(kwargs)
+            return scipy.optimize.OptimizeResult(x=None, fun=None, success=False)
+
+        monkeypatch.setattr(certify, "linprog", linprog)
+        y, t = certify._cutting_plane_direction(part, basis, kind,
+                                                np.random.default_rng(0))
+        assert len(calls) == 1
+        assert (d > 1) == ("A_ub" in calls[0])
+        assert y.tobytes() == np.zeros(part.s).tobytes() and t == 0.0
+
+
 class TestDisproof:
     def test_barbell_lower(self):
         g = fx.barbell()

@@ -135,6 +135,24 @@ class TestVerifyAutomorphism:
             R.GroupGenerators(g, good[:at] + (bad,) + good[at:])
 
 
+# Two cubic graphs on 12 vertices whose searches reach leaves that share the
+# first leaf's refinement trace but are not automorphisms: (edges, generator
+# images, group order). The images are those of the search that checked each
+# leaf with verify_automorphism on its own.
+CUBIC12 = {
+    "a": (((0, 4), (0, 9), (0, 11), (1, 2), (1, 6), (1, 9), (2, 8), (2, 10),
+           (3, 5), (3, 6), (3, 7), (4, 6), (4, 11), (5, 7), (5, 8), (7, 10),
+           (8, 9), (10, 11)),
+          [(5, 2, 1, 11, 7, 0, 10, 4, 9, 8, 6, 3)], 2),
+    "b": (((0, 3), (0, 6), (0, 10), (1, 3), (1, 4), (1, 11), (2, 4), (2, 8),
+           (2, 11), (3, 6), (4, 6), (5, 7), (5, 9), (5, 10), (7, 8), (7, 10),
+           (8, 9), (9, 11)),
+          [(0, 4, 11, 6, 1, 7, 3, 5, 9, 8, 10, 2),
+           (10, 9, 2, 5, 8, 3, 7, 6, 4, 1, 0, 11),
+           (10, 8, 11, 7, 9, 6, 5, 3, 1, 4, 0, 2)], 4),
+}
+
+
 class TestSearch:
     @pytest.mark.parametrize("make,order", [
         (fx.c5, 10), (fx.k4, 24), (fx.petersen, 120), (fx.barbell, 8),
@@ -183,6 +201,30 @@ class TestSearch:
         n = 20_000
         g = R.Graph(n, tuple((i, i + 1) for i in range(n - 1)))
         assert R.automorphism_generators(g, fixed=range(0, n, 2)).gens == ()
+
+    @pytest.mark.parametrize("case", sorted(CUBIC12))
+    def test_each_candidate_is_checked_once(self, case, monkeypatch):
+        # No per-leaf check: each leaf image goes through its root branch's
+        # one _edge_action pass, and the images that fail it are dropped.
+        edges, images, order = CUBIC12[case]
+        g = R.Graph(12, edges)
+        batches, real = [], symmetry._edge_action
+
+        def spy(graph, rows):
+            batches.append([tuple(r) for r in rows.tolist()])
+            return real(graph, rows)
+
+        def per_leaf(*args):
+            raise AssertionError("a leaf was checked on its own")
+
+        monkeypatch.setattr(symmetry, "_edge_action", spy)
+        monkeypatch.setattr(symmetry, "verify_automorphism", per_leaf)
+        gens = R.automorphism_generators(g)
+        *search, final = batches  # the last is GroupGenerators' own check
+        checked = [r for batch in search for r in batch]
+        assert len(checked) == len(set(checked)) > len(images)
+        assert [p.image for p in gens.gens] == final == images
+        assert R.close_group(gens).size == order == _vf2_automorphism_count(g)
 
     def test_cap_exceeded(self, monkeypatch):
         gens = R.automorphism_generators(fx.petersen())

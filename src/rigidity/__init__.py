@@ -86,14 +86,11 @@ from .symmetry import (
     CapExceeded,
     GroupClosure,
     GroupGenerators,
-    Permutation,
     SearchBudgetExceeded,
-    VertexOrbitPartition,
     automorphism_generators,
     close_group,
     edge_orbits,
     generators_from_json,
-    verify_automorphism,
     vertex_orbits,
 )
 

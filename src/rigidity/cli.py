@@ -91,6 +91,13 @@ def _load_graph(path: str) -> Graph:
         raise _UsageError(f"{path}: {exc}") from exc
 
 
+def _write(path: Path, data: bytes) -> None:
+    try:
+        path.write_bytes(data)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _group_spec(spec: str) -> tuple[int, ...] | Path:
     """Parse --group into the fixed vertices (auto fixes none) or a generator file."""
     if spec == "auto":
@@ -151,7 +158,7 @@ def _cmd_check(args) -> int:
     ]
     blob = _json_reports(reports)
     if args.report:
-        Path(args.report).write_bytes(blob)
+        _write(Path(args.report), blob)
     text = blob if args.json else b"".join(emit_report(r, "TEXT") for r in reports)
     sys.stdout.write(text.decode())
     return _verdict_exit(reports)
@@ -192,10 +199,9 @@ def _cmd_orbits(args) -> int:
     except CapExceeded as exc:
         print(f"group closure capped: {exc}")
     epart = edge_orbits(gens)
-    vpart = vertex_orbits(gens)
-    vsizes = tuple(len(o) for o in vpart.orbits)
+    vsizes = tuple(Counter(vertex_orbits(gens)).values())
     print(f"edge orbits: {epart.s} with sizes {tuple(epart.sizes)}")
-    print(f"vertex orbits: {len(vpart.orbits)} with sizes {vsizes}")
+    print(f"vertex orbits: {len(vsizes)} with sizes {vsizes}")
     for o in range(epart.s):
         members = [graph.edges[i] for i in epart.members(o)]
         print(f"  orbit {o}: {members}")
@@ -229,7 +235,7 @@ def _cmd_disprove(args) -> int:
     for (u, v), w in zip(graph.edges, d.w.values):
         print(f"  w[{u},{v}] = {float(w)!r}")
     if args.out:
-        Path(args.out).write_text(format_edge_list(graph, d.w))
+        _write(Path(args.out), format_edge_list(graph, d.w).encode())
         print(f"witness weights written to {args.out}")
     return _EXIT_DISPROVED
 
@@ -243,6 +249,12 @@ def _cmd_batch(args) -> int:
     root = Path(args.dir)
     if not root.is_dir():
         raise _UsageError(f"{args.dir} is not a directory")
+    out = Path(args.report_dir) if args.report_dir else None
+    if out:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out}: {exc}") from exc
     paths = sorted(
         p for p in root.iterdir()
         if p.suffix in (".g6", ".graph6", ".txt") and p.is_file()
@@ -267,11 +279,8 @@ def _cmd_batch(args) -> int:
             rep = run_pipeline(graph, t, cfg, graph_id=graph.name)
             summary[rep.status.value] += 1
             print(f"{p.name} {t.value}: {rep.status.value}", flush=True)
-            if args.report_dir:
-                out = Path(args.report_dir)
-                out.mkdir(parents=True, exist_ok=True)
-                fname = f"{p.stem}.{t.value.lower()}.json"
-                (out / fname).write_bytes(emit_report(rep, "JSON"))
+            if out:
+                _write(out / f"{p.stem}.{t.value.lower()}.json", emit_report(rep, "JSON"))
     print("summary:")
     for k in sorted(summary):
         print(f"  {k}: {summary[k]}")

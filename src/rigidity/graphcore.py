@@ -81,10 +81,6 @@ class Graph:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
-    @cached_property
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only endpoint arrays (us, vs): edge i joins us[i] < vs[i]."""
         ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T.copy()
@@ -136,12 +132,6 @@ class WeightVector:
     @classmethod
     def uniform(cls, graph: Graph) -> "WeightVector":
         return cls(np.ones(graph.m), normalized=True)
-
-    def normalize(self) -> "WeightVector":
-        s = float(self.values.sum())
-        if s <= 0:
-            raise ValueError("cannot normalize a zero weight vector")
-        return WeightVector(self.values * (self.values.size / s), normalized=True)
 
     def __len__(self) -> int:
         return self.values.size

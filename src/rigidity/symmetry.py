@@ -1,11 +1,12 @@
 """Graph automorphisms and orbit structure.
 
-Automorphism generators come from an equitable-partition refinement search
-with individualization backtracking, which refines one partition in place
-from the root to each leaf (a child copies its parent's); callers with big
-graphs can supply generators externally (JSON) and skip the search. Orbits of edges and
-vertices live here too; the edge-orbit partition they fill in, and its
-orbit energies, live in graphcore.
+A generator is a plain image tuple, and GroupGenerators is the one place
+generators are checked. They come from an equitable-partition refinement
+search with individualization backtracking, which refines one partition in
+place from the root to each leaf (a child copies its parent's); callers
+with big graphs can supply them externally (JSON) and skip the search.
+Orbits of edges and vertices live here too; the edge-orbit partition they
+fill in, and its orbit energies, live in graphcore.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from __future__ import annotations
 import heapq
 import json
 from itertools import accumulate
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter, sub
 from typing import Iterable, Sequence
 
@@ -35,61 +35,52 @@ class CapExceeded(RuntimeError):
     """Group closure grew past CLOSURE_CAP elements."""
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on 0..n-1, stored as image[v] = sigma(v)."""
-
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        img = tuple(int(x) for x in self.image)
-        n = len(img)
-        if sorted(img) != list(range(n)):
-            raise ValueError("image is not a bijection on 0..n-1")
-        object.__setattr__(self, "image", img)
-
-    @property
-    def n(self) -> int:
-        return len(self.image)
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self.image))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self * other)(v) = self(other(v))."""
-        return Permutation(tuple(self.image[other.image[v]] for v in range(self.n)))
-
-    def __call__(self, v: int) -> int:
-        return self.image[v]
+def _integer_type(t: type) -> bool:
+    """A Python or numpy integer type; bool is not one."""
+    return t is not bool and issubclass(t, (int, np.integer))
 
 
 @dataclass(frozen=True)
 class GroupGenerators:
-    """Verified automorphism generators bound to their graph.
+    """Automorphism generators bound to their graph, as image tuples:
+    generator r maps vertex v to gens[r][v].
 
-    All generators are checked at once: each edge's image under each
-    generator must be an edge, looked up in the sorted edge keys.
+    This is where every generator is checked, all of them at once. Each row
+    must be n integers in 0..n-1; then, over the stacked images, each must
+    be a bijection, and each edge's image under it must be an edge, looked
+    up in the sorted edge keys. The edge test alone would pass a fold such
+    as (0, 1, 0, 1, 0, 1) on C6, which maps every edge onto edge (0, 1).
+    Rows are stored as tuples of Python ints, and `images` is the read-only
+    k x n array of the k rows.
     """
 
     graph: Graph
-    gens: tuple[Permutation, ...]
+    gens: tuple[tuple[int, ...], ...]
+    images: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if (any(g.n != self.graph.n for g in self.gens)
-                or (_edge_action(self.graph, self.images) < 0).any()):
-            raise ValueError("generator is not an automorphism of the bound graph")
-
-    @cached_property
-    def images(self) -> np.ndarray:
-        """Read-only k x n array of the k generators' images, row r = gens[r].image."""
-        arr = np.array([g.image for g in self.gens], dtype=np.intp).reshape(
-            len(self.gens), self.graph.n)
-        arr.setflags(write=False)
-        return arr
+        n = self.graph.n
+        rows = tuple(map(tuple, self.gens))
+        why = f"it is not {n} integers in 0..{n - 1}"
+        # In range before any array is built, so no entry can overflow one.
+        bad = next((r for r, g in enumerate(rows)
+                    if len(g) != n or not all(map(_integer_type, set(map(type, g))))
+                    or min(g) < 0 or max(g) >= n), None)
+        if bad is None:
+            images = np.array(rows, dtype=np.intp).reshape(len(rows), n)
+            bijective = (np.sort(images, axis=1) == np.arange(n)).all(axis=1)
+            closed = (_edge_action(self.graph, images) >= 0).all(axis=1)
+            wrong = np.flatnonzero(~(bijective & closed))
+            if wrong.size:
+                bad = int(wrong[0])
+                why = ("it maps an edge to a non-edge" if bijective[bad]
+                       else "it is not a bijection")
+        if bad is not None:
+            raise ValueError(
+                f"generator {bad} is not an automorphism of the bound graph: {why}")
+        images.setflags(write=False)
+        object.__setattr__(self, "gens", tuple(map(tuple, images.tolist())))
+        object.__setattr__(self, "images", images)
 
 
 @dataclass(frozen=True)
@@ -97,25 +88,6 @@ class GroupClosure:
     """The order of a generated subgroup of Aut(G); no element is kept."""
 
     size: int
-
-
-@dataclass(frozen=True)
-class VertexOrbitPartition:
-    orbit_of: tuple[int, ...]
-    orbits: tuple[tuple[int, ...], ...]
-
-
-def verify_automorphism(graph: Graph, sigma: Permutation) -> bool:
-    """True iff sigma maps the edge set onto itself."""
-    if sigma.n != graph.n:
-        return False
-    img = sigma.image
-    idx = graph.edge_index
-    for u, v in graph.edges:
-        a, b = img[u], img[v]
-        if ((a, b) if a < b else (b, a)) not in idx:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +315,7 @@ def automorphism_generators(
     nodes = 0
     base = None  # base(lab): what a leaf holds where the first leaf holds 0..n-1
     trace: list[tuple[int, ...]] = []
-    gens: list[Permutation] = []
+    gens: list[tuple[int, ...]] = []
     orbits = _UnionFind(n)
     identity = tuple(range(n))
     candidates: list[tuple[int, ...]] = []  # leaf images not yet checked
@@ -356,7 +328,7 @@ def automorphism_generators(
         mapped = _edge_action(graph, np.array(candidates, dtype=np.intp))
         for image, ok in zip(candidates, (mapped >= 0).all(axis=1).tolist()):
             if ok:
-                gens.append(Permutation(image))
+                gens.append(image)
                 for v, w in enumerate(image):
                     if v != w:
                         orbits.union(v, w)
@@ -418,18 +390,17 @@ def close_group(gens: GroupGenerators) -> GroupClosure:
       because a byte, and so a translation table's index, holds 0..255.
     - n > 256: a tuple of ints. `itemgetter(*e)` is built once per e, and
       applied to g's image it gives the image of g∘e.
-    No Permutation is built per element.
 
     Raises CapExceeded when the subgroup grows past CLOSURE_CAP.
     """
     n = gens.graph.n
     if n <= 256:
         pad = bytes(range(n, 256))
-        maps = [bytes(g.image) + pad for g in gens.gens]
+        maps = [bytes(g) + pad for g in gens.gens]
         ident = bytes(range(n))
         after = attrgetter("translate")
     else:
-        maps = [g.image for g in gens.gens]
+        maps = gens.gens
         ident = tuple(range(n))
         # Graph has n >= 2, so itemgetter with n indices returns a tuple.
         def after(e):
@@ -504,12 +475,9 @@ def edge_orbits(gens: GroupGenerators) -> EdgeOrbitPartition:
     return EdgeOrbitPartition(graph, _orbit_labels(_edge_action(graph, gens.images)))
 
 
-def vertex_orbits(gens: GroupGenerators) -> VertexOrbitPartition:
-    orbit_of = _orbit_labels(gens.images)
-    groups: list[list[int]] = [[] for _ in range(max(orbit_of) + 1)]
-    for v, o in enumerate(orbit_of):
-        groups[o].append(v)
-    return VertexOrbitPartition(orbit_of, tuple(tuple(g) for g in groups))
+def vertex_orbits(gens: GroupGenerators) -> tuple[int, ...]:
+    """Orbit label of each vertex, numbered in order of each orbit's first vertex."""
+    return _orbit_labels(gens.images)
 
 
 # ---------------------------------------------------------------------------
@@ -517,11 +485,10 @@ def vertex_orbits(gens: GroupGenerators) -> VertexOrbitPartition:
 # ---------------------------------------------------------------------------
 
 def generators_from_json(graph: Graph, text: str) -> GroupGenerators:
-    """Parse a JSON array of permutation image arrays and verify each."""
+    """Parse a JSON array of image arrays into checked generators."""
     data = json.loads(text)
     if not isinstance(data, list):
         raise ValueError("generator file must be a JSON array of image arrays")
-    gens = []
     for entry in data:
         # JSON integers only: int() would round 0.9, and read "1" or true as 1.
         if (not isinstance(entry, list) or len(entry) != graph.n
@@ -529,8 +496,4 @@ def generators_from_json(graph: Graph, text: str) -> GroupGenerators:
             raise ValueError(
                 f"each generator must be an image array of {graph.n} integers"
             )
-        sigma = Permutation(tuple(entry))
-        if not verify_automorphism(graph, sigma):
-            raise ValueError(f"permutation {entry} is not an automorphism")
-        gens.append(sigma)
-    return GroupGenerators(graph, tuple(gens))
+    return GroupGenerators(graph, tuple(map(tuple, data)))

@@ -107,28 +107,23 @@ def q3():
 
 def rotation_gens(graph, n):
     """Cyclic rotation subgroup i -> i+1 mod n."""
-    rot = R.Permutation(tuple((i + 1) % n for i in range(n)))
-    return R.GroupGenerators(graph, (rot,))
+    return R.GroupGenerators(graph, (tuple((i + 1) % n for i in range(n)),))
 
 
 def lift_product_gens(g1, g2, prod):
     """Automorphisms of a cartesian product induced by factor automorphisms."""
     n1, n2 = g1.n, g2.n
-    lifted = []
-    for s in R.automorphism_generators(g1).gens:
-        lifted.append(R.Permutation(tuple(
-            s(a) * n2 + b for a in range(n1) for b in range(n2))))
-    for s in R.automorphism_generators(g2).gens:
-        lifted.append(R.Permutation(tuple(
-            a * n2 + s(b) for a in range(n1) for b in range(n2))))
+    lifted = [tuple(s[a] * n2 + b for a in range(n1) for b in range(n2))
+              for s in R.automorphism_generators(g1).gens]
+    lifted += [tuple(a * n2 + s[b] for a in range(n1) for b in range(n2))
+               for s in R.automorphism_generators(g2).gens]
     return R.GroupGenerators(prod, tuple(lifted))
 
 
 def diagonal_gens(g, prod):
     """Diagonal subgroup (sigma, sigma) of Aut(G) x Aut(G) on G square G."""
     n = g.n
-    lifted = [R.Permutation(tuple(s(a) * n + s(b)
-                                  for a in range(n) for b in range(n)))
+    lifted = [tuple(s[a] * n + s[b] for a in range(n) for b in range(n))
               for s in R.automorphism_generators(g).gens]
     return R.GroupGenerators(prod, tuple(lifted))
 
@@ -150,32 +145,28 @@ def battery():
     return [k4(), c5(), c7(), petersen(), barbell(), f3(), z12(), z21()]
 
 
-def inverse(sigma):
-    """The inverse permutation: the argsort of the image array."""
-    return R.Permutation(tuple(int(v) for v in np.argsort(sigma.image)))
-
-
 def edge_permutation(graph, sigma):
     """Index map of sigma's edge action: entry i is the index of sigma(e_i)."""
-    idx = graph.edge_index
+    index = {e: i for i, e in enumerate(graph.edges)}
     out = np.empty(graph.m, dtype=np.int64)
     for i, (u, v) in enumerate(graph.edges):
-        a, b = sigma(u), sigma(v)
-        out[i] = idx[(a, b) if a < b else (b, a)]
+        a, b = sigma[u], sigma[v]
+        out[i] = index[(a, b) if a < b else (b, a)]
     return out
 
 
 def compose_closure(gens):
-    """Every element of the generated group, by breadth-first closure spelled
-    out with Permutation.compose: the identity first, then each frontier
-    element e times every generator g, as g.compose(e)."""
-    ident = R.Permutation.identity(gens.graph.n)
+    """Every element of the generated group as an image tuple, by
+    breadth-first closure spelled out: the identity first, then each
+    frontier element e times every generator g, as g∘e, which maps v to
+    g[e[v]]."""
+    ident = tuple(range(gens.graph.n))
     elements, frontier, seen = [ident], [ident], {ident}
     while frontier:
         nxt = []
         for e in frontier:
             for g in gens.gens:
-                h = g.compose(e)
+                h = tuple(g[v] for v in e)
                 if h not in seen:
                     seen.add(h)
                     elements.append(h)
@@ -192,6 +183,11 @@ def orbit_mean(w, part):
     """
     means = np.bincount(part.labels, w.values, minlength=part.s) / part.size_vector
     return R.WeightVector(means[part.labels], normalized=w.normalized)
+
+
+def normalized(w):
+    """w scaled to sum to its edge count."""
+    return R.WeightVector(w.values * (w.values.size / w.values.sum()), normalized=True)
 
 
 def random_weights(graph, rng):

@@ -249,8 +249,7 @@ def test_criterion_10_property_battery(battery_reports):
                 base = np.asarray(R.edge_energy(g, phi))
                 atol = 1e-12 * max(1.0, float(np.max(base)))
                 for sigma, perm in perms:
-                    moved = np.asarray(
-                        R.edge_energy(g, phi[np.argsort(sigma.image)]))
+                    moved = np.asarray(R.edge_energy(g, phi[np.argsort(sigma)]))
                     assert np.max(np.abs(moved[perm] - base)) <= atol
             # energy identity over random (phi, w) pairs
             for _ in range(100):

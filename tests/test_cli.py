@@ -88,8 +88,7 @@ class TestCheck:
         gfile = tmp_path / "z12.g6"
         gfile.write_text(R.to_graph6(g) + "\n")
         gens = tmp_path / "gens.json"
-        gens.write_text(json.dumps(
-            [list(s.image) for s in fx.rotation_gens(g, 12).gens]))
+        gens.write_text(json.dumps(fx.rotation_gens(g, 12).gens))
         rc = main(["check", str(gfile), "--target", "lower",
                    "--group", f"file:{gens}", "--json"])
         assert rc == 0
@@ -147,6 +146,7 @@ class TestOrbits:
         out = capsys.readouterr().out
         assert rc == 0
         assert "group order 8" in out
+        assert "vertex orbits: 2 with sizes (4, 2)\n" in out
         for size in ("1", "2", "4"):
             assert size in out
 
@@ -375,6 +375,25 @@ class TestUsageErrors:
         assert rc == 3
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", [
+        ["check", "{graph}", "--report", "{missing}/x.json"],
+        ["disprove", "{graph}", "--target", "lower", "--out", "{missing}/w.txt"],
+        ["batch", "{dir}", "--report-dir", "{graph}"],
+    ], ids=["check-report", "disprove-out", "batch-report-dir"])
+    def test_unwritable_output_exits_3(self, tmp_path, capsys, command):
+        graphs = tmp_path / "graphs"
+        graphs.mkdir()
+        graph = graphs / "barbell.txt"
+        graph.write_text(R.format_edge_list(fx.barbell()))
+        paths = {"graph": graph, "dir": graphs, "missing": tmp_path / "nowhere"}
+        rc = main([arg.format(**paths) for arg in command])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err.startswith("error: cannot write")
+        assert "Traceback" not in captured.err
+        if command[0] == "batch":  # refused before the first run
+            assert captured.out == ""
 
     def test_missing_group_file(self, barbell_file, capsys):
         rc = main(["check", str(barbell_file),

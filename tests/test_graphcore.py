@@ -228,18 +228,9 @@ class TestWeightVector:
         assert np.array_equal(w.values, np.ones(5))
         assert w.normalized
 
-    def test_normalize_sums_to_edge_count(self):
-        w = R.WeightVector((3.0, 1.0, 0.0, 2.0)).normalize()
-        assert w.normalized
-        assert abs(w.values.sum() - 4.0) <= 1e-12
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             R.WeightVector((1.0, -0.5))
-
-    def test_zero_vector_cannot_normalize(self):
-        with pytest.raises(ValueError):
-            R.WeightVector((0.0, 0.0)).normalize()
 
     def test_length_mismatch_rejected(self):
         g = fx.c5()

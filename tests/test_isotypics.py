@@ -106,7 +106,7 @@ class TestStructuralInvariants:
             B = c.basis
             for s in gens.gens:
                 # (sigma . phi)(u) = phi(sigma^-1(u)), column by column
-                rho_B = B[np.argsort(s.image)]
+                rho_B = B[np.argsort(s)]
                 # rho(sigma) B must stay inside the component
                 resid = rho_B - B @ (B.T @ rho_B)
                 assert np.max(np.abs(resid)) <= 1e-8
@@ -207,7 +207,7 @@ class TestCommutant:
         avg = np.zeros((d, d))
         for sigma in elements:
             PB = np.empty_like(B)
-            PB[list(sigma.image), :] = B
+            PB[list(sigma), :] = B
             Rs = B.T @ PB
             avg += Rs.T @ X @ Rs
         avg /= len(elements)

@@ -423,7 +423,7 @@ class TestGeneratingSetIndependence:
         gens = gens_of(g)
         # the squares add nothing to the group, only to the generator list
         redundant = R.GroupGenerators(
-            g, tuple(s.compose(s) for s in gens.gens) + gens.gens)
+            g, tuple(tuple(s[v] for v in s) for s in gens.gens) + gens.gens)
         a = _run(g, LOWER, group=gens)
         b = _run(g, LOWER, group=redundant)
         assert a.status is b.status

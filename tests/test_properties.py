@@ -104,23 +104,8 @@ def test_graph6_roundtrip_and_reference_codec(g):
 def test_weight_normalize_sums_to_edge_count(gw):
     g, w = gw
     m = len(g.edges)
-    total = sum(w.normalize().values)
+    total = sum(fx.normalized(w).values)
     assert abs(total - m) <= 1e-12 * m
-
-
-@given(st.integers(2, 12).flatmap(
-    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
-@settings(deadline=None, max_examples=60)
-def test_permutation_group_laws(imgs):
-    img_p, img_q = imgs
-    p, q = R.Permutation(tuple(img_p)), R.Permutation(tuple(img_q))
-    n = len(img_p)
-    pq = p.compose(q)
-    assert all(pq(i) == p(q(i)) for i in range(n))
-    assert p.compose(fx.inverse(p)).is_identity()
-    assert fx.inverse(p).compose(p).is_identity()
-    e = R.Permutation.identity(n)
-    assert p.compose(e).image == p.image and e.compose(p).image == p.image
 
 
 @given(graphs_with_weights(), st.floats(0.1, 8.0, allow_nan=False))
@@ -156,8 +141,8 @@ def test_symmetrization_is_monotone(g, data):
             gens = R.automorphism_generators(g)
     except R.SearchBudgetExceeded:
         assume(False)
-    ws = fx.orbit_mean(w.normalize(), R.edge_orbits(gens))
-    lam = R.laplacian_spectrum(g, w.normalize()).eigenvalues
+    ws = fx.orbit_mean(fx.normalized(w), R.edge_orbits(gens))
+    lam = R.laplacian_spectrum(g, fx.normalized(w)).eigenvalues
     lams = R.laplacian_spectrum(g, ws).eigenvalues
     slack = 1e-10 * max(1.0, lam[-1])
     assert lams[1] >= lam[1] - slack
@@ -213,10 +198,9 @@ circulants = st.integers(4, 10).flatmap(lambda n: st.sets(
 def test_automorphism_generators_never_repeat(g, data):
     fixed = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2, unique=True))
     gens = R.automorphism_generators(g, fixed).gens
-    images = [sigma.image for sigma in gens]
-    assert len(set(images)) == len(images)
-    assert not any(sigma.is_identity() for sigma in gens)
-    assert all(sigma(v) == v for sigma in gens for v in fixed)
+    assert len(set(gens)) == len(gens)
+    assert tuple(range(g.n)) not in gens
+    assert all(sigma[v] == v for sigma in gens for v in fixed)
 
 
 @given(st.one_of(connected_graphs(max_n=7), circulants), st.data())
@@ -234,12 +218,12 @@ def test_orbits_match_the_compose_closure(g, data):
         first = {}
         return tuple(first.setdefault(min(o), len(first)) for o in orbits)
 
-    vertex = [{s(v) for s in elements} for v in range(g.n)]
+    vertex = [{s[v] for s in elements} for v in range(g.n)]
     vo = R.vertex_orbits(gens)
-    assert vo.orbit_of == orbit_of(vertex)
-    assert [set(vo.orbits[o]) for o in vo.orbit_of] == vertex
-    index = g.edge_index
-    edge = [{index[tuple(sorted((s(u), s(v))))] for s in elements}
+    assert vo == orbit_of(vertex)
+    assert [{w for w in range(g.n) if vo[w] == vo[v]} for v in range(g.n)] == vertex
+    index = {e: i for i, e in enumerate(g.edges)}
+    edge = [{index[tuple(sorted((s[u], s[v])))] for s in elements}
             for u, v in g.edges]
     part = R.edge_orbits(gens)
     assert part.orbit_of == orbit_of(edge)
@@ -442,7 +426,7 @@ def test_isotypic_decomposition_is_exact_and_seed_free(g, group):
             for i, P in enumerate(projs):
                 assert all(np.max(np.abs(P @ Q)) <= 1e-8 for Q in projs[i + 1:])
                 for sigma in gens.gens:
-                    image = list(sigma.image)
+                    image = list(sigma)
                     assert np.max(np.abs(P[np.ix_(image, image)] - P)) <= 1e-8
         shapes = [[(c.irr_dim, c.mult, c.endo_dim) for c in dec.components]
                   for dec in decs]

@@ -10,6 +10,7 @@ cutting planes, turned into explicit witness weights by a line search.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
@@ -325,7 +326,7 @@ def assemble_certificate(
 
 
 # ---------------------------------------------------------------------------
-# One HiGHS solve per LP
+# One HiGHS solver per thread, one run per LP
 # ---------------------------------------------------------------------------
 
 # scipy.optimize.linprog's HiGHS settings for method="highs" with presolve
@@ -339,6 +340,18 @@ HIGHS_OPTIONS.output_flag = False
 HIGHS_OPTIONS.simplex_strategy = int(
     highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
 LP_TOL = 10 * np.sqrt(1e-9)  # scipy's check of a solution against its LP
+_THREAD = threading.local()  # .solver: the thread's HiGHS solver
+
+
+def _thread_solver():
+    """This thread's HiGHS solver, built and given HIGHS_OPTIONS on first use."""
+    solver = getattr(_THREAD, "solver", None)
+    if solver is None:
+        solver = highs._Highs()
+        if solver.passOptions(HIGHS_OPTIONS) == highs.HighsStatus.kError:
+            raise RuntimeError("HiGHS rejected HIGHS_OPTIONS")
+        _THREAD.solver = solver
+    return solver
 
 
 def linprog(
@@ -355,9 +368,11 @@ def linprog(
     {"presolve": False}) hands HiGHS, so x is the same to the bit: the A_ub
     rows, then the A_eq rows, the matrix column-wise without its zero
     entries, and None bounds infinite. bounds is one (lo, hi) pair for every
-    column or one pair per column. Each call gets a fresh solver, so no basis
-    carries over from the last LP. scipy's per-call option parsing and input
-    checks are skipped; what certify passes needs neither.
+    column or one pair per column. Each thread keeps one solver, given the
+    options once, since building one costs more than a small LP's simplex
+    run. passModel clears the last LP's model, basis and solution, so every
+    run starts cold. scipy's per-call option parsing and input checks are
+    skipped; what certify passes needs neither.
 
     success is scipy's: HiGHS reports the model optimal, and x is within
     LP_TOL of its bounds and rows. x and fun are None when HiGHS does not
@@ -384,9 +399,8 @@ def linprog(
     lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
     lp.a_matrix_.index_ = np.nonzero(nonzero)[1]
     lp.a_matrix_.value_ = A.T[nonzero]
-    solver, error = highs._Highs(), highs.HighsStatus.kError
-    if (solver.passOptions(HIGHS_OPTIONS) == error or solver.passModel(lp) == error
-            or solver.run() == error
+    solver, error = _thread_solver(), highs.HighsStatus.kError
+    if (solver.passModel(lp) == error or solver.run() == error
             or solver.getModelStatus() != highs.HighsModelStatus.kOptimal):
         return OptimizeResult(x=None, fun=None, success=False)
     solution = solver.getSolution()

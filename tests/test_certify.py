@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -311,11 +313,7 @@ _lp_entries = st.one_of(st.just(0.0), st.floats(0.0, 4.0, allow_subnormal=False)
 
 @st.composite
 def _certify_lps(draw):
-    """A random LP of either shape _cutting_plane_direction builds.
-
-    One equality row <O, y> = 0 with box bounds, or cut rows whose entries
-    include zeros, then that row, and a free t column.
-    """
+    """A random LP of either shape _cutting_plane_direction builds."""
     s = draw(st.integers(1, 10))
     sizes = np.array(draw(st.lists(st.integers(1, 12), min_size=s, max_size=s)),
                      dtype=float)
@@ -323,14 +321,47 @@ def _certify_lps(draw):
     rows = draw(st.integers(0, 6))
     cuts = np.array(draw(st.lists(st.lists(_lp_entries, min_size=s, max_size=s),
                                   min_size=max(rows, 1), max_size=max(rows, 1))))
-    if rows == 0:
+    return _cutting_plane_lp(sizes, sign, cuts, rows > 0)
+
+
+def _cutting_plane_lp(sizes, sign, cuts, with_cuts):
+    """One equality row <O, y> = 0 with box bounds and cost cuts[0], or, with
+    cuts, the cut rows, whose entries include zeros, then that row, and a free
+    t column."""
+    if not with_cuts:
         return dict(c=-sign * cuts[0], A_eq=sizes[None, :], b_eq=[0.0],
                     bounds=(-1.0, 1.0))
+    rows, s = cuts.shape
     return dict(c=np.concatenate([np.zeros(s), [-1.0]]),
                 A_ub=np.column_stack([-sign * cuts, np.ones(rows)]),
                 b_ub=np.zeros(rows),
                 A_eq=np.concatenate([sizes, [0.0]])[None, :], b_eq=[0.0],
                 bounds=[(-1.0, 1.0)] * s + [(None, None)])
+
+
+def _seeded_lps(count):
+    """count LPs of the shapes _certify_lps draws, from a seeded numpy rng."""
+    rng = np.random.default_rng(0)
+    lps = []
+    for _ in range(count):
+        s, rows = int(rng.integers(1, 11)), int(rng.integers(0, 7))
+        shape = (max(rows, 1), s)
+        cuts = rng.uniform(0.0, 4.0, shape) * (rng.random(shape) < 0.7)
+        lps.append(_cutting_plane_lp(rng.integers(1, 13, s).astype(float),
+                                     float(rng.choice([1.0, -1.0])), cuts, rows > 0))
+    return lps
+
+
+_UNSOLVED_LPS = [  # infeasible, unbounded
+    dict(c=[0.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=[5.0], bounds=(-1.0, 1.0)),
+    dict(c=[1.0], A_ub=[[1.0]], b_ub=[0.0], bounds=[(None, None)]),
+]
+
+
+def _same_result(got, ref):
+    """The same success and, when solved, bitwise-equal x and equal fun."""
+    return got.success == ref.success and (
+        not ref.success or (got.x.tobytes() == ref.x.tobytes() and got.fun == ref.fun))
 
 
 class TestLinprog:
@@ -342,18 +373,48 @@ class TestLinprog:
         got = certify.linprog(**lp)
         ref = scipy.optimize.linprog(**lp, method="highs",
                                      options={"presolve": False})
-        assert got.success == ref.success
-        if ref.success:
-            assert got.x.tobytes() == ref.x.tobytes()
-            assert got.fun == ref.fun
+        assert _same_result(got, ref)
 
-    @pytest.mark.parametrize("lp", [
-        dict(c=[0.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=[5.0], bounds=(-1.0, 1.0)),
-        dict(c=[1.0], A_ub=[[1.0]], b_ub=[0.0], bounds=[(None, None)]),
-    ], ids=["infeasible", "unbounded"])
+    @pytest.mark.parametrize("lp", _UNSOLVED_LPS, ids=["infeasible", "unbounded"])
     def test_unsolved_lp_fails(self, lp):
         assert not certify.linprog(**lp).success
         assert not scipy.optimize.linprog(**lp, method="highs").success
+
+    def test_reused_solver_keeps_no_state(self, monkeypatch):
+        # A solved LP, both unsolved ones, then the first again, on one
+        # thread's solver: each run starts from passModel's cleared state.
+        solved = _seeded_lps(1)[0]
+        lps = [solved, *_UNSOLVED_LPS, solved, *_seeded_lps(20)]
+        built, build = [], certify.highs._Highs
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(certify.highs, "_Highs", counted)
+        with ThreadPoolExecutor(1) as pool:  # a new thread, with no solver yet
+            got = pool.submit(lambda: [certify.linprog(**lp) for lp in lps]).result()
+        assert len(built) == 1
+        for lp, res in zip(lps, got):
+            ref = scipy.optimize.linprog(**lp, method="highs",
+                                         options={"presolve": False})
+            assert _same_result(res, ref)
+        assert got[0].success and got[3].x.tobytes() == got[0].x.tobytes()
+
+    def test_threads_get_the_serial_results(self):
+        lps = _seeded_lps(40) + _UNSOLVED_LPS
+        serial = [certify.linprog(**lp) for lp in lps]
+        barrier = threading.Barrier(2)
+
+        def solve(order):
+            barrier.wait()
+            return [(i, certify.linprog(**lps[i])) for _ in range(5) for i in order]
+
+        order = list(range(len(lps)))
+        with ThreadPoolExecutor(2) as pool:
+            runs = list(pool.map(solve, (order, order[::-1])))
+        for run in runs:
+            assert all(_same_result(res, serial[i]) for i, res in run)
 
     @pytest.mark.parametrize("make,d", [(fx.barbell, 1), (fx.c5, 2)],
                              ids=["simple", "double"])

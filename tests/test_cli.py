@@ -363,8 +363,9 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("entry", [
         "[null,1,2,3,4]", "[[0],1,2,3,4]", "[0.9,1.2,2.7,3,4]",
-        '["1","2","3","4","0"]', "[true,2,3,4,0]",
-    ], ids=["null", "nested-list", "floats", "strings", "bool"])
+        '["1","2","3","4","0"]', "[true,2,3,4,0]", "1", '{"0": 1}',
+    ], ids=["null", "nested-list", "floats", "strings", "bool", "bare-integer",
+            "object"])
     def test_generator_entries_must_be_integers(self, tmp_path, capsys, entry):
         gfile = tmp_path / "c5.g6"
         gfile.write_text(R.to_graph6(fx.c5()) + "\n")

@@ -70,7 +70,6 @@ from .pipeline import (
     emit_report,
     run_pipeline,
 )
-from .sdpfeas import orbit_laplacian
 from .spectra import (
     AmbiguousCluster,
     ConvergenceFailure,

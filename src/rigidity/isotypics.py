@@ -8,9 +8,9 @@ commute with every generator. The eigenspaces of one random symmetric
 element of the commutant are irreducible summands (Murota, Kanno, Kojima &
 Kojima, A numerical algorithm for block-diagonal decomposition of matrix
 *-algebras, Japan J. Indust. Appl. Math. 2010). Schur's lemma then makes the
-rest exact checks: a summand is irreducible exactly when its own commutant
-is R, C or H, and two summands are isomorphic exactly when the commutant
-holds a nonzero map between them.
+rest exact checks on that one commutant: a summand is irreducible exactly
+when its diagonal block, End, is R, C or H, and two summands are isomorphic
+exactly when the block between them holds a nonzero map.
 """
 
 from __future__ import annotations
@@ -21,16 +21,16 @@ import numpy as np
 
 from .graphcore import EdgeOrbitPartition, orbit_energy
 from .spectra import EigenspaceCluster
-from .symmetry import GroupGenerators, _UnionFind
+from .symmetry import GroupGenerators
 
 
 class UnstableSplit(RuntimeError):
     """The eigenspace does not split into irreducibles under the group.
 
     Raised when a generator does not map the eigenspace into itself, when a
-    summand's commutant has a symmetric part beyond the scalars, and so holds
-    the projector onto a smaller invariant subspace, or when summands found
-    isomorphic differ in endomorphism field.
+    summand's endomorphisms have a symmetric part beyond the scalars, and so
+    hold the projector onto a smaller invariant subspace, or when summands
+    found isomorphic differ in endomorphism field.
     """
 
 
@@ -126,27 +126,29 @@ def _split_by_eigenvalues(M: np.ndarray, tol: float = 1e-7) -> list[np.ndarray]:
     return blocks
 
 
-def _endomorphism_field(mats: np.ndarray, Q: np.ndarray) -> int:
-    """Dimension of the commutant of the action restricted to Q's columns.
+def _endomorphism_field(blocks: np.ndarray) -> int:
+    """Dimension of End(Q), spanned by the (c, k, k) blocks Q^T X Q of the
+    commutant's orthonormal basis matrices X.
 
-    By Schur's lemma the summand is irreducible exactly when this commutant
-    is R, C or H. The commutant of an orthogonal action holds the projector
-    onto every invariant subspace, so it must have no symmetric part beyond
-    the scalars. Otherwise a unit traceless symmetric element lies in it, and
-    the traceless symmetric parts of its orthonormal basis have a norm of at
-    least 1, where 0.5 is the threshold.
+    X -> P X P, P = Q Q^T, is an orthogonal projection mapping the commutant
+    into itself, so the block map's singular values are 0 or 1; the right
+    singular vectors above 0.5 are an orthonormal basis of End(Q). By
+    Schur's lemma Q is irreducible exactly when End(Q) is R, C or H. End(Q)
+    holds the projector onto every invariant subspace of Q, so it must have
+    no symmetric part beyond the scalars; a unit traceless symmetric element
+    would give its orthonormal basis traceless symmetric parts of norm >= 1.
     """
-    k = Q.shape[1]
-    E = _commutant(Q.T @ mats @ Q, k)
-    X = E.T.reshape(-1, k, k)
+    c, k, _ = blocks.shape
+    _, sv, Vt = np.linalg.svd(blocks.reshape(c, k * k), full_matrices=False)
+    X = Vt[sv > 0.5].reshape(-1, k, k)
     S = 0.5 * (X + X.transpose(0, 2, 1))
     S -= np.trace(S, axis1=1, axis2=2)[:, None, None] * (np.eye(k) / k)
-    if np.linalg.norm(S) > 0.5 or E.shape[1] not in (1, 2, 4):
+    if np.linalg.norm(S) > 0.5 or len(X) not in (1, 2, 4):
         raise UnstableSplit(
             f"a {k}-dimensional summand is reducible: its commutant of "
-            f"dimension {E.shape[1]} is not R, C or H"
+            f"dimension {len(X)} is not R, C or H"
         )
-    return E.shape[1]
+    return len(X)
 
 
 def isotypic_decompose(
@@ -157,13 +159,15 @@ def isotypic_decompose(
     """Decompose an eigenspace into isotypic components.
 
     The commutant N of the generators' action on the eigenspace is solved for
-    once. The eigenspaces of one random symmetric matrix projected onto it
-    are invariant, and irreducible for a generic draw; the seed feeds only
-    this draw. Each summand is then proven irreducible, and its endo_dim
-    found, by _endomorphism_field. Summands a and b are isomorphic, and share
-    an isotypic, exactly when ||(Q_a (x) Q_b)^T N||_2 > 0.5: the blocks
-    Q_b^T X Q_a of the commutant are the intertwiners from a to b, so the
-    norm is at least 1 when an isometric one exists and 0 when none does.
+    once, and every later test reads its blocks. The eigenspaces of one
+    random symmetric matrix projected onto it are invariant, and irreducible
+    for a generic draw; the seed feeds only this draw. Each summand Q is then
+    proven irreducible, and its endo_dim found, by _endomorphism_field on
+    the blocks Q^T X Q. Summands a and b are isomorphic exactly when
+    ||(Q_a (x) Q_b)^T N||_2 > 0.5: the blocks Q_b^T X Q_a are the
+    intertwiners from a to b, so the norm is at least 1 when an isometric
+    one exists and 0 when none does. Each summand is compared only with the
+    first member of each isomorphism class found so far.
     Raises UnstableSplit when the eigenspace is not invariant under a
     generator, a summand is reducible or isomorphic summands disagree.
     Components sort by (irr_dim, mult) and then by the bytes of the rounded
@@ -172,26 +176,25 @@ def isotypic_decompose(
     """
     B = cluster.basis
     d = B.shape[1]
-    mats = _generator_action(cluster, gens)
-    N = _commutant(mats, d)
+    N = _commutant(_generator_action(cluster, gens), d)
     X = np.random.default_rng(seed).standard_normal((d, d))
     summands = _split_by_eigenvalues(_project(N, 0.5 * (X + X.T)))
-    endos = [_endomorphism_field(mats, Q) for Q in summands]
-
     commutant = N.T.reshape(-1, d, d).transpose(0, 2, 1)
-    isomorphic = _UnionFind(len(summands))
+    endos = [_endomorphism_field(Q.T @ commutant @ Q) for Q in summands]
+
+    classes: list[list[int]] = []
     for a, Qa in enumerate(summands):
-        for b, Qb in enumerate(summands[:a]):
-            if Qa.shape == Qb.shape and not isomorphic.same(a, b):
-                T = (Qb.T @ commutant @ Qa).reshape(len(commutant), -1)
-                if np.linalg.norm(T, 2) > 0.5:
-                    isomorphic.union(a, b)
-    groups: dict[int, list[int]] = {}
-    for i, label in enumerate(isomorphic.labels()):
-        groups.setdefault(label, []).append(i)
+        for members in classes:
+            Qb = summands[members[0]]
+            if Qa.shape == Qb.shape and np.linalg.norm(
+                    (Qb.T @ commutant @ Qa).reshape(len(commutant), -1), 2) > 0.5:
+                members.append(a)
+                break
+        else:
+            classes.append([a])
 
     components = []
-    for members in groups.values():
+    for members in classes:
         if len({endos[i] for i in members}) != 1:
             raise UnstableSplit("isomorphic summands with unequal endomorphism fields")
         components.append(

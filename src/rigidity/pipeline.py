@@ -244,8 +244,6 @@ def run_pipeline(
         iso = isotypic_decompose(cluster, gens, cfg.seed)
         rep.isotypics = tuple((c.irr_dim, c.mult, c.endo_dim) for c in iso.components)
         rep.residuals["isotypic"] = iso.residual
-        if any(c.endo_dim == 4 for c in iso.components):
-            rep.flags += ("QUATERNIONIC_COMPONENT_UNTESTED",)
 
         # Multiplicity one everywhere: the full cone decides, and its miss is
         # a verdict. Otherwise a sub-cone, whose miss proves nothing, looks

@@ -14,9 +14,10 @@ built from the m x d incidence form D = B[us] - B[vs] of the basis B, in
 O(m d^2). One thin pseudo-inverse of the s x d^2 operator matrix, an SVD in
 O(s d^4), then serves every affine projection.
 
-It stays because tests/test_properties.py checks the cone against it,
+It stays because tests/test_properties.py checks the cone against it, and
 perfbench/spans.py::TRACED and its tests name compress_operators,
-solve_feasibility and orbit_laplacian, and certify calls orbit_laplacian.
+solve_feasibility and orbit_laplacian. No stage calls orbit_laplacian; the
+tests keep it as the dense reference for the incidence form.
 """
 
 from __future__ import annotations

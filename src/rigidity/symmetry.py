@@ -269,12 +269,6 @@ class _UnionFind:
     def same(self, a: int, b: int) -> bool:
         return self.find(a) == self.find(b)
 
-    def labels(self) -> list[int]:
-        """Class labels 0, 1, ... numbered in order of first element."""
-        first: dict[int, int] = {}
-        return [first.setdefault(self.find(x), len(first))
-                for x in range(len(self.parent))]
-
 
 def automorphism_generators(
     graph: Graph,

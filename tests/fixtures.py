@@ -105,6 +105,38 @@ def q3():
     return R.Graph(cube.n, cube.edges, name="q3")
 
 
+# The quaternion group Q8 as unit quaternions (a, b, c, d) = a + bi + cj + dk,
+# in the vertex order 1, -1, i, -i, j, -j, k, -k.
+Q8 = tuple(tuple(sign * int(a == b) for b in range(4))
+           for a in range(4) for sign in (1, -1))
+
+
+def _hamilton(p, q):
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+def q8_cayley():
+    """K4,4 as the Cayley graph of Q8 on {+-i, +-j}: vertex v is Q8[v], and
+    g is joined to g s for each s in the connection set."""
+    index = {q: v for v, q in enumerate(Q8)}
+    edges = {tuple(sorted((v, index[_hamilton(q, s)])))
+             for v, q in enumerate(Q8) for s in Q8[2:6]}
+    return R.Graph(8, tuple(sorted(edges)), name="q8-cayley")
+
+
+def q8_left_gens(graph):
+    """Left multiplication by i and by j on q8_cayley(): a regular action of
+    Q8 whose 4-dimensional irreducible is quaternionic."""
+    index = {q: v for v, q in enumerate(Q8)}
+    return R.GroupGenerators(graph, tuple(
+        tuple(index[_hamilton(Q8[u], q)] for q in Q8) for u in (2, 4)))
+
+
 def rotation_gens(graph, n):
     """Cyclic rotation subgroup i -> i+1 mod n."""
     return R.GroupGenerators(graph, (tuple((i + 1) % n for i in range(n)),))

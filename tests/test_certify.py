@@ -508,6 +508,21 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _count_oracle_eigensolves(monkeypatch):
+    """Record the shape of each np.linalg.eigh call made inside
+    certify._cutting_plane_direction: the eigenvector oracle's solves."""
+    calls, direction, eigh = [], certify._cutting_plane_direction, np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "eigh",
+                       lambda M, *a: calls.append(M.shape) or eigh(M, *a))
+            return direction(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "_cutting_plane_direction", counted)
+    return calls
+
+
 class TestDisproofWork:
     """At most one eigensolve per weight vector; only accepted steps are clustered.
 
@@ -560,11 +575,11 @@ class TestDisproofWork:
         g, kind = _disproof_case(case)
         directions = _count_calls(monkeypatch, "_cutting_plane_direction")
         lps = _count_calls(monkeypatch, "linprog")
-        operators = _count_calls(monkeypatch, "orbit_laplacian")
+        oracle = _count_oracle_eigensolves(monkeypatch)
         assert R.find_disproof(_cluster(g, kind), _auto_part(g),
                                kind) is not None
         assert all(basis.shape[1] == 1 for _, basis, _, _ in directions)
-        assert operators == []
+        assert oracle == []
         assert len(lps) == len(directions) >= 1
 
     @pytest.mark.parametrize("kind", [R.TargetKind.LOWER, R.TargetKind.UPPER],
@@ -602,11 +617,13 @@ class TestDisproofWork:
         g, kind = _disproof_case("p4-upper")
         directions = _count_calls(monkeypatch, "_cutting_plane_direction")
         lps = _count_calls(monkeypatch, "linprog")
-        operators = _count_calls(monkeypatch, "orbit_laplacian")
+        oracle = _count_oracle_eigensolves(monkeypatch)
         assert R.find_disproof(_cluster(g, kind), _auto_part(g),
                                kind) is not None
         assert any(basis.shape[1] > 1 for _, basis, _, _ in directions)
-        assert operators
+        # The oracle solves d x d matrices, d a degenerate basis's width.
+        assert oracle and set(oracle) <= {(basis.shape[1],) * 2
+                                          for _, basis, _, _ in directions}
         assert len(lps) > len(directions)
 
     @pytest.mark.parametrize("case", ["barbell-lower", "p4-upper",

@@ -50,6 +50,14 @@ class TestKnownDecompositions:
         assert _shapes(dec) == [(2, 1, 2), (5, 1, 1)]
         assert R.all_multiplicity_one(dec)
 
+    def test_q8_splits_off_a_quaternionic_four(self):
+        # K4,4's lambda_2 space under Q8's regular action: two real
+        # characters and the 4-dimensional real form of the quaternion rep.
+        g = fx.q8_cayley()
+        dec = R.isotypic_decompose(_cluster(g), fx.q8_left_gens(g))
+        assert _shapes(dec) == [(1, 1, 1), (1, 1, 1), (4, 1, 4)]
+        assert R.multiplicity_bound_ok(dec) and R.all_multiplicity_one(dec)
+
     def test_trivial_representation_on_kernel(self):
         # the constant-vector eigenspace carries the trivial rep: endo dim 1
         g = fx.petersen()
@@ -168,12 +176,21 @@ class TestRepresentativeVector:
             R.representative_vector(dec.components[0], R.edge_orbits(trivial))
 
 
+def _restricted_commutant_dim(cluster, gens, Q):
+    """The reference endo_dim: the dimension of the commutant of the action
+    restricted to the summand Q (eigenspace coordinates), solved anew from
+    the generators rather than read off the eigenspace's commutant."""
+    mats = I._generator_action(cluster, gens)
+    return I._commutant(Q.T @ mats @ Q, Q.shape[1]).shape[1]
+
+
 class TestIrreducibility:
     """Schur's lemma proves each summand irreducible, whatever the split."""
 
     # C5's lambda_2 plane under the trivial group is two trivial summands,
     # and cn6b's lambda_2 space a line plus a plane under its group. Left
-    # unsplit, each commutant has more than the scalars as symmetric part.
+    # unsplit, each End has more than the scalars as symmetric part, and
+    # the dimension that the error names is the restricted commutant's.
     @pytest.mark.parametrize("make, gens_of", [
         (fx.c5, lambda g: R.GroupGenerators(g, ())),
         (fx.cn6b, R.automorphism_generators),
@@ -182,8 +199,51 @@ class TestIrreducibility:
         monkeypatch.setattr(I, "_split_by_eigenvalues",
                             lambda M: [np.eye(len(M))])
         g = make()
-        with pytest.raises(R.UnstableSplit):
-            R.isotypic_decompose(_cluster(g), gens_of(g))
+        cl, gens = _cluster(g), gens_of(g)
+        d = cl.basis.shape[1]
+        ref = _restricted_commutant_dim(cl, gens, np.eye(d))
+        assert ref > 1
+        with pytest.raises(R.UnstableSplit, match=f"dimension {ref} is not"):
+            R.isotypic_decompose(cl, gens)
+
+
+class TestEndomorphismField:
+    """End(Q) read off the eigenspace's one commutant, against the commutant
+    of the action restricted to Q."""
+
+    @pytest.mark.parametrize("make, gens_of, which", [
+        (fx.z12, lambda g: fx.rotation_gens(g, 12), R.TargetKind.LOWER),
+        (fx.z21, lambda g: fx.rotation_gens(g, 21), R.TargetKind.LOWER),
+        (fx.tensegrity20, R.automorphism_generators, R.TargetKind.LOWER),
+        (fx.petersen, R.automorphism_generators, R.TargetKind.LOWER),
+        (fx.petersen, R.automorphism_generators, R.TargetKind.UPPER),
+        (fx.cn6b, R.automorphism_generators, R.TargetKind.LOWER),
+        (fx.q8_cayley, fx.q8_left_gens, R.TargetKind.LOWER),
+    ], ids=["z12-rotations", "z21-rotations", "tensegrity20", "petersen-lower",
+            "petersen-upper", "cn6b", "q8"])
+    def test_endo_dim_matches_the_restricted_commutant(self, make, gens_of,
+                                                       which):
+        g = make()
+        cl, gens = _cluster(g, which), gens_of(g)
+        for c in R.isotypic_decompose(cl, gens).components:
+            for j in range(c.mult):
+                Q = cl.basis.T @ c.basis[:, j * c.irr_dim:(j + 1) * c.irr_dim]
+                assert _restricted_commutant_dim(cl, gens, Q) == c.endo_dim
+
+    @pytest.mark.parametrize("make, gens_of", [
+        (fx.z12, lambda g: fx.rotation_gens(g, 12)),
+        (fx.cn6b, R.automorphism_generators),
+        (fx.petersen, R.automorphism_generators),
+        (fx.c5, lambda g: R.GroupGenerators(g, ())),
+        (fx.q8_cayley, fx.q8_left_gens),
+    ], ids=["z12-rotations", "cn6b", "petersen", "c5-trivial", "q8"])
+    def test_one_commutant_per_decomposition(self, monkeypatch, make, gens_of):
+        g = make()
+        calls, real = [], I._commutant
+        monkeypatch.setattr(
+            I, "_commutant", lambda *args: calls.append(args) or real(*args))
+        R.isotypic_decompose(_cluster(g), gens_of(g))
+        assert len(calls) == 1
 
 
 class TestCommutant:

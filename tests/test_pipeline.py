@@ -437,6 +437,18 @@ class TestGeneratingSetIndependence:
             assert np.max(np.abs(va - vb)) <= 1e-10
 
 
+class TestQuaternionicComponent:
+    def test_q8_cayley_graph_is_certified_exact(self):
+        # K4,4 under Q8's left action: lambda_2 holds an endo_dim 4 isotypic,
+        # and every later stage runs on it.
+        g = fx.q8_cayley()
+        rep = _run(g, LOWER, group=fx.q8_left_gens(g))
+        assert rep.isotypics == ((1, 1, 1), (1, 1, 1), (4, 1, 4))
+        assert rep.status is R.PipelineStatus.CERTIFIED_EXACT
+        assert rep.flags == ()
+        assert R.reverify_report(json.loads(R.emit_report(rep, "JSON")))
+
+
 class TestStageTimings:
     @pytest.mark.parametrize("make, target, kw", [
         (fx.barbell, LOWER, {}),
@@ -874,5 +886,5 @@ def _readme_flags() -> set[str]:
 
 class TestReadmeFlagTable:
     def test_table_lists_every_flag_the_pipeline_raises(self):
-        assert len(_pipeline_flags()) == 13
+        assert len(_pipeline_flags()) == 12
         assert _readme_flags() == _pipeline_flags()

@@ -341,6 +341,42 @@ def test_simple_eigenvalue_direction_is_optimal(g):
     assume(simple > 0)
 
 
+@given(st.one_of(connected_graphs(max_n=8), circulants), st.integers(2, 4),
+       st.sampled_from([R.TargetKind.LOWER, R.TargetKind.UPPER]),
+       st.integers(0, 2**16))
+@settings(deadline=None, max_examples=40)
+def test_oracle_operator_is_the_sum_of_compressed_orbit_laplacians(g, d, kind,
+                                                                   seed):
+    # Every matrix the cutting-plane oracle solves, D^T diag(y[labels]) D
+    # with D = B[us] - B[vs], against sum_o y_o B^T L_o B with the dense
+    # orbit Laplacians L_o and y the LP's direction before it.
+    assume(d < g.n)
+    part = R.edge_orbits(R.automorphism_generators(g))
+    rng = np.random.default_rng(seed)
+    B = np.linalg.qr(rng.standard_normal((g.n, d)))[0]
+    dense = np.stack([B.T @ sdpfeas.orbit_laplacian(part, o) @ B
+                      for o in range(part.s)])
+    ys, solved = [], []
+    real_linprog, real_eigh = certify.linprog, np.linalg.eigh
+
+    def linprog(*args, **kwargs):
+        res = real_linprog(*args, **kwargs)
+        ys.append(res.x[:part.s])
+        return res
+
+    def eigh(M, *args):
+        solved.append((ys[-1], M))
+        return real_eigh(M, *args)
+
+    with mock.patch.object(certify, "linprog", linprog), \
+            mock.patch.object(np.linalg, "eigh", eigh):
+        certify._cutting_plane_direction(part, B, kind, rng)
+    assume(solved)  # the first LP's direction already met every cut
+    for y, M in solved:
+        ref = np.tensordot(y, dense, axes=1)
+        assert np.max(np.abs(M - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
 def _disproof_or_error(g, kind):
     """find_disproof on the trivial partition, or the type of what it raised."""
     part = R.edge_orbits(R.GroupGenerators(g, ()))

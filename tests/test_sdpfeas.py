@@ -62,7 +62,7 @@ class TestCompressOperators:
         assert co.ops.shape == (part.s, d, d)
         tol = 1e-12 * max(1.0, cl.value)
         for o in range(part.s):
-            ref = B.T @ R.orbit_laplacian(part, o) @ B
+            ref = B.T @ sdpfeas.orbit_laplacian(part, o) @ B
             assert np.max(np.abs(co.ops[o] - ref)) <= tol, o
 
     def test_per_edge_count_and_symmetry(self):
@@ -90,7 +90,7 @@ class TestCompressOperators:
     def test_orbit_laplacians_partition_laplacian(self):
         g = fx.barbell()
         part = _orbit_part(g)
-        total = np.sum([R.orbit_laplacian(part, o)
+        total = np.sum([sdpfeas.orbit_laplacian(part, o)
                         for o in range(len(part.sizes))], axis=0)
         L = R.laplacian(g, R.WeightVector.uniform(g))
         assert np.max(np.abs(total - L)) <= 1e-14

@@ -22,7 +22,6 @@ from .certify import (
     build_cone,
     exact_nonneg_solve,
     find_disproof,
-    rationalize,
     rationalize_tight,
     solve_cone_membership,
     subcone_model,
@@ -43,7 +42,6 @@ from .graphcore import (
     EdgeOrbitPartition,
     Graph,
     MalformedGraph6,
-    WeightVector,
     cartesian_product,
     circulant,
     edge_energy,

@@ -23,7 +23,7 @@ from scipy.optimize._highspy import _core as highs
 from .check import MARGIN, Disproof
 # Bound here only because perfbench/spans.py::TRACED names them as certify's.
 from .check import verify_certificate, verify_disproof  # noqa: F401
-from .graphcore import EdgeOrbitPartition, Graph, WeightVector, laplacian, orbit_energy
+from .graphcore import EdgeOrbitPartition, Graph, laplacian, orbit_energy
 from .isotypics import IsotypicComponent, IsotypicDecomposition, representative_vector
 # Bound here only because perfbench/test_perfbench.py patches this binding.
 from .sdpfeas import orbit_laplacian  # noqa: F401
@@ -97,7 +97,7 @@ RITZ_DIM = 8  # eigenvectors of the current weights that bound a line-search tri
 
 
 # ---------------------------------------------------------------------------
-# Rationalization (two-tier gate)
+# Rationalization (two-bound gate)
 # ---------------------------------------------------------------------------
 
 MAX_DENOMINATOR = 10**4
@@ -105,27 +105,20 @@ RATIONAL_LOOSE = 1e-9
 RATIONAL_TIGHT = 1e-12
 
 
-def rationalize(x: float) -> Fraction | None:
-    """Best rational with denominator <= 1e4, or None beyond 1e-9 error."""
-    f = Fraction(x).limit_denominator(MAX_DENOMINATOR)
-    if abs(float(f) - x) > RATIONAL_LOOSE:
-        return None
-    return f
-
-
 def rationalize_tight(x: float) -> Fraction | None:
-    """Rationalization accepted only when the error is at roundoff scale.
+    """Best rational with denominator <= 1e4, accepted only at roundoff scale.
 
-    With denominators capped at 1e4 a quadratic irrational's best approximant
+    The error must be at most RATIONAL_LOOSE absolutely and RATIONAL_TIGHT
+    relative to max(1, |x|); above |x| = 1e3 the absolute bound binds. With
+    denominators capped at 1e4 a quadratic irrational's best approximant
     sits at least ~1e-9 away, while a genuine small rational read from a float
     lands within a few ulps; the 1e-12 relative gate separates the two. A
     larger cap would let continued-fraction convergents of irrationals sneak
     under the gate and produce bogus 'exact' claims.
     """
-    f = rationalize(x)
-    if f is None:
-        return None
-    if abs(float(f) - x) > RATIONAL_TIGHT * max(1.0, abs(x)):
+    f = Fraction(x).limit_denominator(MAX_DENOMINATOR)
+    err = abs(float(f) - x)
+    if err > RATIONAL_LOOSE or err > RATIONAL_TIGHT * max(1.0, abs(x)):
         return None
     return f
 
@@ -313,7 +306,7 @@ def assemble_certificate(
         raise ResidualTooLarge(
             f"assembled orbit energies miss the target by {orbit_residual:.3e}"
         )
-    L = laplacian(graph, WeightVector.uniform(graph))
+    L = laplacian(graph, np.ones(graph.m))
     eigen_residual = float(np.linalg.norm(L @ phi - cluster.value * phi))
     return ConicCertificate(
         coeffs=tuple(coeffs),
@@ -620,5 +613,4 @@ def find_disproof(
     margin = sign * (lam_cur - lam_base)
     if margin <= MARGIN:
         return None  # no step was accepted
-    wv = WeightVector(w * (m / float(w.sum())), normalized=True)
-    return Disproof(wv, lam_cur, lam_base, margin)
+    return Disproof(w * (m / float(w.sum())), lam_cur, lam_base, margin)

@@ -36,7 +36,6 @@ import numpy as np
 from .graphcore import (
     EdgeOrbitPartition,
     Graph,
-    WeightVector,
     laplacian,
     orbit_energy,
     parse_graph6,
@@ -115,12 +114,20 @@ def route_is_valid(route: tuple[str, ...]) -> bool:
 
 @dataclass(frozen=True)
 class Disproof:
-    """Witness weights beating the uniform spectrum for one target."""
+    """Witness weights beating the uniform spectrum for one target.
 
-    w: WeightVector
+    w holds one weight per edge, as a read-only float64 array.
+    """
+
+    w: np.ndarray
     achieved: float
     baseline: float
     margin: float
+
+    def __post_init__(self):
+        w = np.array(self.w, dtype=np.float64)
+        w.setflags(write=False)
+        object.__setattr__(self, "w", w)
 
 
 @dataclass(frozen=True)
@@ -148,7 +155,7 @@ def verify_certificate(
     the caller computed from the graph itself; otherwise it is computed here.
     """
     graph = part.graph
-    L = laplacian(graph, WeightVector.uniform(graph))
+    L = laplacian(graph, np.ones(graph.m))
     lam_all = (spectrum if spectrum is not None else eig_sym(L)).eigenvalues
     scale = max(1.0, float(lam_all[-1]))
 
@@ -182,20 +189,18 @@ def verify_disproof(graph: Graph, d: Disproof, kind: TargetKind,
                     spectrum: EigenDecomposition | None = None) -> bool:
     """Recompute spectra from scratch and check the strict improvement.
 
-    The witness must beat the uniform target eigenvalue by MARGIN, and its
+    The witness weights must be nonnegative and sum to m, to 1e-9 * m. They
+    must beat the uniform target eigenvalue by MARGIN, and the witness's
     achieved, baseline and margin must be the recomputed weighted and
     uniform eigenvalues and their gain, within VERIFY_TOL * max(1, lambda_max).
     spectrum, when given, is the uniform Laplacian's eigendecomposition that
     the caller computed from the graph itself; otherwise it is computed here.
     """
-    w = d.w.values
-    if np.any(w < 0):
+    if np.any(d.w < 0) or abs(float(d.w.sum()) - graph.m) > 1e-9 * graph.m:
         return False
-    if abs(float(w.sum()) - graph.m) > 1e-9 * graph.m:
-        return False
-    lam_w = eig_sym(laplacian(graph, w)).eigenvalues
+    lam_w = eig_sym(laplacian(graph, d.w)).eigenvalues
     lam_u = (spectrum if spectrum is not None
-             else eig_sym(laplacian(graph, WeightVector.uniform(graph)))).eigenvalues
+             else eig_sym(laplacian(graph, np.ones(graph.m)))).eigenvalues
     achieved, baseline = float(lam_w[kind.index]), float(lam_u[kind.index])
     gain = kind.sign * (achieved - baseline)
     tol = VERIFY_TOL * max(1.0, float(lam_w[-1]), float(lam_u[-1]))
@@ -254,7 +259,7 @@ def reverify_report(payload: dict) -> bool:
     orbit labels outside 0..m-1, certificate vectors that are not n finite
     numbers, coefficients that are not finite or not one per vector, an
     eigenvalue, achieved, baseline or margin that is not a finite number,
-    and disproof weights that are not m finite nonnegative numbers. Each of
+    and disproof weights that are not m finite numbers. Each of
     these numbers must be a JSON number, not a bool or a numeric string,
     except exact coefficients, which must be written as str(Fraction)
     writes them (EXACT_COEFF) in at most EXACT_COEFF_CHARS characters.
@@ -310,7 +315,7 @@ def _reverify(payload: dict) -> bool:
             for c in iso
         ):
             return False
-        dec = laplacian_spectrum(graph, WeightVector.uniform(graph))
+        dec = laplacian_spectrum(graph, np.ones(m))
         if sum(d * k for d, k, _ in iso) != target_cluster(dec, kind).basis.shape[1]:
             return False
     if status in ("CERTIFIED_EXACT", "CERTIFIED_NUMERIC"):
@@ -351,11 +356,10 @@ def _reverify(payload: dict) -> bool:
         # The top-level lambda, then the witness's achieved, baseline, margin.
         nums = [_finite_array(x, ()) for x in (
             payload["lambda"], disp["achieved"], disp["baseline"], disp["margin"])]
-        if w is None or np.any(w < 0) or any(x is None for x in nums):
+        if w is None or any(x is None for x in nums):
             return False
         top, *claims = map(float, nums)
-        # verify_disproof, not the WeightVector, judges the total weight.
-        d = Disproof(WeightVector(w), *claims)
+        d = Disproof(w, *claims)
         lam = d.baseline
         return (abs(top - lam) <= VERIFY_TOL * max(1.0, abs(lam))
                 and verify_disproof(graph, d, kind, dec))

@@ -25,7 +25,6 @@ from .graphcore import (
     format_edge_list,
     Graph,
     MalformedGraph6,
-    WeightVector,
     parse_edge_list,
     parse_graph6,
 )
@@ -70,11 +69,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _load_graph(path: str) -> Graph:
+def _read(path: Path, what: str = "") -> str:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from exc
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read {what}{path}: {exc}") from exc
+
+
+def _load_graph(path: str) -> Graph:
+    text = _read(Path(path))
     data_lines = [
         ln.strip() for ln in text.splitlines()
         if ln.strip() and not ln.strip().startswith("#")
@@ -83,8 +86,12 @@ def _load_graph(path: str) -> Graph:
         raise _UsageError(f"{path}: no graph data")
     first = data_lines[0].split()
     name = Path(path).stem
+    edge_list = len(first) >= 2 and all(t.lstrip("-").isdigit() for t in first[:2])
+    if not edge_list and len(data_lines) > 1:
+        raise _UsageError(f"{path}: holds {len(data_lines)} graphs; "
+                          "give one graph per file")
     try:
-        if len(first) >= 2 and all(t.lstrip("-").isdigit() for t in first[:2]):
+        if edge_list:
             return parse_edge_list(text, name)
         return parse_graph6(data_lines[0], name)
     except (MalformedGraph6, DisconnectedGraph, ValueError) as exc:
@@ -116,10 +123,7 @@ def _group_config(spec: str, graph: Graph) -> GroupGenerators | tuple[int, ...]:
     """--group for one graph: generators read and checked, fix: vertices in range."""
     group = _group_spec(spec)
     if isinstance(group, Path):
-        try:
-            text = group.read_text()
-        except OSError as exc:
-            raise _UsageError(f"cannot read generator file {group}: {exc}") from exc
+        text = _read(group, "generator file ")
         try:
             return generators_from_json(graph, text)
         except ValueError as exc:
@@ -174,7 +178,7 @@ def _json_reports(reports: list[CertificationReport]) -> bytes:
 
 def _cmd_spectrum(args) -> int:
     graph = _load_graph(args.graph)
-    dec = laplacian_spectrum(graph, WeightVector.uniform(graph))
+    dec = laplacian_spectrum(graph, np.ones(graph.m))
     for lam in dec.eigenvalues:
         print(repr(float(lam)))
     try:
@@ -212,7 +216,7 @@ def _cmd_disprove(args) -> int:
     graph = _load_graph(args.graph)
     kind = TargetKind(args.target.upper())
     cfg = _config(_group_config(args.group, graph), args.seed)
-    dec = laplacian_spectrum(graph, WeightVector.uniform(graph))
+    dec = laplacian_spectrum(graph, np.ones(graph.m))
     try:
         cluster = target_cluster(dec, kind)
     except AmbiguousCluster as exc:
@@ -232,7 +236,7 @@ def _cmd_disprove(args) -> int:
         print("no verified disproof found")
         return _EXIT_INCONCLUSIVE
     print(f"baseline {d.baseline!r}  achieved {d.achieved!r}  margin {d.margin:.6g}")
-    for (u, v), w in zip(graph.edges, d.w.values):
+    for (u, v), w in zip(graph.edges, d.w):
         print(f"  w[{u},{v}] = {float(w)!r}")
     if args.out:
         _write(Path(args.out), format_edge_list(graph, d.w).encode())

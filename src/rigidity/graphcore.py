@@ -110,33 +110,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}{tag})"
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Per-edge nonnegative weights; normalized means they sum to |E|."""
-
-    values: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64).copy()
-        if arr.ndim != 1:
-            raise DimensionMismatch("weights must be a flat vector")
-        if np.any(arr < 0):
-            raise ValueError("weights must be nonnegative")
-        m = arr.size
-        if self.normalized and m > 0 and abs(arr.sum() - m) > 1e-12 * m:
-            raise ValueError(f"normalized weights must sum to {m}, got {arr.sum()!r}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def uniform(cls, graph: Graph) -> "WeightVector":
-        return cls(np.ones(graph.m), normalized=True)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
 # ---------------------------------------------------------------------------
 # graph6 (McKay encoding): N(n) header, then the upper triangle x_{ij} (i<j)
 # in column order j=1..n-1, i=0..j-1, packed big-endian 6 bits per byte,
@@ -258,14 +231,14 @@ def parse_edge_list(text: str, name: str = "") -> Graph:
     return Graph(top + 1, edges, name=name)
 
 
-def format_edge_list(graph: Graph, weights: WeightVector | None = None) -> str:
-    """Render the graph (optionally with per-edge weights) as edge-list text."""
+def format_edge_list(graph: Graph, weights: np.ndarray | None = None) -> str:
+    """Render the graph (optionally with its m per-edge weights) as edge-list text."""
     lines = []
     for i, (u, v) in enumerate(graph.edges):
         if weights is None:
             lines.append(f"{u} {v}")
         else:
-            lines.append(f"{u} {v} {float(weights.values[i])!r}")
+            lines.append(f"{u} {v} {float(weights[i])!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -316,10 +289,7 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 
 def _weight_values(graph: Graph, w) -> np.ndarray:
-    if isinstance(w, WeightVector):
-        arr = w.values
-    else:
-        arr = np.asarray(w, dtype=np.float64)
+    arr = np.asarray(w, dtype=np.float64)
     if arr.shape != (graph.m,):
         raise DimensionMismatch(
             f"weight vector has length {arr.shape}, graph has {graph.m} edges"

@@ -36,7 +36,7 @@ from .certify import (
 from .check import Disproof, PipelineStatus, verify_certificate, verify_disproof
 # Bound here only because perfbench/spans.py::TRACED names it as pipeline's.
 from .check import reverify_report  # noqa: F401
-from .graphcore import Graph, WeightVector, to_graph6
+from .graphcore import Graph, to_graph6
 from .isotypics import (
     UnstableSplit,
     all_multiplicity_one,
@@ -129,7 +129,7 @@ class CertificationReport:
         disp = None
         if self.disproof is not None:
             disp = {
-                "w": [float(x) for x in self.disproof.w.values],
+                "w": [float(x) for x in self.disproof.w],
                 "achieved": float(self.disproof.achieved),
                 "baseline": float(self.disproof.baseline),
                 "margin": float(self.disproof.margin),
@@ -220,7 +220,7 @@ def run_pipeline(
     run = _Run(rep)
     try:
         run.stage("spectrum")
-        dec = laplacian_spectrum(graph, WeightVector.uniform(graph))
+        dec = laplacian_spectrum(graph, np.ones(graph.m))
 
         run.stage("cluster")
         cluster = target_cluster(dec, target)

@@ -480,7 +480,10 @@ def vertex_orbits(gens: GroupGenerators) -> tuple[int, ...]:
 
 def generators_from_json(graph: Graph, text: str) -> GroupGenerators:
     """Parse a JSON array of image arrays into checked generators."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("generator file is nested too deeply") from exc
     # GroupGenerators checks the rest; a non-list row would raise TypeError there.
     if not isinstance(data, list) or not all(isinstance(e, list) for e in data):
         raise ValueError("generator file must be a JSON array of image arrays")

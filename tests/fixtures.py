@@ -213,16 +213,16 @@ def orbit_mean(w, part):
     This is the group average of w, so it keeps w's total and is constant on
     every edge orbit.
     """
-    means = np.bincount(part.labels, w.values, minlength=part.s) / part.size_vector
-    return R.WeightVector(means[part.labels], normalized=w.normalized)
+    means = np.bincount(part.labels, w, minlength=part.s) / part.size_vector
+    return means[part.labels]
 
 
 def normalized(w):
     """w scaled to sum to its edge count."""
-    return R.WeightVector(w.values * (w.values.size / w.values.sum()), normalized=True)
+    return w * (w.size / w.sum())
 
 
 def random_weights(graph, rng):
     """Random normalized strictly positive weights."""
     w = rng.uniform(0.05, 2.0, size=graph.m)
-    return R.WeightVector(w * graph.m / w.sum(), normalized=True)
+    return w * graph.m / w.sum()

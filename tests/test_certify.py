@@ -16,7 +16,7 @@ import fixtures as fx
 
 
 def _cluster(g, which=R.TargetKind.LOWER):
-    dec = R.laplacian_spectrum(g, R.WeightVector.uniform(g))
+    dec = R.laplacian_spectrum(g, np.ones(g.m))
     return R.cluster_eigenspace(dec, which)
 
 
@@ -48,8 +48,14 @@ class TestRationalize:
             assert R.rationalize_tight(x) is None
 
     def test_loose_gate_still_rejects_irrationals(self):
-        assert R.rationalize(math.sqrt(3)) is None
-        assert R.rationalize(1 / 7) == Fraction(1, 7)
+        assert R.rationalize_tight(math.sqrt(3)) is None
+        assert R.rationalize_tight(1 / 7) == Fraction(1, 7)
+
+    def test_absolute_bound_binds_for_large_values(self):
+        # Above |x| = 1e3 the relative bound 1e-12 * |x| exceeds 1e-9, so the
+        # absolute bound decides: an error of 2.1e-9 is refused.
+        assert R.rationalize_tight(2e6 + 1 / 7) == Fraction(14000001, 7)
+        assert R.rationalize_tight(2e6 + 1 / 7 + 2e-9) is None
 
 
 class TestExactNonnegSolve:
@@ -206,7 +212,7 @@ class TestBipartiteShortcut:
 
     def test_upper_eigenvalue_is_two_d(self):
         g = fx.desargues()
-        w = R.WeightVector.uniform(g)
+        w = np.ones(g.m)
         assert abs(R.laplacian_spectrum(g, w).eigenvalues[-1] - 6.0) <= 1e-10
 
 
@@ -471,20 +477,27 @@ class TestDisproof:
         g = fx.barbell()
         d = R.find_disproof(_cluster(g), _auto_part(g), R.TargetKind.LOWER)
         # uniform weights: no margin over the baseline
-        flat = dataclasses.replace(
-            d, w=R.WeightVector.uniform(g), achieved=d.baseline)
+        flat = dataclasses.replace(d, w=np.ones(g.m), achieved=d.baseline)
         assert not R.verify_disproof(g, flat, R.TargetKind.LOWER)
         # mass not normalized
-        heavy = dataclasses.replace(
-            d, w=R.WeightVector(2.0 * d.w.values, normalized=False))
+        heavy = dataclasses.replace(d, w=2.0 * d.w)
         assert not R.verify_disproof(g, heavy, R.TargetKind.LOWER)
+        # a negative weight, total m and true claims: rejected for the sign alone
+        neg = d.w.copy()
+        neg[0] -= 1e-3
+        neg[3] += 1e-3
+        achieved = float(R.laplacian_spectrum(g, neg).eigenvalues[1])
+        negative = R.Disproof(neg, achieved, d.baseline, achieved - d.baseline)
+        assert negative.margin > 0.2
+        assert not R.verify_disproof(g, negative, R.TargetKind.LOWER)
 
     def test_disproof_weights_are_normalized(self):
         g = fx.f3()
         d = R.find_disproof(_cluster(g, R.TargetKind.UPPER), _auto_part(g),
                             R.TargetKind.UPPER)
-        assert np.all(d.w.values >= 0)
-        assert abs(d.w.values.sum() - g.m) <= 1e-9 * g.m
+        assert d.w.dtype == np.float64 and not d.w.flags.writeable
+        assert np.all(d.w >= 0)
+        assert abs(d.w.sum() - g.m) <= 1e-9 * g.m
 
 
 def _disproof_case(case):
@@ -559,14 +572,14 @@ class TestDisproofWork:
         # The caller's uniform spectrum saves one eigensolve and no step.
         g, kind = _disproof_case(case)
         cluster, part = _cluster(g, kind), _auto_part(g)
-        spectrum = R.laplacian_spectrum(g, R.WeightVector.uniform(g))
+        spectrum = R.laplacian_spectrum(g, np.ones(g.m))
         solves = _count_calls(monkeypatch, "eig_sym")
         own = R.find_disproof(cluster, part, kind)
         own_solves = len(solves)
         given = R.find_disproof(cluster, part, kind, spectrum=spectrum)
         assert len(solves) - own_solves == own_solves - 1
         assert own is not None and given is not None
-        assert given.w.values.tobytes() == own.w.values.tobytes()
+        assert given.w.tobytes() == own.w.tobytes()
         assert (given.achieved, given.baseline, given.margin) == (
             own.achieved, own.baseline, own.margin)
 
@@ -636,7 +649,7 @@ class TestDisproofWork:
         monkeypatch.setattr(certify, "_interlacing_rejects", lambda *args: False)
         ref = R.find_disproof(cluster, part, kind)
         assert d is not None and ref is not None
-        assert d.w.values.tobytes() == ref.w.values.tobytes()
+        assert d.w.tobytes() == ref.w.tobytes()
         assert (d.achieved, d.baseline, d.margin) == (
             ref.achieved, ref.baseline, ref.margin)
 
@@ -712,7 +725,7 @@ class TestMonteCarloShadow:
         for make, kind in ((fx.c5, R.TargetKind.LOWER),
                            (fx.z12, R.TargetKind.UPPER)):
             g = make()
-            w0 = R.WeightVector.uniform(g)
+            w0 = np.ones(g.m)
             idx = 1 if kind is R.TargetKind.LOWER else -1
             base = R.laplacian_spectrum(g, w0).eigenvalues[idx]
             for _ in range(200):

@@ -235,8 +235,8 @@ class TestDisprove:
         g = fx.barbell()
         assert len(w) == g.m
         assert abs(w.sum() - g.m) <= 1e-9
-        assert R.laplacian_spectrum(g, R.WeightVector(w)).eigenvalues[1] > (
-            R.laplacian_spectrum(g, R.WeightVector.uniform(g)).eigenvalues[1])
+        assert R.laplacian_spectrum(g, w).eigenvalues[1] > (
+            R.laplacian_spectrum(g, np.ones(g.m)).eigenvalues[1])
 
     def test_no_witness_exit_two(self, tmp_path, capsys):
         p = tmp_path / "c5.g6"
@@ -305,6 +305,20 @@ class TestBatch:
             "  CERTIFIED_NUMERIC: 2",
             "  DISPROVED: 2",
         ]
+
+    def test_unreadable_and_several_graph_files_are_skipped(self, tmp_path,
+                                                             capsys):
+        (tmp_path / "a_bytes.g6").write_bytes(b"\xff\xfe")
+        (tmp_path / "b_two.g6").write_text("Dhc\nE~~w\n")  # C5, then K6
+        (tmp_path / "c5.g6").write_text(R.to_graph6(fx.c5()) + "\n")
+        rc = main(["batch", str(tmp_path), "--target", "lower"])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert out[0].startswith("a_bytes.g6: SKIPPED (cannot read ")
+        assert out[1] == (f"b_two.g6: SKIPPED ({tmp_path / 'b_two.g6'}: holds 2 "
+                          "graphs; give one graph per file)")
+        assert out[2:] == ["c5.g6 LOWER: CERTIFIED_NUMERIC", "summary:",
+                           "  CERTIFIED_NUMERIC: 1", "  skipped inputs: 2"]
 
     def test_empty_directory(self, tmp_path, capsys):
         rc = main(["batch", str(tmp_path)])
@@ -395,6 +409,48 @@ class TestUsageErrors:
         assert "Traceback" not in captured.err
         if command[0] == "batch":  # refused before the first run
             assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [
+        ["check"], ["spectrum"], ["orbits"], ["disprove", "--target", "lower"],
+    ], ids=["check", "spectrum", "orbits", "disprove"])
+    def test_graph_file_not_utf8_exits_3(self, tmp_path, capsys, command):
+        p = tmp_path / "bad.g6"
+        p.write_bytes(b"\xff\xfe")
+        rc = main([command[0], str(p), *command[1:]])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err.startswith(f"error: cannot read {p}:")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe", "cannot read generator file"),
+        (b"[" * 200_000, "nested too deeply"),
+    ], ids=["not-utf8", "nested-too-deeply"])
+    def test_unreadable_generator_file_exits_3(self, tmp_path, capsys, content,
+                                               message):
+        gfile = tmp_path / "c5.g6"
+        gfile.write_text(R.to_graph6(fx.c5()) + "\n")
+        gens = tmp_path / "gens.json"
+        gens.write_bytes(content)
+        rc = main(["orbits", str(gfile), "--group", f"file:{gens}"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err.startswith("error:") and message in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", [
+        ["check"], ["spectrum"], ["orbits"], ["disprove", "--target", "lower"],
+    ], ids=["check", "spectrum", "orbits", "disprove"])
+    def test_graph6_file_with_several_graphs_exits_3(self, tmp_path, capsys,
+                                                     command):
+        p = tmp_path / "two.g6"
+        p.write_text("Dhc\nE~~w\n")  # C5, then K6
+        rc = main([command[0], str(p), *command[1:]])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err == (f"error: {p}: holds 2 graphs; "
+                                "give one graph per file\n")
+        assert captured.out == ""
 
     def test_missing_group_file(self, barbell_file, capsys):
         rc = main(["check", str(barbell_file),

@@ -9,7 +9,7 @@ import fixtures as fx
 
 
 def _cluster(g, which=R.TargetKind.LOWER):
-    dec = R.laplacian_spectrum(g, R.WeightVector.uniform(g))
+    dec = R.laplacian_spectrum(g, np.ones(g.m))
     return R.cluster_eigenspace(dec, which)
 
 
@@ -153,7 +153,7 @@ class TestRepresentativeVector:
         cl = _cluster(g)
         c = R.isotypic_decompose(cl, gens).components[0]
         phi = R.representative_vector(c, R.edge_orbits(gens))
-        L = R.laplacian(g, R.WeightVector.uniform(g))
+        L = R.laplacian(g, np.ones(g.m))
         lam = cl.value
         assert np.max(np.abs(L @ phi - lam * phi)) <= 1e-8
         inside = c.basis @ (c.basis.T @ phi)

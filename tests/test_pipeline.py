@@ -136,7 +136,7 @@ class TestStatuses:
     @staticmethod
     def _solves(g, monkeypatch):
         """The run's status, its eig_sym calls, and those on the uniform L."""
-        L = R.laplacian(g, R.WeightVector.uniform(g))
+        L = R.laplacian(g, np.ones(g.m))
         uniform, real = [], R.eig_sym
 
         def spy(A):
@@ -632,7 +632,7 @@ class TestReverification:
         payload = json.loads(R.emit_report(battery_reports[("barbell", LOWER)],
                                            "JSON"))
         payload["isotypics"] = [[1, 1, 1]]  # lambda_2 is simple: this fits
-        L = R.laplacian(g, R.WeightVector.uniform(g))
+        L = R.laplacian(g, np.ones(g.m))
         uniform, real = [], R.eig_sym
 
         def spy(A):

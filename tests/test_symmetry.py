@@ -551,7 +551,7 @@ class TestSymmetrization:
         w = fx.random_weights(g, rng)
         ws = fx.orbit_mean(w, part)
         for o in range(len(part.sizes)):
-            vals = ws.values[list(part.members(o))]
+            vals = ws[list(part.members(o))]
             assert np.max(vals) - np.min(vals) <= 1e-12
 
     def test_preserves_total_and_uniform(self, rng):
@@ -559,9 +559,9 @@ class TestSymmetrization:
         part = R.edge_orbits(R.automorphism_generators(g))
         w = fx.random_weights(g, rng)
         ws = fx.orbit_mean(w, part)
-        assert abs(ws.values.sum() - w.values.sum()) <= 1e-10
-        u = R.WeightVector.uniform(g)
-        assert np.allclose(fx.orbit_mean(u, part).values, u.values,
+        assert abs(ws.sum() - w.sum()) <= 1e-10
+        u = np.ones(g.m)
+        assert np.allclose(fx.orbit_mean(u, part), u,
                            rtol=0, atol=1e-14)
 
     def test_monotonicity(self, rng):
